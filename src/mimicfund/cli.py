@@ -245,6 +245,8 @@ def _study_config(path) -> StudyConfig:
             kwargs[key] = raw[key]
     for key in ("phi_set", "a_set", "a_range", "phi_range"):
         if key in raw:
+            if not isinstance(raw[key], list):
+                raise errors.ValidationError(f"study config key {key} must be a JSON array")
             kwargs[key] = tuple(raw[key])
     return StudyConfig(**kwargs)
 
@@ -302,8 +304,29 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit with the validation code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mimicfund",
         description="Closed-form portfolios for mean-variance investors with a mimicking penalty.",
     )
@@ -320,9 +343,15 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.set_defaults(handler=_cmd_solve)
 
     verify = sub.add_parser("verify", help="cross-check the closed form against the KKT solver")
-    verify.add_argument("--count", type=int, default=500, help="number of random instances")
-    verify.add_argument("--max-k", type=int, default=10, help="largest asset count")
-    verify.add_argument("--max-n", type=int, default=10, help="largest investor count")
+    verify.add_argument(
+        "--count", type=_int_at_least(0), default=500, help="number of random instances"
+    )
+    verify.add_argument(
+        "--max-k", type=_int_at_least(2), default=10, help="largest asset count"
+    )
+    verify.add_argument(
+        "--max-n", type=_int_at_least(2), default=10, help="largest investor count"
+    )
     verify.add_argument("--seed", type=int, default=0, help="RNG seed")
     verify.set_defaults(handler=_cmd_verify)
 

@@ -4,19 +4,29 @@ Each investor maximizes mean-variance utility minus a penalty
 ``(phi_i/2) (w_i - W beta)' sigma (w_i - W beta)`` on the covariance-weighted
 distance between their own weights and the wealth-weighted fund aggregate.
 The wealth-weighted sum of these objectives collapses into a single
-trace-form mean-variance problem through an ``n x n`` mimicking matrix, and
-the optimum is available in closed form.  Only the aggregate risk-aversion
-scalar changes relative to the classical solution: every optimal column
-still lies on the line through the GMVP spanned by the frontier tilt.
+trace-form mean-variance problem through the symmetrized mimicking matrix
+
+    a_phi = D + (u beta' + beta u') / 2,   D = diag((alpha + phi) beta),
+                                           u = (phi_bar - 2 phi) beta,
+
+a diagonal plus a rank-two term, and the optimum is available in closed
+form.  Only the aggregate risk-aversion scalar changes relative to the
+classical solution: every optimal column still lies on the line through the
+GMVP spanned by the frontier tilt.  :class:`MimickingMatrix` keeps ``a_phi``
+in this structured form, so certifying, inverting (Sherman-Morrison-Woodbury
+with a 2 x 2 capacitance matrix) and applying it cost O(n) for ``n``
+investors, and :func:`solve` and :func:`penalized_utility` cost O(n k^2)
+for ``k`` assets.  No ``n x n`` array is formed unless a caller reads the
+dense views ``a`` or ``a_phi``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
-import scipy.linalg
 
 from . import errors
 from .markowitz import FrontierPoint, MarkowitzContext
@@ -25,27 +35,105 @@ from .model import InvestorGroup, MarketModel, PortfolioMatrix
 # Uniform-wealth detection tolerance for equal_wealth_matrix.
 UNIFORM_WEALTH_TOL = 1e-12
 
+# Relative margin of the positive-definiteness certificate: ``delta`` is the
+# difference of two products of size ``(2 + s_ub)^2``, so a smaller positive
+# value is indistinguishable from rounding.
+PD_RTOL = 1e-13
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
 
 @dataclass(frozen=True)
 class MimickingMatrix:
-    """The group's mimicking matrix and its symmetrized form.
+    """The group's mimicking matrix as a diagonal-plus-rank-two operator.
 
-    ``a`` combines risk aversions, wealth shares and mimicking coefficients:
-    ``a = (A0 + Phi) B + (phi_bar I - 2 Phi) beta beta'`` with diagonal
-    ``A0 = diag(alpha)``, ``B = diag(beta)``, ``Phi = diag(phi)`` and
-    ``phi_bar = beta' phi``.  Entrywise:
+    The raw matrix is ``a = D + u beta'`` and its symmetrized form is
+    ``a_phi = (a + a') / 2 = D + (u beta' + beta u') / 2``, with
+
+        d = (alpha + phi) beta              the diagonal of ``D``
+        u = (phi_bar - 2 phi) beta          ``phi_bar = beta' phi``
+
+    Entrywise:
 
         a[i, i] = beta_i (alpha_i + phi_i) + beta_i^2 (phi_bar - 2 phi_i)
         a[i, j] = beta_i beta_j (phi_bar - 2 phi_i)          (i != j)
 
-    ``a_phi = (a + a') / 2`` is symmetric positive definite for every valid
-    group (``alpha > 0``, ``beta > 0``, ``phi >= 0``); it is the only matrix
-    entering the closed-form solution.
+    Writing ``a_phi = D + U C U'`` with ``U = [u, beta]`` and
+    ``C = [[0, 1/2], [1/2, 0]]``, Sherman-Morrison-Woodbury needs the two
+    columns of ``D^-1 U`` and the three wealth-weighted sums of ``U' D^-1 U``:
+
+        d_inv_beta = 1 / (alpha + phi)                      (= D^-1 beta)
+        d_inv_u    = (phi_bar - 2 phi) / (alpha + phi)      (= D^-1 u)
+        s_bb = beta' D^-1 beta,  s_ub = u' D^-1 beta,  s_uu = u' D^-1 u
+
+    none of which divides by a wealth share.  ``delta =
+    (2 + s_ub)^2 - s_uu s_bb`` is minus the determinant of the capacitance
+    matrix; with ``D`` positive definite, ``a_phi`` is positive definite iff
+    ``delta > 0`` (Haynsworth inertia additivity).  Both hold for every
+    valid group (``alpha > 0``, ``beta > 0``, ``phi >= 0``).
+
+    ``a`` and ``a_phi`` are dense read-only ``n x n`` views built on first
+    access, for tests and reference checks; the solver never reads them.
     """
 
-    a: np.ndarray
-    a_phi: np.ndarray
+    d: np.ndarray
+    u: np.ndarray
+    beta: np.ndarray
+    d_inv_beta: np.ndarray
+    d_inv_u: np.ndarray
     phi_bar: float
+    s_bb: float
+    s_ub: float
+    s_uu: float
+
+    @property
+    def delta(self) -> float:
+        """Positive-definiteness certificate ``(2 + s_ub)^2 - s_uu s_bb``."""
+        return (2.0 + self.s_ub) ** 2 - self.s_uu * self.s_bb
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """``a_phi @ x`` for a vector or an ``n x m`` matrix, in O(n m)."""
+        x = np.asarray(x, dtype=float)
+        d = self.d.reshape(self.d.shape + (1,) * (x.ndim - 1))
+        return d * x + 0.5 * (
+            np.multiply.outer(self.u, self.beta @ x) + np.multiply.outer(self.beta, self.u @ x)
+        )
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``a_phi^-1 @ rhs`` for a vector or an ``n x m`` matrix, in O(n m)."""
+        rhs = np.asarray(rhs, dtype=float)
+        d = self.d.reshape(self.d.shape + (1,) * (rhs.ndim - 1))
+        y_u = self.d_inv_u @ rhs
+        y_b = self.d_inv_beta @ rhs
+        p = 2.0 + self.s_ub
+        z_u = (p * y_b - self.s_bb * y_u) / self.delta
+        z_b = (p * y_u - self.s_uu * y_b) / self.delta
+        return (
+            rhs / d
+            - np.multiply.outer(self.d_inv_u, z_u)
+            - np.multiply.outer(self.d_inv_beta, z_b)
+        )
+
+    def inverse_beta(self) -> np.ndarray:
+        """``c = a_phi^-1 beta`` in closed form; ``beta' c = 4 s_bb / delta``.
+
+        ``c_i = 2 (2 + s_ub - s_bb (phi_bar - 2 phi_i)) / ((alpha_i + phi_i) delta)``.
+        """
+        p = 2.0 + self.s_ub
+        return (2.0 / self.delta) * (p * self.d_inv_beta - self.s_bb * self.d_inv_u)
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        """Dense raw mimicking matrix ``D + u beta'``."""
+        return _read_only(np.diag(self.d) + np.outer(self.u, self.beta))
+
+    @cached_property
+    def a_phi(self) -> np.ndarray:
+        """Dense symmetrized mimicking matrix ``(a + a') / 2``."""
+        return _read_only((self.a + self.a.T) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -82,33 +170,35 @@ class AsymptoticAlpha(NamedTuple):
 
 
 def mimicking_matrix(group: InvestorGroup) -> MimickingMatrix:
-    """Build the mimicking matrix and eagerly check positive definiteness.
+    """Build the structured mimicking matrix and certify positive definiteness.
 
-    The check cannot fail for a valid group; it is kept as a guard against
+    The O(n) certificate is ``delta > 0`` with a positive diagonal ``d``.
+    It cannot fail for a valid group; it is kept as a guard against
     tolerance pathologies and raises :class:`errors.NotPositiveDefinite`.
     """
     alpha, beta, phi = group.alpha, group.beta, group.phi
     phi_bar = float(beta @ phi)
-    a = np.diag((alpha + phi) * beta) + np.outer((phi_bar - 2.0 * phi) * beta, beta)
-    a_phi = (a + a.T) / 2.0
-    try:
-        np.linalg.cholesky(a_phi)
-    except np.linalg.LinAlgError:
+    alpha_phi = alpha + phi
+    deviation = phi_bar - 2.0 * phi
+    d_inv_beta = 1.0 / alpha_phi
+    d_inv_u = deviation * d_inv_beta
+    weights = beta * d_inv_beta
+    mm = MimickingMatrix(
+        d=_read_only(alpha_phi * beta),
+        u=_read_only(deviation * beta),
+        beta=beta,
+        d_inv_beta=_read_only(d_inv_beta),
+        d_inv_u=_read_only(d_inv_u),
+        phi_bar=phi_bar,
+        s_bb=float(np.sum(weights)),
+        s_ub=float(weights @ deviation),
+        s_uu=float(weights @ (deviation * deviation)),
+    )
+    if not (np.all(alpha_phi > 0) and mm.delta > PD_RTOL * (2.0 + mm.s_ub) ** 2):
         raise errors.NotPositiveDefinite(
             "symmetrized mimicking matrix failed its positive-definiteness guard"
-        ) from None
-    a.setflags(write=False)
-    a_phi.setflags(write=False)
-    return MimickingMatrix(a=a, a_phi=a_phi, phi_bar=phi_bar)
-
-
-def _solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # Cholesky solve with one refinement step; wealth shares spanning several
-    # orders of magnitude make the matrix ill-conditioned enough to need it.
-    factor = scipy.linalg.cho_factor(matrix, lower=True)
-    x = scipy.linalg.cho_solve(factor, rhs)
-    x += scipy.linalg.cho_solve(factor, rhs - matrix @ x)
-    return x
+        )
+    return mm
 
 
 def solve(ctx: MarkowitzContext, group: InvestorGroup) -> MimickingSolution:
@@ -119,8 +209,7 @@ def solve(ctx: MarkowitzContext, group: InvestorGroup) -> MimickingSolution:
     ``beta' c`` as its inverse risk aversion.  The achieved utility is
     evaluated with :func:`penalized_utility` rather than re-derived.
     """
-    mm = mimicking_matrix(group)
-    c = _solve_spd(mm.a_phi, group.beta)
+    c = mimicking_matrix(group).inverse_beta()
     tau = float(group.beta @ c)
     tilt = ctx.q @ ctx.market.mu
     w = ctx.gmvp[:, None] + np.outer(tilt, c)
@@ -146,8 +235,9 @@ def penalized_utility(
     """Penalized aggregate utility ``beta' W' mu - tr(a_phi W' sigma W) / 2``.
 
     Equals the wealth-weighted sum of the individual penalized objectives for
-    any unit-column-sum ``W``; the trace may use either the raw or the
-    symmetrized mimicking matrix since ``W' sigma W`` is symmetric.
+    any unit-column-sum ``W``.  The trace is evaluated through the structure
+    of ``a_phi`` as ``sum_i d_i w_i' sigma w_i + (W u)' sigma (W beta)``, with
+    no ``n x n`` Gram matrix.
     """
     if not isinstance(weights, PortfolioMatrix):
         weights = PortfolioMatrix(weights)
@@ -157,8 +247,9 @@ def penalized_utility(
         )
     w = weights.weights
     mm = mimicking_matrix(group)
-    gram = w.T @ market.sigma @ w
-    return float(group.beta @ (w.T @ market.mu) - 0.5 * np.sum(mm.a_phi * gram))
+    sw = market.sigma @ w
+    trace = mm.d @ np.sum(w * sw, axis=0) + (w @ mm.u) @ (sw @ group.beta)
+    return float(group.beta @ (w.T @ market.mu) - 0.5 * trace)
 
 
 def equal_wealth_matrix(group: InvestorGroup) -> np.ndarray:
@@ -194,10 +285,8 @@ def asymptotic_alpha(group: InvestorGroup) -> AsymptoticAlpha:
     ``exact_inverse``  ``tau = beta' a_phi^-1 beta`` in closed form, the value
                        :func:`solve` reaches as ``1/alpha_star_f``
 
-    ``exact_inverse`` uses that ``a_phi = D + U C U'`` is diagonal plus rank
-    two, with ``D = diag((alpha+phi) beta)``, ``U = [u, beta]``,
-    ``u = (phi_bar - 2 phi) beta`` and ``C = [[0, 1/2], [1/2, 0]]``.
-    Sherman-Morrison-Woodbury reduces ``tau`` to three wealth-weighted sums,
+    ``exact_inverse`` uses the wealth-weighted sums of
+    :class:`MimickingMatrix`,
 
         s_bb = sum beta_i / (alpha_i+phi_i)              (= limit_inverse)
         s_ub = sum beta_i (phi_bar-2phi_i) / (alpha_i+phi_i)
@@ -208,15 +297,13 @@ def asymptotic_alpha(group: InvestorGroup) -> AsymptoticAlpha:
     in O(n), with no ``n x n`` matrix.  Under equal preferences
     (``alpha_i = a``, ``phi_i = p``) it is ``1/a`` for every ``n`` and wealth.
     """
-    alpha, beta, phi = group.alpha, group.beta, group.phi
-    weights = beta / (alpha + phi)
-    deviation = float(beta @ phi) - 2.0 * phi
-    s_bb = float(np.sum(weights))
-    s_ub = float(weights @ deviation)
-    s_uu = float(weights @ (deviation * deviation))
-    exact_inverse = 4.0 * s_bb / ((2.0 + s_ub) ** 2 - s_uu * s_bb)
-    upper = float(beta @ alpha + beta @ phi)
-    classical = 1.0 / float(np.sum(beta / alpha))
+    mm = mimicking_matrix(group)
+    beta = group.beta
+    upper = float(beta @ group.alpha + beta @ group.phi)
+    classical = 1.0 / float(np.sum(beta / group.alpha))
     return AsymptoticAlpha(
-        limit_inverse=s_bb, upper=upper, classical=classical, exact_inverse=exact_inverse
+        limit_inverse=mm.s_bb,
+        upper=upper,
+        classical=classical,
+        exact_inverse=4.0 * mm.s_bb / mm.delta,
     )

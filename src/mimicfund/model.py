@@ -21,15 +21,22 @@ BETA_SUM_TOL = 1e-12
 COLUMN_SUM_TOL = 1e-10
 
 
+def _as_float_array(x, name: str) -> np.ndarray:
+    try:
+        return np.array(x, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise errors.ParseError(f"{name} is not an array of numbers: {exc}") from None
+
+
 def _as_vector(x, name: str) -> np.ndarray:
-    arr = np.array(x, dtype=float)
+    arr = _as_float_array(x, name)
     if arr.ndim != 1:
         raise errors.DimensionMismatch(f"{name} must be a 1-D vector, got shape {arr.shape}")
     return arr
 
 
 def _as_matrix(x, name: str) -> np.ndarray:
-    arr = np.array(x, dtype=float)
+    arr = _as_float_array(x, name)
     if arr.ndim != 2:
         raise errors.DimensionMismatch(f"{name} must be a 2-D matrix, got shape {arr.shape}")
     return arr

@@ -38,6 +38,16 @@ STUDY_BETA = (0.5, 0.5)
 _GAIN_CLAMP = 1e-13
 
 
+def _require_reals(name: str, values) -> None:
+    for value in values:
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float, np.integer, np.floating))
+            or not np.isfinite(value)
+        ):
+            raise errors.ConstraintViolated(f"{name} must hold finite numbers, got {value!r}")
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Grid specification; defaults reproduce the standard configuration.
@@ -58,6 +68,18 @@ class StudyConfig:
     phi_ratio: float = 1.0
 
     def __post_init__(self):
+        grid_points = self.grid_points
+        if isinstance(grid_points, bool) or not isinstance(grid_points, (int, np.integer)):
+            raise errors.ConstraintViolated(
+                f"grid_points must be an integer, got {self.grid_points!r}"
+            )
+        for name in ("alpha1", "phi_ratio"):
+            _require_reals(name, (getattr(self, name),))
+        for name in ("phi_set", "a_set", "a_range", "phi_range"):
+            _require_reals(name, getattr(self, name))
+        for name in ("a_range", "phi_range"):
+            if len(getattr(self, name)) != 2:
+                raise errors.ConstraintViolated(f"{name} must be a pair lo, hi")
         if self.alpha1 <= 0:
             raise errors.NonPositiveAlpha(f"alpha1 must be > 0, got {self.alpha1!r}")
         if self.grid_points < 2:

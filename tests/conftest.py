@@ -1,7 +1,17 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mimicfund import build_group, build_market, markowitz
+
+# Child interpreters (the CLI tests and import probes) must import the same
+# checkout as the tests themselves, also when pytest alone put src/ on the path.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    part for part in (SRC, os.environ.get("PYTHONPATH")) if part
+)
 
 TEXTBOOK_MU = (0.07, 0.14)
 TEXTBOOK_SIGMA = ((0.0144, 0.0048), (0.0048, 0.04))

@@ -73,6 +73,38 @@ def penalized_direct(mu, sigma, alpha, beta, phi, w):
     return total
 
 
+def mimicking_foc_residuals(mu, sigma, alpha, beta, phi, w):
+    """First-order-condition residuals of the penalized group problem at ``w``.
+
+    The wealth-weighted objective has gradient ``G = mu beta' - sigma W a_phi``
+    in ``W``, where ``a_phi`` has entries
+    ``d_i [i == j] + (u_i beta_j + beta_i u_j) / 2`` with
+    ``d = (alpha + phi) beta`` and ``u = (beta'phi - 2 phi) beta``.  At the
+    constrained optimum every column of ``G`` is constant (it equals that
+    investor's unit-sum multiplier) and every column of ``W`` sums to one.
+    ``sigma W a_phi`` is applied through this structure without forming
+    ``a_phi``, so the check costs O(n k^2) time and O(n k) memory.
+
+    Returns ``(spread, sum_off)``: the largest spread of a column of ``G``
+    relative to the magnitude of the terms it sums, and the largest
+    deviation of a column sum from one.
+    """
+    d = (alpha + phi) * beta
+    u = (float(beta @ phi) - 2.0 * phi) * beta
+    sw = sigma @ w
+    terms = (
+        np.outer(mu, beta),
+        -sw * d,
+        -0.5 * np.outer(sw @ u, beta),
+        -0.5 * np.outer(sw @ beta, u),
+    )
+    grad = sum(terms)
+    scale = sum(np.max(np.abs(t), axis=0) for t in terms)
+    spread = float(np.max((grad.max(axis=0) - grad.min(axis=0)) / scale))
+    sum_off = float(np.max(np.abs(w.sum(axis=0) - 1.0)))
+    return spread, sum_off
+
+
 def rel_entry_err(a, b):
     """Max entrywise deviation relative to entry magnitude, floored at 1."""
     a = np.asarray(a, dtype=float)

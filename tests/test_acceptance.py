@@ -72,7 +72,7 @@ def test_criterion_3_mimicking_matrix_positive_definite():
     for _ in range(1000):
         group = sampling.random_group(rng, int(rng.integers(2, 51)), alpha_low=1e-3)
         try:
-            mimicking.mimicking_matrix(group)  # eager Cholesky inside
+            mimicking.mimicking_matrix(group)  # O(n) certificate inside
         except errors.NotPositiveDefinite:
             failures += 1
     report("3 symmetrized mimicking matrix PD", failures == 0, f"{failures} failures in 1000 groups")

@@ -14,21 +14,26 @@ def run_cli(*args, cwd=None):
     )
 
 
+def assert_validation_error(result):
+    # an "error:" line and exit 1, never a Python traceback
+    assert result.returncode == 1
+    assert "error:" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+TEXTBOOK_CONFIG = {
+    "mu": [0.07, 0.14],
+    "sigma": [[0.0144, 0.0048], [0.0048, 0.04]],
+    "alpha": [2.0, 4.0],
+    "beta": [0.5, 0.5],
+    "phi": [3.0, 3.0],
+}
+
+
 @pytest.fixture
 def solve_config(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text(
-        json.dumps(
-            {
-                "mu": [0.07, 0.14],
-                "sigma": [[0.0144, 0.0048], [0.0048, 0.04]],
-                "alpha": [2.0, 4.0],
-                "beta": [0.5, 0.5],
-                "phi": [3.0, 3.0],
-            }
-        ),
-        encoding="utf-8",
-    )
+    path.write_text(json.dumps(TEXTBOOK_CONFIG), encoding="utf-8")
     return path
 
 
@@ -122,6 +127,21 @@ class TestSolve:
         )
         assert result.returncode == 2
 
+    def test_non_numeric_alpha_exits_1(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TEXTBOOK_CONFIG, "alpha": "ab"}), encoding="utf-8")
+        result = run_cli("solve", "--config", str(path))
+        assert_validation_error(result)
+        assert "alpha" in result.stderr
+
+    def test_non_numeric_sigma_entry_exits_1(self, tmp_path):
+        path = tmp_path / "bad.json"
+        sigma = [[0.0144, "x"], [0.0048, 0.04]]
+        path.write_text(json.dumps({**TEXTBOOK_CONFIG, "sigma": sigma}), encoding="utf-8")
+        result = run_cli("solve", "--config", str(path))
+        assert_validation_error(result)
+        assert "sigma" in result.stderr
+
 
 class TestVerify:
     def test_small_run_passes_and_is_deterministic(self):
@@ -144,6 +164,22 @@ class TestVerify:
         result = run_cli("verify", "--count", "0", "--seed", "3")
         assert result.returncode == 0
         assert "0 instances" in result.stdout
+
+    def test_negative_count_exits_1(self):
+        result = run_cli("verify", "--count", "-2")
+        assert_validation_error(result)
+        assert "--count" in result.stderr
+        assert "result: OK" not in result.stdout
+
+    def test_max_k_below_two_exits_1(self):
+        result = run_cli("verify", "--count", "3", "--max-k", "1")
+        assert_validation_error(result)
+        assert "--max-k" in result.stderr
+
+    def test_max_n_below_two_exits_1(self):
+        result = run_cli("verify", "--count", "3", "--max-n", "1")
+        assert_validation_error(result)
+        assert "--max-n" in result.stderr
 
     def test_disagreement_exits_4(self, monkeypatch, capsys):
         from mimicfund import cli, oracle
@@ -211,6 +247,13 @@ class TestStudy:
         cfg.write_text(json.dumps({"grid": 5}), encoding="utf-8")
         result = run_cli("study", "--config", str(cfg), "--output-dir", str(tmp_path / "s"))
         assert result.returncode == 1
+
+    def test_fractional_grid_points_exits_1(self, tmp_path):
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps({"grid_points": 3.5}), encoding="utf-8")
+        result = run_cli("study", "--config", str(cfg), "--output-dir", str(tmp_path / "s"))
+        assert_validation_error(result)
+        assert "grid_points" in result.stderr
 
     def test_unwritable_output_location_exits_2(self, tmp_path):
         blocker = tmp_path / "blocked"

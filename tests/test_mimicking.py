@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import support
@@ -46,8 +48,74 @@ class TestMimickingMatrix:
         rng = np.random.default_rng(33)
         for _ in range(200):
             g = sampling.random_group(rng, int(rng.integers(2, 51)), alpha_low=1e-3)
-            mm = mimicking.mimicking_matrix(g)  # raises on a Cholesky failure
+            mm = mimicking.mimicking_matrix(g)  # raises if the certificate fails
             assert np.min(np.linalg.eigvalsh(mm.a_phi)) > 0
+
+
+def max_rel(got, expected):
+    """Largest deviation relative to the largest reference entry."""
+    return float(np.max(np.abs(got - expected)) / np.max(np.abs(expected)))
+
+
+class TestStructuredOperator:
+    def test_solve_and_matvec_match_dense(self):
+        rng = np.random.default_rng(34)
+        for _ in range(200):
+            n = int(rng.integers(2, 60))
+            g = sampling.random_group(rng, n, alpha_low=1e-3)
+            mm = mimicking.mimicking_matrix(g)
+            for x in (rng.standard_normal(n), rng.standard_normal((n, 3)), g.beta):
+                assert mm.solve(x).shape == x.shape
+                assert mm.matvec(x).shape == x.shape
+                assert max_rel(mm.solve(x), np.linalg.solve(mm.a_phi, x)) <= 1e-12
+                assert max_rel(mm.matvec(x), mm.a_phi @ x) <= 1e-12
+            c = mm.inverse_beta()
+            assert max_rel(c, np.linalg.solve(mm.a_phi, g.beta)) <= 1e-12
+            assert float(g.beta @ c) == pytest.approx(4.0 * mm.s_bb / mm.delta, rel=1e-12)
+
+    def test_penalized_utility_matches_dense_trace(self):
+        rng = np.random.default_rng(35)
+        for _ in range(100):
+            market = sampling.random_market(rng, int(rng.integers(2, 9)))
+            g = sampling.random_group(rng, int(rng.integers(2, 40)))
+            w = support.unit_sum_columns(rng, market.k, g.n)
+            mm = mimicking.mimicking_matrix(g)
+            dense = float(
+                g.beta @ (w.T @ market.mu) - 0.5 * np.sum(mm.a_phi * (w.T @ market.sigma @ w))
+            )
+            got = mimicking.penalized_utility(market, g, w)
+            assert abs(got - dense) <= 1e-12 * max(1.0, abs(dense))
+
+    def test_certificate_sign_matches_eigenvalues(self):
+        # phi < 0 lies outside the valid domain and is the only way to make
+        # a_phi indefinite; alpha + phi > 0 keeps the diagonal positive, where
+        # the certificate is exact
+        rng = np.random.default_rng(36)
+        indefinite = 0
+        for _ in range(2000):
+            n = int(rng.integers(2, 12))
+            alpha = rng.uniform(0.1, 20, n)
+            beta = rng.dirichlet(np.ones(n))
+            phi = alpha * np.maximum(rng.uniform(-1, 1, n) * rng.uniform(0, 3), -0.95)
+            a = oracle.entrywise_mimicking_matrix(alpha, beta, phi)
+            positive = np.min(np.linalg.eigvalsh((a + a.T) / 2)) > 0
+            group = SimpleNamespace(alpha=alpha, beta=beta, phi=phi)
+            if positive:
+                mm = mimicking.mimicking_matrix(group)
+                assert mm.delta > 0
+                assert np.min(np.linalg.eigvalsh(mm.a_phi)) > 0
+            else:
+                indefinite += 1
+                with pytest.raises(errors.NotPositiveDefinite):
+                    mimicking.mimicking_matrix(group)
+        assert indefinite >= 100
+
+    def test_dense_views_are_lazy_and_read_only(self, base_group):
+        mm = mimicking.mimicking_matrix(base_group)
+        assert "a" not in vars(mm) and "a_phi" not in vars(mm)
+        assert not mm.a_phi.flags.writeable
+        assert not mm.a.flags.writeable
+        assert not mm.d.flags.writeable
 
 
 class TestSolve:
@@ -114,6 +182,46 @@ class TestSolve:
         assert mimicking.penalized_utility(textbook_market, g, s.w_star) == pytest.approx(
             s.eu_star, rel=1e-15
         )
+
+    def test_first_order_conditions_at_large_n(self):
+        # 10^5 investors: a dense a_phi would take 80 GB, so passing shows
+        # that neither solve nor penalized_utility forms an n x n array
+        rng = np.random.default_rng(45)
+        market = sampling.random_market(rng, 20)
+        g = sampling.random_group(rng, 100_000)
+        s = mimicking.solve(markowitz.context(market), g)
+        spread, sum_off = support.mimicking_foc_residuals(
+            market.mu, market.sigma, g.alpha, g.beta, g.phi, s.w_star.weights
+        )
+        assert spread <= 1e-10
+        assert sum_off <= 1e-10
+        assert 1.0 / s.alpha_star_f == pytest.approx(
+            mimicking.asymptotic_alpha(g).exact_inverse, rel=1e-12
+        )
+
+    def test_first_order_conditions_with_wealth_over_12_decades(self):
+        rng = np.random.default_rng(46)
+        for _ in range(20):
+            n = int(rng.integers(2, 300))
+            raw = 10.0 ** rng.uniform(-12, 0, n)
+            raw[0], raw[-1] = 1e-12, 1.0
+            g = build_group(
+                rng.uniform(0.1, 20, n), raw / raw.sum(), rng.uniform(0, 20, n)
+            )
+            market = sampling.random_market(rng, int(rng.integers(2, 11)))
+            s = mimicking.solve(markowitz.context(market), g)
+            spread, sum_off = support.mimicking_foc_residuals(
+                market.mu, market.sigma, g.alpha, g.beta, g.phi, s.w_star.weights
+            )
+            assert spread <= 1e-10
+            assert sum_off <= 1e-10
+        # the first-order check notices a wrong column
+        w = s.w_star.weights.copy()
+        big = int(np.argmax(g.beta))
+        w[:, big] += 1e-6 * (s.w_star.weights[:, big] - markowitz.context(market).gmvp)
+        assert support.mimicking_foc_residuals(
+            market.mu, market.sigma, g.alpha, g.beta, g.phi, w
+        )[0] > 1e-10
 
 
 class TestPenalizedUtility:

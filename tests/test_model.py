@@ -41,6 +41,14 @@ class TestMarketModel:
         with pytest.raises(errors.NonFiniteValue):
             build_market((0.1, 0.1), ((np.inf, 0.0), (0.0, 1.0)))
 
+    def test_non_numeric_entries_rejected(self):
+        with pytest.raises(errors.ParseError):
+            build_market(("ab", 0.1), np.eye(2))
+        with pytest.raises(errors.ParseError):
+            build_market((0.1, 0.1), ((1.0, "x"), (0.0, 1.0)))
+        with pytest.raises(errors.ParseError):
+            build_market((0.1, 0.1), ((1.0, 0.0), (0.0,)))
+
     def test_values_are_immutable(self, textbook_market):
         with pytest.raises(ValueError):
             textbook_market.mu[0] = 1.0
@@ -78,6 +86,12 @@ class TestInvestorGroup:
     def test_length_mismatch_rejected(self):
         with pytest.raises(errors.DimensionMismatch):
             build_group((2.0, 4.0, 6.0), (0.5, 0.5), (3.0, 3.0))
+
+    def test_non_numeric_entries_rejected(self):
+        with pytest.raises(errors.ParseError):
+            build_group("ab", (0.5, 0.5), (3.0, 3.0))
+        with pytest.raises(errors.ParseError):
+            build_group((2.0, 4.0), (0.5, [0.5]), (3.0, 3.0))
 
     def test_single_investor_rejected(self):
         with pytest.raises(errors.TooFewInvestors):

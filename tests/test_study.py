@@ -40,6 +40,18 @@ class TestStudyConfig:
         with pytest.raises(errors.NonPositiveAlpha):
             StudyConfig(alpha1=0.0)
 
+    def test_non_numeric_fields_rejected(self):
+        for bad in (
+            {"grid_points": 3.5},
+            {"grid_points": True},
+            {"alpha1": "x"},
+            {"phi_ratio": float("nan")},
+            {"a_set": ("x",)},
+            {"a_range": (1.0,)},
+        ):
+            with pytest.raises(errors.ConstraintViolated):
+                StudyConfig(**bad)
+
 
 class TestDeltaOmega:
     def test_frozen_textbook_values(self, textbook_ctx):
