@@ -129,6 +129,9 @@ def _resolve_group(config: dict):
 
 def _cmd_solve(args) -> int:
     config = _load_json(args.config) if args.config else {}
+    unknown = set(config) - {"alpha", "beta", "phi", "mu", "sigma"}
+    if unknown:
+        raise errors.ValidationError(f"unknown solve config keys: {', '.join(sorted(unknown))}")
     input_paths = [p for p in (args.config, args.returns) if p]
     market = _resolve_market(args, config)
     group = _resolve_group(config)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import errors
 from .model import COLUMN_SUM_TOL, InvestorGroup, MarketModel
@@ -29,9 +28,9 @@ class MarkowitzContext:
     """Derived quantities of a market, shared by all closed-form solvers.
 
     ``gmvp``                global minimum-variance weights, sums to 1
-    ``q``                   symmetric PSD matrix with ``q @ 1 == 0``; scaled
-                            by an inverse risk aversion it gives the optimal
-                            tilt away from ``gmvp``
+    ``q``                   symmetric PSD matrix with ``q @ 1 == 0``
+    ``tilt``                ``q @ mu``; scaled by an inverse risk aversion it
+                            gives the optimal tilt away from ``gmvp``
     ``mu_gmv``, ``v_gmv``   mean and variance of the GMVP (``v_gmv > 0``)
     ``slope``               curvature constant ``mu' q mu >= 0`` of the
                             frontier parametrization
@@ -40,6 +39,7 @@ class MarkowitzContext:
 
     gmvp: np.ndarray
     q: np.ndarray
+    tilt: np.ndarray
     mu_gmv: float
     v_gmv: float
     slope: float
@@ -49,19 +49,18 @@ class MarkowitzContext:
 def context(market: MarketModel) -> MarkowitzContext:
     """Compute the GMVP, the tilt matrix and the frontier constants.
 
-    Linear systems are solved against the Cholesky factor of the covariance
-    rather than through an explicit inverse.
+    Reuses the market's Cholesky factor ``L``: ``sigma^-1 = L^-1' L^-1``
+    stays symmetric positive semidefinite, and no second factorization of
+    ``sigma`` is made.
     """
-    sigma = market.sigma
     k = market.k
-    ones = np.ones(k)
     try:
-        factor = scipy.linalg.cho_factor(sigma, lower=True)
-        si_one = scipy.linalg.cho_solve(factor, ones)
-        sigma_inv = scipy.linalg.cho_solve(factor, np.eye(k))
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        l_inv = np.linalg.solve(market.cholesky, np.eye(k))
+    except np.linalg.LinAlgError as exc:
         raise errors.NumericalBreakdown(f"covariance solve failed: {exc}") from exc
-    c0 = float(ones @ si_one)
+    sigma_inv = l_inv.T @ l_inv
+    si_one = sigma_inv.sum(axis=1)
+    c0 = float(si_one.sum())
     if c0 <= 0 or not np.isfinite(c0):
         raise errors.NumericalBreakdown("1' sigma^-1 1 is not positive")
     gmvp = si_one / c0
@@ -69,25 +68,36 @@ def context(market: MarketModel) -> MarkowitzContext:
     q = (q + q.T) / 2.0
     mu_gmv = float(market.mu @ si_one) / c0
     v_gmv = 1.0 / c0
-    slope = float(market.mu @ q @ market.mu)
+    tilt = q @ market.mu
+    slope = float(market.mu @ tilt)
     if slope < 0:
         # exact value is >= 0; only rounding noise may dip below
         if slope < -1e-12 * max(1.0, float(market.mu @ market.mu)) * np.max(np.abs(q)):
             raise errors.NumericalBreakdown(f"frontier slope came out negative: {slope!r}")
         slope = 0.0
-    gmvp.setflags(write=False)
-    q.setflags(write=False)
-    return MarkowitzContext(gmvp=gmvp, q=q, mu_gmv=mu_gmv, v_gmv=v_gmv, slope=slope, market=market)
+    for arr in (gmvp, q, tilt):
+        arr.setflags(write=False)
+    return MarkowitzContext(
+        gmvp=gmvp, q=q, tilt=tilt, mu_gmv=mu_gmv, v_gmv=v_gmv, slope=slope, market=market
+    )
+
+
+def frontier(ctx: MarkowitzContext, t: float) -> tuple[np.ndarray, FrontierPoint]:
+    """Frontier portfolio ``gmvp + t * tilt`` at inverse risk aversion ``t``.
+
+    Returns the weights and their mean ``mu_gmv + t * slope`` and variance
+    ``v_gmv + t^2 * slope``.
+    """
+    weights = ctx.gmvp + t * ctx.tilt
+    point = FrontierPoint(mean=ctx.mu_gmv + t * ctx.slope, variance=ctx.v_gmv + t * t * ctx.slope)
+    return weights, point
 
 
 def individual_weights(ctx: MarkowitzContext, alpha_i: float) -> tuple[np.ndarray, FrontierPoint]:
     """Optimal unit-sum weights and frontier point for risk aversion ``alpha_i``."""
     if alpha_i <= 0:
         raise errors.NonPositiveAlpha(f"alpha must be > 0, got {alpha_i!r}")
-    t = 1.0 / alpha_i
-    weights = ctx.gmvp + t * (ctx.q @ ctx.market.mu)
-    point = FrontierPoint(mean=ctx.mu_gmv + t * ctx.slope, variance=ctx.v_gmv + t * t * ctx.slope)
-    return weights, point
+    return frontier(ctx, 1.0 / alpha_i)
 
 
 def fund_aggregate(
@@ -100,9 +110,7 @@ def fund_aggregate(
     optima.
     """
     alpha_f = 1.0 / float(np.sum(group.beta / group.alpha))
-    t = 1.0 / alpha_f
-    weights = ctx.gmvp + t * (ctx.q @ ctx.market.mu)
-    point = FrontierPoint(mean=ctx.mu_gmv + t * ctx.slope, variance=ctx.v_gmv + t * t * ctx.slope)
+    weights, point = frontier(ctx, 1.0 / alpha_f)
     return weights, alpha_f, point
 
 

@@ -28,7 +28,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from . import errors
+from . import errors, markowitz
 from .markowitz import FrontierPoint, MarkowitzContext
 from .model import InvestorGroup, MarketModel, PortfolioMatrix
 
@@ -141,7 +141,7 @@ class MimickingSolution:
     """Closed-form optimum of the penalized group problem.
 
     ``w_star``        per-investor optimal weights, one column each
-    ``fund_weights``  wealth-weighted aggregate ``w_star @ beta``
+    ``fund_weights``  wealth-weighted aggregate ``w_star @ beta = gmvp + tilt / alpha_star_f``
     ``alpha_star_f``  aggregate risk aversion ``1 / (beta' a_phi^-1 beta)``
     ``point``         mean and variance of the fund portfolio return
     ``eu_star``       penalized aggregate utility achieved at the optimum
@@ -204,22 +204,20 @@ def mimicking_matrix(group: InvestorGroup) -> MimickingMatrix:
 def solve(ctx: MarkowitzContext, group: InvestorGroup) -> MimickingSolution:
     """Closed-form solution of the penalized group problem.
 
-    Column ``i`` of the optimum is ``gmvp + c_i * (q @ mu)`` where
-    ``c = a_phi^-1 beta``; the fund aggregate uses the scalar
-    ``beta' c`` as its inverse risk aversion.  The achieved utility is
-    evaluated with :func:`penalized_utility` rather than re-derived.
+    Column ``i`` of the optimum is ``gmvp + c_i * tilt`` where
+    ``c = a_phi^-1 beta``; the fund aggregate is the frontier portfolio at
+    inverse risk aversion ``tau = beta' c`` (:func:`markowitz.frontier`),
+    which equals ``w_star @ beta``.  The achieved utility is evaluated by the
+    trace form of :func:`penalized_utility` rather than re-derived.
     """
-    c = mimicking_matrix(group).inverse_beta()
+    mm = mimicking_matrix(group)
+    c = mm.inverse_beta()
     tau = float(group.beta @ c)
-    tilt = ctx.q @ ctx.market.mu
-    w = ctx.gmvp[:, None] + np.outer(tilt, c)
+    w = ctx.gmvp[:, None] + np.outer(ctx.tilt, c)
     w_star = PortfolioMatrix(w)
-    fund_weights = w @ group.beta
+    fund_weights, point = markowitz.frontier(ctx, tau)
     fund_weights.setflags(write=False)
-    point = FrontierPoint(
-        mean=ctx.mu_gmv + tau * ctx.slope, variance=ctx.v_gmv + tau * tau * ctx.slope
-    )
-    eu_star = penalized_utility(ctx.market, group, w_star)
+    eu_star = _structured_utility(ctx.market, group, mm, w_star.weights)
     return MimickingSolution(
         w_star=w_star,
         fund_weights=fund_weights,
@@ -245,8 +243,12 @@ def penalized_utility(
         raise errors.DimensionMismatch(
             f"weights are {weights.k}x{weights.n}, expected {market.k}x{group.n}"
         )
-    w = weights.weights
-    mm = mimicking_matrix(group)
+    return _structured_utility(market, group, mimicking_matrix(group), weights.weights)
+
+
+def _structured_utility(
+    market: MarketModel, group: InvestorGroup, mm: MimickingMatrix, w: np.ndarray
+) -> float:
     sw = market.sigma @ w
     trace = mm.d @ np.sum(w * sw, axis=0) + (w @ mm.u) @ (sw @ group.beta)
     return float(group.beta @ (w.T @ market.mu) - 0.5 * trace)

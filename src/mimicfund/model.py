@@ -8,7 +8,7 @@ arrays), so they are safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,10 +60,14 @@ class MarketModel:
 
     ``mu`` is the vector of per-period expected returns (decimal fractions);
     ``sigma`` is the symmetric positive-definite covariance matrix.
+    ``cholesky`` is its lower-triangular factor ``L`` with ``sigma = L L'``,
+    computed once by the positive-definiteness check; it is not a
+    constructor argument and takes no part in comparisons.
     """
 
     mu: np.ndarray
     sigma: np.ndarray
+    cholesky: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mu = _as_vector(self.mu, "mu")
@@ -82,10 +86,10 @@ class MarketModel:
         if np.max(np.abs(sigma - sigma.T)) > SYMMETRY_RTOL * scale:
             raise errors.NotSymmetric("sigma is not symmetric")
         try:
-            np.linalg.cholesky(sigma)
+            cholesky = np.linalg.cholesky(sigma)
         except np.linalg.LinAlgError:
             raise errors.NotPositiveDefinite("sigma is not positive definite") from None
-        _freeze(self, mu=mu, sigma=sigma)
+        _freeze(self, mu=mu, sigma=sigma, cholesky=cholesky)
 
     @property
     def k(self) -> int:

@@ -8,6 +8,7 @@ in chronological order.  Decimal point is '.', no thousands separators.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -79,12 +80,13 @@ def load_csv(path) -> ReturnSample:
     if not header or any(not name for name in header):
         raise errors.ParseError(f"{path}: row 1: header must name every column")
     k = len(header)
-    values = np.empty((len(rows) - 1, k))
+    values = []
     for line_no, row in enumerate(rows[1:], start=2):
         if len(row) != k:
             raise errors.ParseError(
                 f"{path}: row {line_no}: expected {k} fields, got {len(row)}"
             )
+        parsed = []
         for col_no, cell in enumerate(row, start=1):
             text = cell.strip()
             if not text:
@@ -95,12 +97,14 @@ def load_csv(path) -> ReturnSample:
                 raise errors.ParseError(
                     f"{path}: row {line_no}, column {col_no}: not a number: {text!r}"
                 ) from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise errors.NonFiniteValue(
                     f"{path}: row {line_no}, column {col_no}: non-finite value {text!r}"
                 )
-            values[line_no - 2, col_no - 1] = value
-    return ReturnSample(returns=values, asset_names=tuple(header))
+            parsed.append(value)
+        values.append(parsed)
+    returns = np.array(values, dtype=float).reshape(len(values), k)
+    return ReturnSample(returns=returns, asset_names=tuple(header))
 
 
 def estimate(sample: ReturnSample, periods_per_year: Optional[int] = None) -> MarketModel:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
 
 from . import errors
 from .model import InvestorGroup, MarketModel, PortfolioMatrix
@@ -100,10 +99,10 @@ def solve_kkt_system(
     kkt[k * n :, : k * n] = constraint.T
     rhs = np.concatenate([np.kron(mu, beta), np.ones(n)])
     try:
-        factor = scipy.linalg.lu_factor(kkt)
-        x = scipy.linalg.lu_solve(factor, rhs)
-        x += scipy.linalg.lu_solve(factor, rhs - kkt @ x)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        x = np.linalg.solve(kkt, rhs)
+        # one step of iterative refinement on the residual
+        x += np.linalg.solve(kkt, rhs - kkt @ x)
+    except np.linalg.LinAlgError as exc:
         raise errors.SingularKkt(f"KKT factorization failed: {exc}") from exc
     residual = float(np.max(np.abs(kkt @ x - rhs)))
     bound = RESIDUAL_TOL * (1.0 + float(np.max(np.abs(rhs))))

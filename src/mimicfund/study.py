@@ -126,9 +126,7 @@ class SweepTable:
 
 def delta_omega(ctx: MarkowitzContext, group: InvestorGroup) -> float:
     """First-asset fund-weight change caused by accounting for mimicking."""
-    solution = mimicking.solve(ctx, group)
-    base_weights, _, _ = markowitz.fund_aggregate(ctx, group)
-    return float(solution.fund_weights[0] - base_weights[0])
+    return _delta_omega(ctx, group, mimicking.solve(ctx, group))
 
 
 def delta_eu(market: MarketModel, group: InvestorGroup) -> float:
@@ -140,11 +138,20 @@ def delta_eu(market: MarketModel, group: InvestorGroup) -> float:
     relative measure is meaningless and :class:`errors.NonPositiveOptimum`
     is raised.
     """
-    return _delta_eu(markowitz.context(market), group)
+    ctx = markowitz.context(market)
+    return _delta_eu(ctx, group, mimicking.solve(ctx, group))
 
 
-def _delta_eu(ctx: MarkowitzContext, group: InvestorGroup) -> float:
-    solution = mimicking.solve(ctx, group)
+def _delta_omega(
+    ctx: MarkowitzContext, group: InvestorGroup, solution: mimicking.MimickingSolution
+) -> float:
+    base_weights, _, _ = markowitz.fund_aggregate(ctx, group)
+    return float(solution.fund_weights[0] - base_weights[0])
+
+
+def _delta_eu(
+    ctx: MarkowitzContext, group: InvestorGroup, solution: mimicking.MimickingSolution
+) -> float:
     if solution.eu_star <= 0:
         raise errors.NonPositiveOptimum(
             f"penalized utility at the optimum is {solution.eu_star!r}; "
@@ -178,8 +185,9 @@ def _sweep(ctx, alpha1, phi_ratio, series, coordinates, is_phi_sweep):
                 phi=(phi1, phi1 * phi_ratio),
             )
             try:
-                d_omega = delta_omega(ctx, group)
-                d_eu = _delta_eu(ctx, group)
+                solution = mimicking.solve(ctx, group)
+                d_omega = _delta_omega(ctx, group, solution)
+                d_eu = _delta_eu(ctx, group, solution)
             except errors.MimicfundError as exc:
                 raise type(exc)(f"series {label}, coordinate {coord:g}: {exc}") from exc
             records.append(

@@ -142,6 +142,13 @@ class TestSolve:
         assert_validation_error(result)
         assert "sigma" in result.stderr
 
+    def test_unknown_config_key_exits_1(self, tmp_path):
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps({**TEXTBOOK_CONFIG, "extra": 1}), encoding="utf-8")
+        result = run_cli("solve", "--config", str(path))
+        assert_validation_error(result)
+        assert "error: unknown solve config keys: extra" in result.stderr
+
 
 class TestVerify:
     def test_small_run_passes_and_is_deterministic(self):
@@ -275,3 +282,11 @@ class TestEstimate:
     def test_missing_file_exits_2(self, tmp_path):
         result = run_cli("estimate", "--returns", str(tmp_path / "missing.csv"))
         assert result.returncode == 2
+
+
+def test_cli_import_loads_no_scipy():
+    # the package depends on numpy alone; scipy must not creep back into the import
+    probe = "import mimicfund.cli, sys; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

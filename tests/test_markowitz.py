@@ -54,6 +54,22 @@ class TestContext:
             np.testing.assert_allclose(ctx.q, ctx.q.T, atol=1e-15 * scale)
             assert np.min(np.linalg.eigvalsh(ctx.q)) >= -1e-10 * scale
 
+    def test_ill_conditioned_covariance(self):
+        # positive definite with condition number 1e12: the factor-based
+        # inverse must still give a unit-sum GMVP and a q that kills constants
+        rng = np.random.default_rng(17)
+        for k in (2, 5, 10):
+            basis, _ = np.linalg.qr(rng.standard_normal((k, k)))
+            eigenvalues = 0.04 * np.logspace(-12, 0, k)
+            sigma = basis @ np.diag(eigenvalues) @ basis.T
+            market = build_market(rng.normal(0.05, 0.02, k), (sigma + sigma.T) / 2)
+            assert np.linalg.cond(market.sigma) == pytest.approx(1e12, rel=1e-2)
+            ctx = markowitz.context(market)
+            assert abs(ctx.gmvp.sum() - 1.0) <= 1e-12
+            inverse_norm = 1.0 / np.linalg.eigvalsh(market.sigma)[0]
+            assert np.max(np.abs(ctx.q @ np.ones(k))) <= 1e-12 * inverse_norm
+            assert ctx.slope >= 0
+
 
 class TestIndividualWeights:
     def test_textbook_alpha_two(self, textbook_market, textbook_ctx):

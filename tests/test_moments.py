@@ -43,6 +43,15 @@ class TestLoadCsv:
         with pytest.raises(errors.NonFiniteValue, match="row 3"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf"])
+    def test_infinite_value_named(self, tmp_path, cell):
+        # the first bad cell in row-major order is the one reported
+        lines = ["A,B", "0.01,0.02", f"0.01,{cell}", f"{cell},0.0", "0.0,0.0"]
+        path = write_csv(tmp_path, "\n".join(lines) + "\n")
+        message = f"row 3, column 2: non-finite value '{cell}'"
+        with pytest.raises(errors.NonFiniteValue, match=message):
+            load_csv(path)
+
     def test_too_few_observations(self, tmp_path):
         # T == k violates T >= k + 2
         path = write_csv(tmp_path, "A,B\n0.01,0.02\n0.03,0.04\n")

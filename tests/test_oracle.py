@@ -64,6 +64,14 @@ class TestKktSolve:
             oracle.kkt_solve(textbook_market, group, max_unknowns=200)
         assert oracle.kkt_solve(textbook_market, group).residual <= 1e-8
 
+    def test_exactly_singular_system_raises_singular_kkt(self, textbook_market):
+        # a zero mimicking matrix leaves the KKT matrix rank-deficient
+        n = 3
+        with pytest.raises(errors.SingularKkt):
+            oracle.solve_kkt_system(
+                textbook_market.mu, textbook_market.sigma, np.zeros((n, n)), np.full(n, 1 / n)
+            )
+
     def test_residual_is_reported(self, textbook_market, base_group):
         checked = oracle.kkt_solve(textbook_market, base_group)
         assert np.isfinite(checked.residual)
