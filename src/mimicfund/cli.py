@@ -14,13 +14,18 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__, errors, markowitz, mimicking, oracle, sampling
+from . import __version__, errors, markowitz, mimicking
 from .model import MarketModel, build_group, build_market
 from .moments import estimate, load_csv
-from .study import DEFAULT_MARKET, StudyConfig, run_sweeps
+
+# oracle, sampling and study are imported by the commands that use them, so
+# that solve and estimate do not pay for them at start-up.
+if TYPE_CHECKING:
+    from .study import StudyConfig
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -193,6 +198,8 @@ def _relative_entry_error(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _cmd_verify(args) -> int:
+    from . import oracle, sampling
+
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     worst_tag = "n/a"
@@ -227,6 +234,8 @@ def _cmd_verify(args) -> int:
 
 
 def _study_config(path) -> StudyConfig:
+    from .study import DEFAULT_MARKET, StudyConfig
+
     if path is None:
         return StudyConfig()
     raw = _load_json(path)
@@ -255,6 +264,8 @@ def _study_config(path) -> StudyConfig:
 
 
 def _cmd_study(args) -> int:
+    from .study import run_sweeps
+
     config = _study_config(args.config)
     figure1, figure2 = run_sweeps(config)
     try:

@@ -17,7 +17,9 @@ in this structured form, so certifying, inverting (Sherman-Morrison-Woodbury
 with a 2 x 2 capacitance matrix) and applying it cost O(n) for ``n``
 investors, and :func:`solve` and :func:`penalized_utility` cost O(n k^2)
 for ``k`` assets.  No ``n x n`` array is formed unless a caller reads the
-dense views ``a`` or ``a_phi``.
+dense views ``a`` or ``a_phi``.  The Woodbury sums, the certificate and
+``c = a_phi^-1 beta`` are computed in one place that also takes a stack of
+groups, so :mod:`mimicfund.study` evaluates a whole grid with them.
 """
 
 from __future__ import annotations
@@ -44,6 +46,83 @@ PD_RTOL = 1e-13
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _sum(x: np.ndarray) -> np.ndarray:
+    """Sum along the last axis; a stack of groups keeps it with length 1."""
+    return np.add.reduce(x, axis=-1, keepdims=x.ndim > 1)
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``_sum(x * y)``; one group takes the BLAS dot product."""
+    return x @ y if x.ndim == 1 else _sum(x * y)
+
+
+def _capacitance_delta(s_bb, s_ub, s_uu):
+    """Minus the determinant of the 2 x 2 capacitance matrix, ``(2 + s_ub)^2 - s_uu s_bb``."""
+    return (2.0 + s_ub) ** 2 - s_uu * s_bb
+
+
+def _inverse_beta(w) -> np.ndarray:
+    """``c = a_phi^-1 beta`` from the Woodbury sums of ``w``.
+
+    ``w`` is a :class:`_Woodbury` or a :class:`MimickingMatrix`:
+    ``c_i = 2 (2 + s_ub - s_bb (phi_bar - 2 phi_i)) / ((alpha_i + phi_i) delta)``.
+    """
+    return (2.0 / w.delta) * ((2.0 + w.s_ub) * w.d_inv_beta - w.s_bb * w.d_inv_u)
+
+
+class _Woodbury(NamedTuple):
+    """Sherman-Morrison-Woodbury terms of one group or of a stack of groups.
+
+    The fields are those of :class:`MimickingMatrix` except ``beta``, plus
+    ``delta`` and ``certified``, which marks a positive definite ``a_phi``.  Per-investor
+    arrays have the groups' shape ``(..., n)``.  Per-group values are scalars
+    for one group and keep a trailing axis of length 1 for a stack, so they
+    broadcast against the per-investor arrays.
+    """
+
+    d: np.ndarray
+    u: np.ndarray
+    d_inv_beta: np.ndarray
+    d_inv_u: np.ndarray
+    phi_bar: np.ndarray
+    s_bb: np.ndarray
+    s_ub: np.ndarray
+    s_uu: np.ndarray
+    delta: np.ndarray
+    certified: np.ndarray
+
+
+def _woodbury(alpha: np.ndarray, beta: np.ndarray, phi: np.ndarray) -> _Woodbury:
+    """Woodbury terms and the positive-definiteness certificate along the last axis.
+
+    The certificate is ``alpha + phi > 0`` and ``delta > PD_RTOL (2 + s_ub)^2``.
+    """
+    phi_bar = _dot(beta, phi)
+    alpha_phi = alpha + phi
+    deviation = phi_bar - 2.0 * phi
+    d_inv_beta = 1.0 / alpha_phi
+    d_inv_u = deviation * d_inv_beta
+    weights = beta * d_inv_beta
+    s_bb = _sum(weights)
+    s_ub = _dot(weights, deviation)
+    s_uu = _dot(weights, deviation * deviation)
+    delta = _capacitance_delta(s_bb, s_ub, s_uu)
+    positive = np.logical_and.reduce(alpha_phi > 0, axis=-1, keepdims=alpha.ndim > 1)
+    certified = positive & (delta > PD_RTOL * (2.0 + s_ub) ** 2)
+    return _Woodbury(
+        d=alpha_phi * beta,
+        u=deviation * beta,
+        d_inv_beta=d_inv_beta,
+        d_inv_u=d_inv_u,
+        phi_bar=phi_bar,
+        s_bb=s_bb,
+        s_ub=s_ub,
+        s_uu=s_uu,
+        delta=delta,
+        certified=certified,
+    )
 
 
 @dataclass(frozen=True)
@@ -92,7 +171,7 @@ class MimickingMatrix:
     @property
     def delta(self) -> float:
         """Positive-definiteness certificate ``(2 + s_ub)^2 - s_uu s_bb``."""
-        return (2.0 + self.s_ub) ** 2 - self.s_uu * self.s_bb
+        return _capacitance_delta(self.s_bb, self.s_ub, self.s_uu)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``a_phi @ x`` for a vector or an ``n x m`` matrix, in O(n m)."""
@@ -122,8 +201,7 @@ class MimickingMatrix:
 
         ``c_i = 2 (2 + s_ub - s_bb (phi_bar - 2 phi_i)) / ((alpha_i + phi_i) delta)``.
         """
-        p = 2.0 + self.s_ub
-        return (2.0 / self.delta) * (p * self.d_inv_beta - self.s_bb * self.d_inv_u)
+        return _inverse_beta(self)
 
     @cached_property
     def a(self) -> np.ndarray:
@@ -176,29 +254,22 @@ def mimicking_matrix(group: InvestorGroup) -> MimickingMatrix:
     It cannot fail for a valid group; it is kept as a guard against
     tolerance pathologies and raises :class:`errors.NotPositiveDefinite`.
     """
-    alpha, beta, phi = group.alpha, group.beta, group.phi
-    phi_bar = float(beta @ phi)
-    alpha_phi = alpha + phi
-    deviation = phi_bar - 2.0 * phi
-    d_inv_beta = 1.0 / alpha_phi
-    d_inv_u = deviation * d_inv_beta
-    weights = beta * d_inv_beta
-    mm = MimickingMatrix(
-        d=_read_only(alpha_phi * beta),
-        u=_read_only(deviation * beta),
-        beta=beta,
-        d_inv_beta=_read_only(d_inv_beta),
-        d_inv_u=_read_only(d_inv_u),
-        phi_bar=phi_bar,
-        s_bb=float(np.sum(weights)),
-        s_ub=float(weights @ deviation),
-        s_uu=float(weights @ (deviation * deviation)),
-    )
-    if not (np.all(alpha_phi > 0) and mm.delta > PD_RTOL * (2.0 + mm.s_ub) ** 2):
+    w = _woodbury(group.alpha, group.beta, group.phi)
+    if not w.certified:
         raise errors.NotPositiveDefinite(
             "symmetrized mimicking matrix failed its positive-definiteness guard"
         )
-    return mm
+    return MimickingMatrix(
+        d=_read_only(w.d),
+        u=_read_only(w.u),
+        beta=group.beta,
+        d_inv_beta=_read_only(w.d_inv_beta),
+        d_inv_u=_read_only(w.d_inv_u),
+        phi_bar=float(w.phi_bar),
+        s_bb=float(w.s_bb),
+        s_ub=float(w.s_ub),
+        s_uu=float(w.s_uu),
+    )
 
 
 def solve(ctx: MarkowitzContext, group: InvestorGroup) -> MimickingSolution:

@@ -8,7 +8,10 @@ arrays), so they are safe to share across threads.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -52,6 +55,53 @@ def _freeze(obj, **fields) -> None:
         if isinstance(arr, np.ndarray):
             arr.setflags(write=False)
         object.__setattr__(obj, key, arr)
+
+
+def _group_faults(alpha: np.ndarray, beta: np.ndarray, phi: np.ndarray) -> list:
+    """The rules of :class:`InvestorGroup` along the last axis, in check order.
+
+    ``alpha``, ``beta`` and ``phi`` are one group (``n`` entries each) or a
+    stack of groups of equal shape ``(..., n)``.  Each rule is a fault
+    ``(bad, error, message, detail)``: ``bad`` is a boolean array over the
+    leading axes (a scalar for one group) that marks where the rule fails,
+    ``error`` the exception type, and ``message`` its text, formatted with
+    the entry of ``detail`` at the failing point unless ``detail`` is None.
+    """
+    n = alpha.shape[-1]
+    every, some = np.logical_and.reduce, np.logical_or.reduce
+    total = np.add.reduce(beta, axis=-1)
+    return [
+        (~every(np.isfinite(alpha), axis=-1), errors.NonFiniteValue,
+         "alpha contains a non-finite entry", None),
+        (~every(np.isfinite(beta), axis=-1), errors.NonFiniteValue,
+         "beta contains a non-finite entry", None),
+        (~every(np.isfinite(phi), axis=-1), errors.NonFiniteValue,
+         "phi contains a non-finite entry", None),
+        (np.full(alpha.shape[:-1], n < 2), errors.TooFewInvestors,
+         f"need at least 2 investors, got {n}", None),
+        (some(alpha <= 0, axis=-1), errors.NonPositiveAlpha, "every alpha must be > 0", None),
+        (some(beta <= 0, axis=-1), errors.NonPositiveBeta, "every beta must be > 0", None),
+        (abs(total - 1.0) > BETA_SUM_TOL, errors.BetaNotNormalized,
+         "beta must sum to 1, got {!r}", total),
+        (some(phi < 0, axis=-1), errors.NegativePhi, "every phi must be >= 0", None),
+    ]
+
+
+def _raise_first_fault(faults: list, prefix: Callable[[tuple], str] = lambda _: "") -> None:
+    """Raise the first broken rule of the first failing point, if any.
+
+    ``faults`` are laid out as in :func:`_group_faults`.  Points are taken
+    in C order of the leading axes; ``prefix(index)`` starts the message
+    with the name of the point.
+    """
+    failing = functools.reduce(operator.or_, (fault[0] for fault in faults))
+    if not failing.any():
+        return
+    index = np.unravel_index(np.argmax(failing), failing.shape)
+    for bad, error, message, detail in faults:
+        if bad[index]:
+            text = message if detail is None else message.format(detail[index].item())
+            raise error(prefix(index) + text)
 
 
 @dataclass(frozen=True)
@@ -119,18 +169,7 @@ class InvestorGroup:
                 f"alpha, beta, phi must have equal lengths, got "
                 f"{alpha.shape[0]}, {beta.shape[0]}, {phi.shape[0]}"
             )
-        for name, arr in (("alpha", alpha), ("beta", beta), ("phi", phi)):
-            _require_finite(arr, name)
-        if alpha.shape[0] < 2:
-            raise errors.TooFewInvestors(f"need at least 2 investors, got {alpha.shape[0]}")
-        if np.any(alpha <= 0):
-            raise errors.NonPositiveAlpha("every alpha must be > 0")
-        if np.any(beta <= 0):
-            raise errors.NonPositiveBeta("every beta must be > 0")
-        if abs(beta.sum() - 1.0) > BETA_SUM_TOL:
-            raise errors.BetaNotNormalized(f"beta must sum to 1, got {beta.sum()!r}")
-        if np.any(phi < 0):
-            raise errors.NegativePhi("every phi must be >= 0")
+        _raise_first_fault(_group_faults(alpha, beta, phi))
         _freeze(self, alpha=alpha, beta=beta, phi=phi)
 
     @property

@@ -11,6 +11,21 @@ strengths ``phi`` this module tabulates
 
 Two tables are produced: one sweeping ``a`` for fixed ``phi`` values, one
 sweeping ``phi`` for fixed ``a`` values.  The whole path is deterministic.
+
+Both quantities are evaluated in frontier coordinates.  Every investor holds
+``gmvp + c_i tilt``: the optimum has ``c* = a_phi^-1 beta`` and the
+penalty-free optima have ``c_cl = 1 / alpha``.  With ``W = gmvp 1' + tilt c'``
+and ``1' a_phi 1 = beta' alpha`` the penalized utility is
+
+    mu_gmv + slope beta'c - (v_gmv beta'alpha + slope c' a_phi c) / 2,
+    c' a_phi c = sum_i d_i c_i^2 + (u'c)(beta'c),
+
+a concave quadratic in ``c`` that peaks at ``c*``.  So the utility gain is
+the quadratic form ``slope (c_cl - c*)' a_phi (c_cl - c*) / 2``, computed
+directly rather than as a difference of two nearly equal utilities, and the
+weight shift is ``(beta'c* - beta'c_cl) tilt_0``.  The whole grid is one
+stack of groups, evaluated by array operations along the investor axis: a
+run costs O(points n) and forms no weight matrix and no mimicking matrix.
 """
 
 from __future__ import annotations
@@ -19,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import errors, markowitz, mimicking
+from . import errors, markowitz, mimicking, model
 from .markowitz import MarkowitzContext
-from .model import InvestorGroup, MarketModel, build_group, build_market
+from .model import InvestorGroup, MarketModel, build_market
 
 # Textbook two-asset market: annualized means 7% and 14%, volatilities 12%
 # and 20%, correlation 0.2.
@@ -33,8 +48,9 @@ DEFAULT_MARKET = build_market(
 # The study fixes two investors with equal wealth.
 STUDY_BETA = (0.5, 0.5)
 
-# Numerator clamp for delta_eu: the two evaluated matrices coincide up to
-# rounding when phi = 0 or preferences are equal, so tiny negatives are noise.
+# Numerator clamp for delta_eu, relative to max(1, |eu*|): c* and c_cl
+# coincide up to rounding when phi = 0 or preferences are equal, so tiny
+# gains of either sign are noise.
 _GAIN_CLAMP = 1e-13
 
 
@@ -124,9 +140,57 @@ class SweepTable:
         return "\n".join(lines) + "\n"
 
 
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``sum(x * y)`` along the investor (last) axis."""
+    return np.add.reduce(x * y, axis=-1)
+
+
+def _frontier_gains(
+    ctx: MarkowitzContext, alpha: np.ndarray, beta: np.ndarray, phi: np.ndarray
+) -> tuple:
+    """``delta_omega`` and ``delta_eu`` of one group or a stack ``(..., n)``.
+
+    Returns ``(delta_omega, delta_eu, optimum_faults, utility_faults)``; the
+    values span the leading axes.  The faults, laid out as in
+    :func:`model._group_faults`, are the checks of the optimum (the
+    positive-definiteness guard) and of the utilities (a positive optimum,
+    no gain below rounding noise); the values are meaningless where a check
+    fails.  The inputs are assumed to be valid groups.
+    """
+    with np.errstate(all="ignore"):
+        w = mimicking._woodbury(alpha, beta, phi)
+        c = mimicking._inverse_beta(w)
+        c_cl = 1.0 / alpha
+        tau = _inner(beta, c)
+        tau_cl = _inner(beta, c_cl)
+        curvature = _inner(w.d, c * c) + _inner(w.u, c) * tau
+        eu_star = ctx.mu_gmv + ctx.slope * tau - 0.5 * (
+            ctx.v_gmv * _inner(beta, alpha) + ctx.slope * curvature
+        )
+        e = c_cl - c
+        gain = 0.5 * ctx.slope * (_inner(w.d, e * e) + _inner(w.u, e) * _inner(beta, e))
+        noise = _GAIN_CLAMP * np.maximum(1.0, abs(eu_star))
+        optimum_faults = [
+            (~np.reshape(w.certified, tau.shape), errors.NotPositiveDefinite,
+             "symmetrized mimicking matrix failed its positive-definiteness guard", None),
+        ]
+        utility_faults = [
+            (eu_star <= 0, errors.NonPositiveOptimum,
+             "penalized utility at the optimum is {!r}; relative gains are undefined", eu_star),
+            (gain < -noise, errors.NumericalBreakdown,
+             "utility gain {!r} is negative; optimality is violated", gain),
+        ]
+        gain = np.where(abs(gain) <= noise, 0.0, gain)
+        g0, t0 = ctx.gmvp[0], ctx.tilt[0]
+        d_omega = (g0 + tau * t0) - (g0 + tau_cl * t0)
+        return d_omega, gain / eu_star, optimum_faults, utility_faults
+
+
 def delta_omega(ctx: MarkowitzContext, group: InvestorGroup) -> float:
     """First-asset fund-weight change caused by accounting for mimicking."""
-    return _delta_omega(ctx, group, mimicking.solve(ctx, group))
+    d_omega, _, optimum_faults, _ = _frontier_gains(ctx, group.alpha, group.beta, group.phi)
+    model._raise_first_fault(optimum_faults)
+    return float(d_omega)
 
 
 def delta_eu(market: MarketModel, group: InvestorGroup) -> float:
@@ -139,82 +203,45 @@ def delta_eu(market: MarketModel, group: InvestorGroup) -> float:
     is raised.
     """
     ctx = markowitz.context(market)
-    return _delta_eu(ctx, group, mimicking.solve(ctx, group))
-
-
-def _delta_omega(
-    ctx: MarkowitzContext, group: InvestorGroup, solution: mimicking.MimickingSolution
-) -> float:
-    base_weights, _, _ = markowitz.fund_aggregate(ctx, group)
-    return float(solution.fund_weights[0] - base_weights[0])
-
-
-def _delta_eu(
-    ctx: MarkowitzContext, group: InvestorGroup, solution: mimicking.MimickingSolution
-) -> float:
-    if solution.eu_star <= 0:
-        raise errors.NonPositiveOptimum(
-            f"penalized utility at the optimum is {solution.eu_star!r}; "
-            "relative gains are undefined"
-        )
-    classical = np.column_stack(
-        [markowitz.individual_weights(ctx, a)[0] for a in group.alpha]
+    _, d_eu, optimum_faults, utility_faults = _frontier_gains(
+        ctx, group.alpha, group.beta, group.phi
     )
-    baseline = mimicking.penalized_utility(ctx.market, group, classical)
-    gain = solution.eu_star - baseline
-    noise = _GAIN_CLAMP * max(1.0, abs(solution.eu_star))
-    if gain < -noise:
-        raise errors.NumericalBreakdown(
-            f"optimal utility {solution.eu_star!r} fell below the baseline "
-            f"{baseline!r}; optimality is violated"
-        )
-    if abs(gain) <= noise:
-        # the two matrices coincide up to rounding (phi = 0, equal preferences)
-        gain = 0.0
-    return gain / solution.eu_star
-
-
-def _sweep(ctx, alpha1, phi_ratio, series, coordinates, is_phi_sweep):
-    records = []
-    for label, fixed in series:
-        for coord in coordinates:
-            phi1, a = (coord, fixed) if is_phi_sweep else (fixed, coord)
-            group = build_group(
-                alpha=(alpha1, a * alpha1),
-                beta=STUDY_BETA,
-                phi=(phi1, phi1 * phi_ratio),
-            )
-            try:
-                solution = mimicking.solve(ctx, group)
-                d_omega = _delta_omega(ctx, group, solution)
-                d_eu = _delta_eu(ctx, group, solution)
-            except errors.MimicfundError as exc:
-                raise type(exc)(f"series {label}, coordinate {coord:g}: {exc}") from exc
-            records.append(
-                SweepRecord(series=label, coordinate=float(coord), delta_omega=d_omega, delta_eu=d_eu)
-            )
-    return SweepTable(records=tuple(records))
+    model._raise_first_fault(optimum_faults + utility_faults)
+    return float(d_eu)
 
 
 def run_sweeps(config: StudyConfig) -> tuple[SweepTable, SweepTable]:
-    """Run both default sweeps; output ordering is series then coordinate."""
+    """Run both default sweeps; output ordering is series then coordinate.
+
+    All points of both tables form one stack of groups, checked and
+    evaluated together; a failure names the first failing point in output
+    order.
+    """
     ctx = markowitz.context(config.market)
-    a_grid = np.linspace(config.a_range[0], config.a_range[1], config.grid_points)
-    phi_grid = np.linspace(config.phi_range[0], config.phi_range[1], config.grid_points)
-    figure1 = _sweep(
-        ctx,
-        config.alpha1,
-        config.phi_ratio,
-        [(f"phi={p:g}", p) for p in config.phi_set],
-        a_grid,
-        is_phi_sweep=False,
+    g = config.grid_points
+    a_grid = np.linspace(config.a_range[0], config.a_range[1], g)
+    phi_grid = np.linspace(config.phi_range[0], config.phi_range[1], g)
+    phi_set = np.asarray(config.phi_set, dtype=float)
+    a_set = np.asarray(config.a_set, dtype=float)
+    # figure 1 sweeps a along each phi series, figure 2 phi along each a series
+    split = len(phi_set) * g
+    phi1 = np.concatenate([np.repeat(phi_set, g), np.tile(phi_grid, len(a_set))])
+    a = np.concatenate([np.tile(a_grid, len(phi_set)), np.repeat(a_set, g)])
+    coords = np.concatenate([a[:split], phi1[split:]])
+    labels = [f"phi={p:g}" for p in config.phi_set for _ in range(g)]
+    labels += [f"a={x:g}" for x in config.a_set for _ in range(g)]
+    with np.errstate(over="ignore"):  # an overflow is reported as a non-finite entry
+        alpha = np.stack([np.full_like(a, config.alpha1), a * config.alpha1], axis=-1)
+        phi = np.stack([phi1, phi1 * config.phi_ratio], axis=-1)
+    beta = np.broadcast_to(np.asarray(STUDY_BETA, dtype=float), alpha.shape)
+
+    d_omega, d_eu, optimum_faults, utility_faults = _frontier_gains(ctx, alpha, beta, phi)
+    model._raise_first_fault(
+        model._group_faults(alpha, beta, phi) + optimum_faults + utility_faults,
+        prefix=lambda i: f"series {labels[i[0]]}, coordinate {coords[i[0]]:g}: ",
     )
-    figure2 = _sweep(
-        ctx,
-        config.alpha1,
-        config.phi_ratio,
-        [(f"a={a:g}", a) for a in config.a_set],
-        phi_grid,
-        is_phi_sweep=True,
-    )
-    return figure1, figure2
+    records = [
+        SweepRecord(series=label, coordinate=coord, delta_omega=d_o, delta_eu=d_e)
+        for label, coord, d_o, d_e in zip(labels, coords.tolist(), d_omega.tolist(), d_eu.tolist())
+    ]
+    return SweepTable(records=tuple(records[:split])), SweepTable(records=tuple(records[split:]))

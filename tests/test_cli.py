@@ -204,7 +204,7 @@ class TestVerify:
                 residual=solution.residual,
             )
 
-        monkeypatch.setattr(cli.oracle, "kkt_solve", skewed)
+        monkeypatch.setattr(oracle, "kkt_solve", skewed)
         code = cli.main(["verify", "--count", "3", "--seed", "5"])
         out = capsys.readouterr().out
         assert code == 4
@@ -282,6 +282,18 @@ class TestEstimate:
     def test_missing_file_exits_2(self, tmp_path):
         result = run_cli("estimate", "--returns", str(tmp_path / "missing.csv"))
         assert result.returncode == 2
+
+
+def test_cli_import_defers_command_modules():
+    # oracle, sampling and study serve only verify and study; solve must not load them
+    probe = (
+        "import mimicfund.cli, sys; "
+        "print(sorted(m for m in ('mimicfund.oracle', 'mimicfund.sampling', 'mimicfund.study') "
+        "if m in sys.modules))"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import support
 
-from mimicfund import build_group, build_market, errors, markowitz, mimicking, oracle
+from mimicfund import build_group, build_market, errors, markowitz, mimicking, oracle, sampling
 from mimicfund.study import (
     DEFAULT_MARKET,
     STUDY_BETA,
@@ -15,6 +17,89 @@ from mimicfund.study import (
 
 def study_group(a, phi, alpha1=2.0):
     return build_group((alpha1, a * alpha1), STUDY_BETA, (phi, phi))
+
+
+def per_group_gains(ctx, group):
+    """delta_omega and delta_eu by their definition, one group at a time.
+
+    The optimum and its utility come from ``mimicking.solve``; the baseline
+    evaluates ``penalized_utility`` at the matrix of penalty-free optima.
+    """
+    solution = mimicking.solve(ctx, group)
+    base_weights, _, _ = markowitz.fund_aggregate(ctx, group)
+    d_omega = float(solution.fund_weights[0] - base_weights[0])
+    classical = np.column_stack([markowitz.individual_weights(ctx, a)[0] for a in group.alpha])
+    baseline = mimicking.penalized_utility(ctx.market, group, classical)
+    gain = solution.eu_star - baseline
+    if abs(gain) <= 1e-13 * max(1.0, abs(solution.eu_star)):
+        gain = 0.0
+    return d_omega, gain / solution.eu_star, solution.eu_star
+
+
+def sweep_inputs(config):
+    """(phi_1, a) of every point of both sweeps, in output order."""
+    a_grid = np.linspace(config.a_range[0], config.a_range[1], config.grid_points)
+    phi_grid = np.linspace(config.phi_range[0], config.phi_range[1], config.grid_points)
+    return [(p, a) for p in config.phi_set for a in a_grid] + [
+        (p, a) for a in config.a_set for p in phi_grid
+    ]
+
+
+def config_group(config, phi1, a):
+    return build_group(
+        (config.alpha1, a * config.alpha1), STUDY_BETA, (phi1, phi1 * config.phi_ratio)
+    )
+
+
+def exact_gains(mu, sigma, alpha, beta, phi):
+    """delta_omega and delta_eu of a two-asset, two-investor point in rationals.
+
+    Every input is a ``Fraction``.  The symmetrized mimicking matrix is built
+    entry by entry and inverted exactly; both utilities are trace forms
+    ``beta' W' mu - tr(a_phi W' sigma W) / 2``.
+    """
+
+    def inverse(m):
+        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        return [[m[1][1] / det, -m[0][1] / det], [-m[1][0] / det, m[0][0] / det]]
+
+    sigma_inv = inverse(sigma)
+    row_sums = [sum(row) for row in sigma_inv]
+    total = sum(row_sums)
+    gmvp = [x / total for x in row_sums]
+    q = [[sigma_inv[i][j] - row_sums[i] * row_sums[j] / total for j in range(2)] for i in range(2)]
+    tilt = [q[i][0] * mu[0] + q[i][1] * mu[1] for i in range(2)]
+
+    phi_bar = beta[0] * phi[0] + beta[1] * phi[1]
+    raw = [[beta[i] * beta[j] * (phi_bar - 2 * phi[i]) for j in range(2)] for i in range(2)]
+    for i in range(2):
+        raw[i][i] += beta[i] * (alpha[i] + phi[i])
+    a_phi = [[(raw[i][j] + raw[j][i]) / 2 for j in range(2)] for i in range(2)]
+    a_inv = inverse(a_phi)
+    c_star = [a_inv[i][0] * beta[0] + a_inv[i][1] * beta[1] for i in range(2)]
+    c_classical = [1 / alpha[0], 1 / alpha[1]]
+
+    def columns(c):
+        return [[gmvp[k] + c[i] * tilt[k] for k in range(2)] for i in range(2)]
+
+    def utility(w):
+        linear = sum(beta[i] * (w[i][0] * mu[0] + w[i][1] * mu[1]) for i in range(2))
+        gram = [
+            [sum(w[i][k] * sigma[k][m] * w[j][m] for k in range(2) for m in range(2))
+             for j in range(2)]
+            for i in range(2)
+        ]
+        return linear - sum(a_phi[i][j] * gram[j][i] for i in range(2) for j in range(2)) / 2
+
+    def fund_first_weight(w):
+        return beta[0] * w[0][0] + beta[1] * w[1][0]
+
+    optimal, classical = columns(c_star), columns(c_classical)
+    eu_star = utility(optimal)
+    return (
+        fund_first_weight(optimal) - fund_first_weight(classical),
+        (eu_star - utility(classical)) / eu_star,
+    )
 
 
 class TestStudyConfig:
@@ -98,6 +183,27 @@ class TestDeltaEu:
         base = support.penalized_direct(mu, sigma, group.alpha, group.beta, group.phi, classical)
         assert got == pytest.approx((best - base) / best, abs=1e-10)
 
+    def test_public_functions_match_per_group_definition(self):
+        rng = np.random.default_rng(71)
+        checked = rejected = 0
+        for _ in range(80):
+            market = sampling.random_market(rng, int(rng.integers(2, 7)))
+            ctx = markowitz.context(market)
+            n = int(rng.integers(2, 51))
+            group = sampling.random_group(rng, n, alpha_low=0.5, phi_high=5.0)
+            d_omega, d_eu, eu_star = per_group_gains(ctx, group)
+            assert delta_omega(ctx, group) == pytest.approx(d_omega, abs=1e-12)
+            if eu_star <= 0:
+                rejected += 1
+                with pytest.raises(errors.NonPositiveOptimum):
+                    delta_eu(market, group)
+            else:
+                # the reference subtracts two utilities, so near eu* = 0, where
+                # delta_eu grows large, it holds only about 11 digits
+                checked += 1
+                assert delta_eu(market, group) == pytest.approx(d_eu, rel=1e-10, abs=1e-12)
+        assert checked >= 10 and rejected >= 10
+
     def test_non_positive_optimum_rejected(self):
         market = build_market(
             DEFAULT_MARKET.mu, 50.0 * np.asarray(DEFAULT_MARKET.sigma)
@@ -168,6 +274,68 @@ class TestRunSweeps:
         config = StudyConfig(market=market, grid_points=2)
         with pytest.raises(errors.NonPositiveOptimum, match="coordinate"):
             run_sweeps(config)
+
+    def test_records_match_per_group_definition(self):
+        rng = np.random.default_rng(72)
+        for phi_ratio in (0.0, 0.5, 2.0):
+            a_low = float(rng.uniform(1.0, 2.0))
+            config = StudyConfig(
+                alpha1=float(rng.uniform(1.0, 2.5)),
+                phi_set=tuple(float(p) for p in rng.uniform(0.0, 8.0, 2)),
+                a_set=tuple(float(a) for a in rng.uniform(1.0, 6.0, 3)),
+                a_range=(a_low, a_low + float(rng.uniform(1.0, 6.0))),
+                phi_range=(0.0, float(rng.uniform(1.0, 6.0))),
+                grid_points=7,
+                phi_ratio=phi_ratio,
+            )
+            ctx = markowitz.context(config.market)
+            figure1, figure2 = run_sweeps(config)
+            records = figure1.records + figure2.records
+            points = sweep_inputs(config)
+            assert len(records) == len(points)
+            for record, (phi1, a) in zip(records, points):
+                d_omega, d_eu, _ = per_group_gains(ctx, config_group(config, phi1, a))
+                assert record.delta_omega == pytest.approx(d_omega, abs=1e-12)
+                assert record.delta_eu == pytest.approx(d_eu, abs=1e-12)
+
+    def test_default_grid_matches_exact_rational_arithmetic(self, default_tables):
+        # the gain is a quadratic form in the scalar tilts, not a difference of
+        # two nearly equal utilities, so it keeps its relative accuracy
+        config = StudyConfig()
+        mu = [Fraction(x) for x in config.market.mu.tolist()]
+        sigma = [[Fraction(x) for x in row] for row in config.market.sigma.tolist()]
+        beta = [Fraction(b) for b in STUDY_BETA]
+        records = default_tables[0].records + default_tables[1].records
+        for record, (phi1, a) in zip(records, sweep_inputs(config)):
+            alpha = [Fraction(config.alpha1), Fraction(a * config.alpha1)]
+            phi = [Fraction(phi1), Fraction(phi1 * config.phi_ratio)]
+            d_omega, d_eu = exact_gains(mu, sigma, alpha, beta, phi)
+            if d_eu == 0:
+                assert record.delta_eu == 0.0
+            else:
+                assert abs(Fraction(record.delta_eu) - d_eu) <= Fraction(1, 10**12) * abs(d_eu)
+            assert abs(Fraction(record.delta_omega) - d_omega) <= Fraction(1, 10**14)
+
+    def test_overflowing_penalty_names_the_point(self):
+        # phi_2 = phi_1 * 1e308 overflows on the first point of the first series
+        config = StudyConfig(phi_ratio=1e308, grid_points=3)
+        with pytest.raises(errors.NonFiniteValue, match=r"^series phi=3, coordinate 1: phi contains"):
+            run_sweeps(config)
+
+    def test_non_positive_optimum_names_the_first_failing_point(self):
+        # a riskier market turns the optimum negative part-way along phi = 3
+        market = build_market(DEFAULT_MARKET.mu, 3.0 * np.asarray(DEFAULT_MARKET.sigma))
+        config = StudyConfig(market=market)
+        ctx = markowitz.context(market)
+        first = next(
+            (phi1, a)
+            for phi1, a in sweep_inputs(config)
+            if mimicking.solve(ctx, config_group(config, phi1, a)).eu_star <= 0
+        )
+        assert first[0] == 3.0 and first[1] > config.a_range[0]
+        with pytest.raises(errors.NonPositiveOptimum) as caught:
+            run_sweeps(config)
+        assert str(caught.value).startswith(f"series phi=3, coordinate {first[1]:g}: ")
 
     def test_heterogeneous_penalties_via_ratio(self, textbook_market):
         config = StudyConfig(grid_points=3, phi_ratio=0.5)
