@@ -43,10 +43,18 @@ def _log(message: str) -> None:
 def _timestamp() -> str:
     # honor SOURCE_DATE_EPOCH so manifests can be byte-reproducible
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        moment = datetime.datetime.fromtimestamp(int(epoch), tz=datetime.timezone.utc)
-    else:
+    if epoch is None:
         moment = datetime.datetime.now(tz=datetime.timezone.utc)
+    else:
+        try:
+            moment = datetime.datetime.fromtimestamp(int(epoch), tz=datetime.timezone.utc)
+        except (ValueError, OverflowError, OSError) as exc:
+            # int() rejects the text; fromtimestamp rejects a time outside
+            # the platform's time_t or datetime's years 1..9999
+            raise errors.ValidationError(
+                f"SOURCE_DATE_EPOCH must be an integer count of seconds in years 1..9999, "
+                f"got {epoch!r} ({exc})"
+            ) from None
     return moment.isoformat(timespec="seconds")
 
 
@@ -137,6 +145,8 @@ def _cmd_solve(args) -> int:
     unknown = set(config) - {"alpha", "beta", "phi", "mu", "sigma"}
     if unknown:
         raise errors.ValidationError(f"unknown solve config keys: {', '.join(sorted(unknown))}")
+    if args.annualize is not None and args.returns is None:
+        raise errors.ValidationError("--annualize applies only to a market estimated from --returns")
     input_paths = [p for p in (args.config, args.returns) if p]
     market = _resolve_market(args, config)
     group = _resolve_group(config)

@@ -8,7 +8,9 @@ in chronological order.  Decimal point is '.', no thousands separators.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -66,22 +68,58 @@ def load_csv(path) -> ReturnSample:
     """Parse a return-history CSV into a validated :class:`ReturnSample`.
 
     Parse failures name the offending row (1-based physical line, header is
-    row 1) and column.
+    row 1) and column.  The data rows are parsed by one ``np.loadtxt`` call;
+    a file it does not read as exactly the rows the per-cell parser would
+    goes to that parser, which then decides the value or the error.
     """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
-            rows = list(reader)
+            header = next(reader, None)
+            body = handle.read()
     except OSError as exc:
         raise errors.IoError(f"cannot read {path}: {exc}") from exc
-    if not rows:
+    if header is None:
         raise errors.ParseError(f"{path}: file is empty")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in header]
     if not header or any(not name for name in header):
         raise errors.ParseError(f"{path}: row 1: header must name every column")
     k = len(header)
+    returns = _loadtxt(body, k)
+    if returns is None:
+        returns = _parse_cells(path, csv.reader(io.StringIO(body, newline="")), k)
+    return ReturnSample(returns=returns, asset_names=tuple(header))
+
+
+def _loadtxt(body: str, k: int) -> Optional[np.ndarray]:
+    r"""The data rows parsed by ``np.loadtxt``, or None to leave them to ``float``.
+
+    The rows are kept only where they are exactly what the per-cell parser
+    reads:
+
+    * ``np.loadtxt`` ends lines only at ``\n`` and skips blank ones, while
+      ``str.splitlines`` ends them also at every other line ending ``csv``
+      knows, so equal counts mean one row per physical line;
+    * with no quote and no comment character it fails on a quoted cell, a
+      ``#`` or an empty cell, and parses a plain decimal to the value
+      ``float`` gives;
+    * a non-finite value is left to ``float`` for its error message.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            returns = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        return None
+    if returns.shape != (len(body.splitlines()), k) or not np.isfinite(returns).all():
+        return None
+    return returns
+
+
+def _parse_cells(path, rows, k: int) -> np.ndarray:
+    """Data rows parsed cell by cell; the reference parser and its errors."""
     values = []
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in enumerate(rows, start=2):
         if len(row) != k:
             raise errors.ParseError(
                 f"{path}: row {line_no}: expected {k} fields, got {len(row)}"
@@ -103,8 +141,7 @@ def load_csv(path) -> ReturnSample:
                 )
             parsed.append(value)
         values.append(parsed)
-    returns = np.array(values, dtype=float).reshape(len(values), k)
-    return ReturnSample(returns=returns, asset_names=tuple(header))
+    return np.array(values, dtype=float).reshape(len(values), k)
 
 
 def estimate(sample: ReturnSample, periods_per_year: Optional[int] = None) -> MarketModel:

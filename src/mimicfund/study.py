@@ -31,6 +31,7 @@ run costs O(points n) and forms no weight matrix and no mimicking matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,8 +116,9 @@ class StudyConfig:
             raise errors.ConstraintViolated(f"phi_ratio must be >= 0, got {self.phi_ratio!r}")
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
+    """One point of a sweep: its series label, grid coordinate and results."""
+
     series: str
     coordinate: float
     delta_omega: float
@@ -228,8 +230,9 @@ def run_sweeps(config: StudyConfig) -> tuple[SweepTable, SweepTable]:
     phi1 = np.concatenate([np.repeat(phi_set, g), np.tile(phi_grid, len(a_set))])
     a = np.concatenate([np.tile(a_grid, len(phi_set)), np.repeat(a_set, g)])
     coords = np.concatenate([a[:split], phi1[split:]])
-    labels = [f"phi={p:g}" for p in config.phi_set for _ in range(g)]
-    labels += [f"a={x:g}" for x in config.a_set for _ in range(g)]
+    labels = []
+    for label in [f"phi={p:g}" for p in config.phi_set] + [f"a={x:g}" for x in config.a_set]:
+        labels += [label] * g
     with np.errstate(over="ignore"):  # an overflow is reported as a non-finite entry
         alpha = np.stack([np.full_like(a, config.alpha1), a * config.alpha1], axis=-1)
         phi = np.stack([phi1, phi1 * config.phi_ratio], axis=-1)
@@ -240,8 +243,5 @@ def run_sweeps(config: StudyConfig) -> tuple[SweepTable, SweepTable]:
         model._group_faults(alpha, beta, phi) + optimum_faults + utility_faults,
         prefix=lambda i: f"series {labels[i[0]]}, coordinate {coords[i[0]]:g}: ",
     )
-    records = [
-        SweepRecord(series=label, coordinate=coord, delta_omega=d_o, delta_eu=d_e)
-        for label, coord, d_o, d_e in zip(labels, coords.tolist(), d_omega.tolist(), d_eu.tolist())
-    ]
-    return SweepTable(records=tuple(records[:split])), SweepTable(records=tuple(records[split:]))
+    records = tuple(map(SweepRecord, labels, coords.tolist(), d_omega.tolist(), d_eu.tolist()))
+    return SweepTable(records=records[:split]), SweepTable(records=records[split:])

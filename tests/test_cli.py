@@ -1,16 +1,18 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "mimicfund", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=None if env is None else {**os.environ, **env},
     )
 
 
@@ -148,6 +150,23 @@ class TestSolve:
         result = run_cli("solve", "--config", str(path))
         assert_validation_error(result)
         assert "error: unknown solve config keys: extra" in result.stderr
+
+    def test_annualize_without_returns_exits_1(self, solve_config):
+        result = run_cli("solve", "--config", str(solve_config), "--annualize", "12")
+        assert_validation_error(result)
+        assert "--annualize" in result.stderr
+
+    def test_source_date_epoch_sets_the_timestamp(self, solve_config):
+        result = run_cli("solve", "--config", str(solve_config), env={"SOURCE_DATE_EPOCH": "86400"})
+        assert result.returncode == 0
+        assert json.loads(result.stdout)["manifest"]["timestamp"] == "1970-01-02T00:00:00+00:00"
+
+    @pytest.mark.parametrize("epoch", ["abc", "99999999999999999"])
+    def test_malformed_source_date_epoch_exits_1(self, solve_config, epoch):
+        result = run_cli("solve", "--config", str(solve_config), env={"SOURCE_DATE_EPOCH": epoch})
+        assert_validation_error(result)
+        assert "SOURCE_DATE_EPOCH must be an integer count of seconds" in result.stderr
+        assert repr(epoch) in result.stderr
 
 
 class TestVerify:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mimicfund import errors
+from mimicfund import errors, moments
 from mimicfund.moments import ReturnSample, estimate, load_csv
 
 
@@ -65,6 +65,77 @@ class TestLoadCsv:
     def test_empty_file(self, tmp_path):
         with pytest.raises(errors.ParseError):
             load_csv(write_csv(tmp_path, ""))
+
+
+def load_by_cells(monkeypatch, path):
+    """``load_csv`` with the ``np.loadtxt`` fast path turned off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(moments, "_loadtxt", lambda body, k: None)
+        return load_csv(path)
+
+
+def fell_back(*args):
+    raise AssertionError("a well-formed file reached the per-cell parser")
+
+
+def outcome(load, path):
+    try:
+        sample = load(path)
+    except errors.ValidationError as exc:
+        return type(exc), str(exc).replace(str(path), "<path>")
+    return sample.returns.tolist()
+
+
+ROWS = ["0.01,0.02", "0.03,-0.01", "0.00,0.05", "-0.02,0.01"]
+VALUES = [[0.01, 0.02], [0.03, -0.01], [0.0, 0.05], [-0.02, 0.01]]
+
+
+class TestLoadtxtFastPath:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_both_paths_agree_on_well_formed_files(self, tmp_path, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        k, t = int(rng.integers(1, 6)), int(rng.integers(8, 40))
+        values = rng.normal(0.0, 0.05, (t, k)) * 10.0 ** rng.integers(-6, 3, (t, k))
+        digits = int(rng.integers(1, 18))
+        cells = [[f"{x:.{digits}g}" for x in row] for row in values]
+        newline = "\r\n" if seed % 2 else "\n"
+        header = ",".join(f"asset {j}" for j in range(k))
+        body = newline.join(",".join(row) for row in cells) + newline
+        path = write_csv(tmp_path, header + newline + body)
+        with monkeypatch.context() as patch:
+            patch.setattr(moments, "_parse_cells", fell_back)
+            fast = load_csv(path).returns
+        np.testing.assert_array_equal(fast, load_by_cells(monkeypatch, path).returns)
+        np.testing.assert_array_equal(fast, [[float(c) for c in row] for row in cells])
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("A,B\n1_000,0.02\n" + "\n".join(ROWS[1:]) + "\n",
+             [[1000.0, 0.02], [0.03, -0.01], [0.0, 0.05], [-0.02, 0.01]]),
+            ("A,B\n 0.01 ,\t0.02 \n" + "\n".join(ROWS[1:]) + "\n", VALUES),
+            ("A,B\n" + "\n".join(ROWS[:2] + ["0.01,"] + ROWS[2:]) + "\n",
+             (errors.ParseError, "<path>: row 4, column 2: empty cell")),
+            ("A,B\n" + "\n".join(ROWS[:2] + ["0.01,0.02,0.03"] + ROWS[2:]) + "\n",
+             (errors.ParseError, "<path>: row 4: expected 2 fields, got 3")),
+            ("A,B\n" + "\n".join(ROWS[:2] + [""] + ROWS[2:]) + "\n",
+             (errors.ParseError, "<path>: row 4: expected 2 fields, got 0")),
+            ("A,B\n" + "\n".join(ROWS[:1] + ["#,0.02"] + ROWS[1:]) + "\n",
+             (errors.ParseError, "<path>: row 3, column 1: not a number: '#'")),
+            ("A,B\n" + "\n".join(ROWS[:1] + ["0.01,inf"] + ROWS[1:]) + "\n",
+             (errors.NonFiniteValue, "<path>: row 3, column 2: non-finite value 'inf'")),
+            ("A,B\n",
+             (errors.TooFewObservations, "need at least k + 2 = 4 observations, got 0")),
+            ("A,B\r" + "\r".join(ROWS) + "\r", VALUES),
+            ('"A\n0.5",B\n' + "\n".join(ROWS) + "\n", VALUES),
+        ],
+        ids=["underscore", "padded", "empty-cell", "ragged", "blank-line", "hash", "inf",
+             "header-only", "cr-line-ends", "header-quoting-a-newline"],
+    )
+    def test_edge_cases_keep_the_cell_parser_result(self, tmp_path, monkeypatch, text, expected):
+        path = write_csv(tmp_path, text)
+        assert outcome(load_csv, path) == expected
+        assert outcome(lambda p: load_by_cells(monkeypatch, p), path) == expected
 
 
 class TestEstimate:

@@ -9,6 +9,7 @@ from mimicfund.study import (
     DEFAULT_MARKET,
     STUDY_BETA,
     StudyConfig,
+    SweepRecord,
     delta_eu,
     delta_omega,
     run_sweeps,
@@ -43,6 +44,22 @@ def sweep_inputs(config):
     return [(p, a) for p in config.phi_set for a in a_grid] + [
         (p, a) for a in config.a_set for p in phi_grid
     ]
+
+
+def random_configs():
+    """Three seeded non-default grids, one per ``phi_ratio`` of 0, 0.5 and 2."""
+    rng = np.random.default_rng(72)
+    for phi_ratio in (0.0, 0.5, 2.0):
+        a_low = float(rng.uniform(1.0, 2.0))
+        yield StudyConfig(
+            alpha1=float(rng.uniform(1.0, 2.5)),
+            phi_set=tuple(float(p) for p in rng.uniform(0.0, 8.0, 2)),
+            a_set=tuple(float(a) for a in rng.uniform(1.0, 6.0, 3)),
+            a_range=(a_low, a_low + float(rng.uniform(1.0, 6.0))),
+            phi_range=(0.0, float(rng.uniform(1.0, 6.0))),
+            grid_points=7,
+            phi_ratio=phi_ratio,
+        )
 
 
 def config_group(config, phi1, a):
@@ -256,16 +273,30 @@ class TestRunSweeps:
 
     def test_csv_format(self, default_tables):
         figure1, _ = default_tables
-        text = figure1.to_csv()
-        lines = text.splitlines()
+        lines = figure1.to_csv().splitlines()
         assert lines[0] == "series,coordinate,delta_omega,delta_eu"
         assert len(lines) == 1 + 303
-        series, coord, d_omega, d_eu = lines[1].split(",")
+        series, coord, _, _ = lines[1].split(",")
         assert series == "phi=3"
         assert float(coord) == 1.0
-        record = figure1.records[0]
-        assert d_omega == f"{record.delta_omega:.15g}"
-        assert d_eu == f"{record.delta_eu:.15g}"
+        for tables in (default_tables, *map(run_sweeps, random_configs())):
+            for table in tables:
+                text = table.to_csv()
+                assert text.endswith("\n")
+                assert text.splitlines()[1:] == [
+                    f"{r.series},{r.coordinate:.15g},{r.delta_omega:.15g},{r.delta_eu:.15g}"
+                    for r in table.records
+                ]
+
+    def test_records_are_immutable_named_fields(self, default_tables):
+        record = default_tables[0].records[0]
+        assert type(record) is SweepRecord
+        assert type(record.series) is str and type(record.coordinate) is float
+        assert SweepRecord("phi=3", 1.0, 0.25, 0.5) == SweepRecord(
+            series="phi=3", coordinate=1.0, delta_omega=0.25, delta_eu=0.5
+        )
+        with pytest.raises(AttributeError):
+            record.delta_eu = 0.0
 
     def test_failures_carry_the_grid_coordinate(self):
         market = build_market(
@@ -276,18 +307,7 @@ class TestRunSweeps:
             run_sweeps(config)
 
     def test_records_match_per_group_definition(self):
-        rng = np.random.default_rng(72)
-        for phi_ratio in (0.0, 0.5, 2.0):
-            a_low = float(rng.uniform(1.0, 2.0))
-            config = StudyConfig(
-                alpha1=float(rng.uniform(1.0, 2.5)),
-                phi_set=tuple(float(p) for p in rng.uniform(0.0, 8.0, 2)),
-                a_set=tuple(float(a) for a in rng.uniform(1.0, 6.0, 3)),
-                a_range=(a_low, a_low + float(rng.uniform(1.0, 6.0))),
-                phi_range=(0.0, float(rng.uniform(1.0, 6.0))),
-                grid_points=7,
-                phi_ratio=phi_ratio,
-            )
+        for config in random_configs():
             ctx = markowitz.context(config.market)
             figure1, figure2 = run_sweeps(config)
             records = figure1.records + figure2.records
