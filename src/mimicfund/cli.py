@@ -126,7 +126,9 @@ def _resolve_market(args, config: dict) -> MarketModel:
         if args.mu is None or args.sigma is None:
             raise errors.ValidationError("--mu and --sigma must be given together")
         return build_market(_parse_json_flag(args.mu, "--mu"), _parse_json_flag(args.sigma, "--sigma"))
-    if "mu" in config and "sigma" in config:
+    if "mu" in config or "sigma" in config:
+        if "mu" not in config or "sigma" not in config:
+            raise errors.ValidationError("solve config must give mu and sigma together")
         return build_market(config["mu"], config["sigma"])
     raise errors.ValidationError(
         "no market given: use --returns, --mu/--sigma, or mu/sigma keys in the config file"

@@ -63,10 +63,6 @@ class ConstraintViolated(ValidationError):
     pass
 
 
-class NotUniformWealth(ValidationError):
-    pass
-
-
 class NonFiniteValue(ValidationError):
     pass
 

@@ -1,8 +1,8 @@
 """Classical mean-variance solutions without any mimicking penalty.
 
 Provides the global minimum-variance portfolio, the frontier constants, the
-closed-form individual optimum for a given risk aversion, the fund-level
-aggregation across a group, and plain mean-variance utility evaluation.
+frontier portfolio at a given inverse risk aversion, the closed-form
+individual optimum and the fund-level aggregation across a group.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .model import COLUMN_SUM_TOL, InvestorGroup, MarketModel
+from .model import InvestorGroup, MarketModel
 
 
 @dataclass(frozen=True)
@@ -113,15 +113,3 @@ def fund_aggregate(
     weights, point = frontier(ctx, 1.0 / alpha_f)
     return weights, alpha_f, point
 
-
-def mv_utility(market: MarketModel, weights, alpha: float) -> float:
-    """Mean-variance utility ``w'mu - (alpha/2) w'sigma w`` of unit-sum weights."""
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.shape[0] != market.k:
-        raise errors.DimensionMismatch(
-            f"weights must be a length-{market.k} vector, got shape {w.shape}"
-        )
-    off = abs(float(w.sum()) - 1.0)
-    if off > COLUMN_SUM_TOL:
-        raise errors.ConstraintViolated(f"weights sum to {w.sum()!r}, not 1")
-    return float(w @ market.mu - 0.5 * alpha * (w @ market.sigma @ w))

@@ -13,19 +13,18 @@ a diagonal plus a rank-two term, and the optimum is available in closed
 form.  Only the aggregate risk-aversion scalar changes relative to the
 classical solution: every optimal column still lies on the line through the
 GMVP spanned by the frontier tilt.  :class:`MimickingMatrix` keeps ``a_phi``
-in this structured form, so certifying, inverting (Sherman-Morrison-Woodbury
-with a 2 x 2 capacitance matrix) and applying it cost O(n) for ``n``
-investors, and :func:`solve` and :func:`penalized_utility` cost O(n k^2)
-for ``k`` assets.  No ``n x n`` array is formed unless a caller reads the
-dense views ``a`` or ``a_phi``.  The Woodbury sums, the certificate and
-``c = a_phi^-1 beta`` are computed in one place that also takes a stack of
-groups, so :mod:`mimicfund.study` evaluates a whole grid with them.
+in this structured form, so certifying and inverting it
+(Sherman-Morrison-Woodbury with a 2 x 2 capacitance matrix) cost O(n) for
+``n`` investors, and :func:`solve` and :func:`penalized_utility` cost
+O(n k^2) for ``k`` assets; no ``n x n`` array is formed.  The same type
+holds a stack of groups, so :mod:`mimicfund.study` evaluates a whole grid
+with the Woodbury sums, the certificate and ``c = a_phi^-1 beta`` that
+:func:`solve` uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -34,18 +33,10 @@ from . import errors, markowitz
 from .markowitz import FrontierPoint, MarkowitzContext
 from .model import InvestorGroup, MarketModel, PortfolioMatrix
 
-# Uniform-wealth detection tolerance for equal_wealth_matrix.
-UNIFORM_WEALTH_TOL = 1e-12
-
 # Relative margin of the positive-definiteness certificate: ``delta`` is the
 # difference of two products of size ``(2 + s_ub)^2``, so a smaller positive
 # value is indistinguishable from rounding.
 PD_RTOL = 1e-13
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 def _sum(x: np.ndarray) -> np.ndarray:
@@ -54,80 +45,16 @@ def _sum(x: np.ndarray) -> np.ndarray:
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``_sum(x * y)``; one group takes the BLAS dot product."""
+    """``_sum(x * y)``; one group takes the BLAS dot product.
+
+    The two reductions round differently, so a row of a stack agrees with
+    the same group alone only to rounding in the fields that use them.
+    """
     return x @ y if x.ndim == 1 else _sum(x * y)
 
 
-def _capacitance_delta(s_bb, s_ub, s_uu):
-    """Minus the determinant of the 2 x 2 capacitance matrix, ``(2 + s_ub)^2 - s_uu s_bb``."""
-    return (2.0 + s_ub) ** 2 - s_uu * s_bb
-
-
-def _inverse_beta(w) -> np.ndarray:
-    """``c = a_phi^-1 beta`` from the Woodbury sums of ``w``.
-
-    ``w`` is a :class:`_Woodbury` or a :class:`MimickingMatrix`:
-    ``c_i = 2 (2 + s_ub - s_bb (phi_bar - 2 phi_i)) / ((alpha_i + phi_i) delta)``.
-    """
-    return (2.0 / w.delta) * ((2.0 + w.s_ub) * w.d_inv_beta - w.s_bb * w.d_inv_u)
-
-
-class _Woodbury(NamedTuple):
-    """Sherman-Morrison-Woodbury terms of one group or of a stack of groups.
-
-    The fields are those of :class:`MimickingMatrix` except ``beta``, plus
-    ``delta`` and ``certified``, which marks a positive definite ``a_phi``.  Per-investor
-    arrays have the groups' shape ``(..., n)``.  Per-group values are scalars
-    for one group and keep a trailing axis of length 1 for a stack, so they
-    broadcast against the per-investor arrays.
-    """
-
-    d: np.ndarray
-    u: np.ndarray
-    d_inv_beta: np.ndarray
-    d_inv_u: np.ndarray
-    phi_bar: np.ndarray
-    s_bb: np.ndarray
-    s_ub: np.ndarray
-    s_uu: np.ndarray
-    delta: np.ndarray
-    certified: np.ndarray
-
-
-def _woodbury(alpha: np.ndarray, beta: np.ndarray, phi: np.ndarray) -> _Woodbury:
-    """Woodbury terms and the positive-definiteness certificate along the last axis.
-
-    The certificate is ``alpha + phi > 0`` and ``delta > PD_RTOL (2 + s_ub)^2``.
-    """
-    phi_bar = _dot(beta, phi)
-    alpha_phi = alpha + phi
-    deviation = phi_bar - 2.0 * phi
-    d_inv_beta = 1.0 / alpha_phi
-    d_inv_u = deviation * d_inv_beta
-    weights = beta * d_inv_beta
-    s_bb = _sum(weights)
-    s_ub = _dot(weights, deviation)
-    s_uu = _dot(weights, deviation * deviation)
-    delta = _capacitance_delta(s_bb, s_ub, s_uu)
-    positive = np.logical_and.reduce(alpha_phi > 0, axis=-1, keepdims=alpha.ndim > 1)
-    certified = positive & (delta > PD_RTOL * (2.0 + s_ub) ** 2)
-    return _Woodbury(
-        d=alpha_phi * beta,
-        u=deviation * beta,
-        d_inv_beta=d_inv_beta,
-        d_inv_u=d_inv_u,
-        phi_bar=phi_bar,
-        s_bb=s_bb,
-        s_ub=s_ub,
-        s_uu=s_uu,
-        delta=delta,
-        certified=certified,
-    )
-
-
-@dataclass(frozen=True)
-class MimickingMatrix:
-    """The group's mimicking matrix as a diagonal-plus-rank-two operator.
+class MimickingMatrix(NamedTuple):
+    """The mimicking matrix of a group as a diagonal plus a rank-two term.
 
     The raw matrix is ``a = D + u beta'`` and its symmetrized form is
     ``a_phi = (a + a') / 2 = D + (u beta' + beta u') / 2``, with
@@ -152,66 +79,61 @@ class MimickingMatrix:
     (2 + s_ub)^2 - s_uu s_bb`` is minus the determinant of the capacitance
     matrix; with ``D`` positive definite, ``a_phi`` is positive definite iff
     ``delta > 0`` (Haynsworth inertia additivity).  Both hold for every
-    valid group (``alpha > 0``, ``beta > 0``, ``phi >= 0``).
+    valid group (``alpha > 0``, ``beta > 0``, ``phi >= 0``).  ``certified``
+    is the certificate ``alpha + phi > 0`` and ``delta > PD_RTOL (2 + s_ub)^2``.
 
-    ``a`` and ``a_phi`` are dense read-only ``n x n`` views built on first
-    access, for tests and reference checks; the solver never reads them.
+    The fields describe one group or a stack of groups along the last axis.
+    Per-investor arrays have the groups' shape ``(..., n)``.  Per-group
+    values are scalars for one group and keep a trailing axis of length 1
+    for a stack, so they broadcast against the per-investor arrays.
     """
 
     d: np.ndarray
     u: np.ndarray
-    beta: np.ndarray
     d_inv_beta: np.ndarray
     d_inv_u: np.ndarray
-    phi_bar: float
-    s_bb: float
-    s_ub: float
-    s_uu: float
-
-    @property
-    def delta(self) -> float:
-        """Positive-definiteness certificate ``(2 + s_ub)^2 - s_uu s_bb``."""
-        return _capacitance_delta(self.s_bb, self.s_ub, self.s_uu)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``a_phi @ x`` for a vector or an ``n x m`` matrix, in O(n m)."""
-        x = np.asarray(x, dtype=float)
-        d = self.d.reshape(self.d.shape + (1,) * (x.ndim - 1))
-        return d * x + 0.5 * (
-            np.multiply.outer(self.u, self.beta @ x) + np.multiply.outer(self.beta, self.u @ x)
-        )
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """``a_phi^-1 @ rhs`` for a vector or an ``n x m`` matrix, in O(n m)."""
-        rhs = np.asarray(rhs, dtype=float)
-        d = self.d.reshape(self.d.shape + (1,) * (rhs.ndim - 1))
-        y_u = self.d_inv_u @ rhs
-        y_b = self.d_inv_beta @ rhs
-        p = 2.0 + self.s_ub
-        z_u = (p * y_b - self.s_bb * y_u) / self.delta
-        z_b = (p * y_u - self.s_uu * y_b) / self.delta
-        return (
-            rhs / d
-            - np.multiply.outer(self.d_inv_u, z_u)
-            - np.multiply.outer(self.d_inv_beta, z_b)
-        )
+    phi_bar: np.ndarray
+    s_bb: np.ndarray
+    s_ub: np.ndarray
+    s_uu: np.ndarray
+    delta: np.ndarray
+    certified: np.ndarray
 
     def inverse_beta(self) -> np.ndarray:
         """``c = a_phi^-1 beta`` in closed form; ``beta' c = 4 s_bb / delta``.
 
         ``c_i = 2 (2 + s_ub - s_bb (phi_bar - 2 phi_i)) / ((alpha_i + phi_i) delta)``.
         """
-        return _inverse_beta(self)
+        p = 2.0 + self.s_ub
+        return (2.0 / self.delta) * (p * self.d_inv_beta - self.s_bb * self.d_inv_u)
 
-    @cached_property
-    def a(self) -> np.ndarray:
-        """Dense raw mimicking matrix ``D + u beta'``."""
-        return _read_only(np.diag(self.d) + np.outer(self.u, self.beta))
 
-    @cached_property
-    def a_phi(self) -> np.ndarray:
-        """Dense symmetrized mimicking matrix ``(a + a') / 2``."""
-        return _read_only((self.a + self.a.T) / 2.0)
+def _woodbury(alpha: np.ndarray, beta: np.ndarray, phi: np.ndarray) -> MimickingMatrix:
+    """The structured mimicking matrix along the last axis, not yet checked."""
+    phi_bar = _dot(beta, phi)
+    alpha_phi = alpha + phi
+    deviation = phi_bar - 2.0 * phi
+    d_inv_beta = 1.0 / alpha_phi
+    d_inv_u = deviation * d_inv_beta
+    weights = beta * d_inv_beta
+    s_bb = _sum(weights)
+    s_ub = _dot(weights, deviation)
+    s_uu = _dot(weights, deviation * deviation)
+    delta = (2.0 + s_ub) ** 2 - s_uu * s_bb
+    positive = np.logical_and.reduce(alpha_phi > 0, axis=-1, keepdims=alpha.ndim > 1)
+    certified = positive & (delta > PD_RTOL * (2.0 + s_ub) ** 2)
+    return MimickingMatrix(
+        d=alpha_phi * beta,
+        u=deviation * beta,
+        d_inv_beta=d_inv_beta,
+        d_inv_u=d_inv_u,
+        phi_bar=phi_bar,
+        s_bb=s_bb,
+        s_ub=s_ub,
+        s_uu=s_uu,
+        delta=delta,
+        certified=certified,
+    )
 
 
 @dataclass(frozen=True)
@@ -233,15 +155,8 @@ class MimickingSolution:
 
 
 class AsymptoticAlpha(NamedTuple):
-    """Large-group risk-aversion diagnostics; see :func:`asymptotic_alpha`.
+    """Large-group risk-aversion diagnostics; see :func:`asymptotic_alpha`."""
 
-    ``exact_inverse`` is the model's aggregate inverse risk aversion
-    ``beta' a_phi^-1 beta``; ``limit_inverse`` is the harmonic form, which
-    drops the rank-two part of ``a_phi`` and equals the aggregate only when
-    every ``phi_i = 0``.
-    """
-
-    limit_inverse: float
     upper: float
     classical: float
     exact_inverse: float
@@ -254,22 +169,14 @@ def mimicking_matrix(group: InvestorGroup) -> MimickingMatrix:
     It cannot fail for a valid group; it is kept as a guard against
     tolerance pathologies and raises :class:`errors.NotPositiveDefinite`.
     """
-    w = _woodbury(group.alpha, group.beta, group.phi)
-    if not w.certified:
+    mm = _woodbury(group.alpha, group.beta, group.phi)
+    if not mm.certified:
         raise errors.NotPositiveDefinite(
             "symmetrized mimicking matrix failed its positive-definiteness guard"
         )
-    return MimickingMatrix(
-        d=_read_only(w.d),
-        u=_read_only(w.u),
-        beta=group.beta,
-        d_inv_beta=_read_only(w.d_inv_beta),
-        d_inv_u=_read_only(w.d_inv_u),
-        phi_bar=float(w.phi_bar),
-        s_bb=float(w.s_bb),
-        s_ub=float(w.s_ub),
-        s_uu=float(w.s_uu),
-    )
+    for arr in (mm.d, mm.u, mm.d_inv_beta, mm.d_inv_u):
+        arr.setflags(write=False)
+    return mm
 
 
 def solve(ctx: MarkowitzContext, group: InvestorGroup) -> MimickingSolution:
@@ -325,43 +232,19 @@ def _structured_utility(
     return float(group.beta @ (w.T @ market.mu) - 0.5 * trace)
 
 
-def equal_wealth_matrix(group: InvestorGroup) -> np.ndarray:
-    """Mimicking matrix in the rescaled form available under uniform wealth.
-
-    For ``beta_i = 1/n`` the matrix ``n (A0 + Phi) + (phi_bar I - 2 Phi) 11'``
-    equals ``n^2`` times the general mimicking matrix, and
-    ``1' a_phi_scaled^-1 1`` reproduces ``beta' a_phi^-1 beta``, so both
-    routes yield identical fund weights.
-    """
-    beta = group.beta
-    n = group.n
-    if np.max(np.abs(beta - 1.0 / n)) > UNIFORM_WEALTH_TOL:
-        raise errors.NotUniformWealth("wealth shares are not uniform")
-    phi_bar = float(beta @ group.phi)
-    a = n * np.diag(group.alpha + group.phi) + np.outer(
-        phi_bar - 2.0 * group.phi, np.ones(n)
-    )
-    a.setflags(write=False)
-    return a
-
-
 def asymptotic_alpha(group: InvestorGroup) -> AsymptoticAlpha:
     """Aggregate risk-aversion diagnostics for large groups.
 
-    ``limit_inverse``  the harmonic form ``sum beta_i/(alpha_i+phi_i)``; it
-                       keeps only the diagonal ``D`` of ``a_phi`` and equals
-                       ``beta' a_phi^-1 beta`` only when every ``phi_i = 0``
-                       (equal preferences give ``1/(a+p)``, not ``1/a``)
-    ``upper``          ``beta'alpha + beta'phi``; always >= ``1/limit_inverse``
-                       (weighted harmonic vs arithmetic mean)
-    ``classical``      the penalty-free fund risk aversion
+    ``upper``          ``beta'alpha + beta'phi``, an upper bound of the
+                       fund risk aversion ``1/exact_inverse``
+    ``classical``      the penalty-free fund risk aversion, a lower bound
     ``exact_inverse``  ``tau = beta' a_phi^-1 beta`` in closed form, the value
                        :func:`solve` reaches as ``1/alpha_star_f``
 
     ``exact_inverse`` uses the wealth-weighted sums of
     :class:`MimickingMatrix`,
 
-        s_bb = sum beta_i / (alpha_i+phi_i)              (= limit_inverse)
+        s_bb = sum beta_i / (alpha_i+phi_i)
         s_ub = sum beta_i (phi_bar-2phi_i) / (alpha_i+phi_i)
         s_uu = sum beta_i (phi_bar-2phi_i)^2 / (alpha_i+phi_i)
 
@@ -375,8 +258,5 @@ def asymptotic_alpha(group: InvestorGroup) -> AsymptoticAlpha:
     upper = float(beta @ group.alpha + beta @ group.phi)
     classical = 1.0 / float(np.sum(beta / group.alpha))
     return AsymptoticAlpha(
-        limit_inverse=mm.s_bb,
-        upper=upper,
-        classical=classical,
-        exact_inverse=4.0 * mm.s_bb / mm.delta,
+        upper=upper, classical=classical, exact_inverse=float(4.0 * mm.s_bb / mm.delta)
     )

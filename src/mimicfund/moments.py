@@ -79,6 +79,8 @@ def load_csv(path) -> ReturnSample:
             body = handle.read()
     except OSError as exc:
         raise errors.IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise errors.ParseError(f"{path}: not UTF-8 text: {exc}") from None
     if header is None:
         raise errors.ParseError(f"{path}: file is empty")
     header = [cell.strip() for cell in header]

@@ -9,23 +9,20 @@ the dense KKT system assembled with Kronecker products:
 
 ``sigma (x) a_phi`` is positive definite, so the maximizer is unique and any
 disagreement with the closed form indicates a bug on one of the two paths.
-This module deliberately shares no solver code with :mod:`mimicfund.mimicking`
-or :mod:`mimicfund.markowitz`; even the mimicking matrix is rebuilt here from
-its entrywise definition.
+This module imports neither :mod:`mimicfund.mimicking` nor
+:mod:`mimicfund.markowitz`, not even for type hints, and shares no solver code
+with them; even the mimicking matrix is rebuilt here from its entrywise
+definition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import errors
 from .model import InvestorGroup, MarketModel, PortfolioMatrix
-
-if TYPE_CHECKING:  # type-only; keeps the runtime dependency direction clean
-    from .markowitz import MarkowitzContext
 
 # Cap on kn + n unknowns of the dense KKT system (O(N^3) factorization).
 DEFAULT_MAX_UNKNOWNS = 5000
@@ -126,13 +123,3 @@ def kkt_solve(
     lam.setflags(write=False)
     return OracleSolution(weights=PortfolioMatrix(w), multipliers=lam, residual=residual)
 
-
-def lambda_closed_form(ctx: "MarkowitzContext", group: InvestorGroup) -> np.ndarray:
-    """Closed-form Lagrange multipliers of the stacked problem.
-
-    ``lambda = v_gmv * a_phi 1_n - mu_gmv * beta``; matches the multipliers
-    returned by :func:`kkt_solve`.
-    """
-    a = entrywise_mimicking_matrix(group.alpha, group.beta, group.phi)
-    a_phi = (a + a.T) / 2.0
-    return ctx.v_gmv * (a_phi @ np.ones(group.n)) - ctx.mu_gmv * group.beta

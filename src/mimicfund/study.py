@@ -161,7 +161,7 @@ def _frontier_gains(
     """
     with np.errstate(all="ignore"):
         w = mimicking._woodbury(alpha, beta, phi)
-        c = mimicking._inverse_beta(w)
+        c = w.inverse_beta()
         c_cl = 1.0 / alpha
         tau = _inner(beta, c)
         tau_cl = _inner(beta, c_cl)

@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately written from the raw optimality conditions
-with plain numpy solves, sharing no code with the package's solvers.
+and the model's definitions with plain numpy, sharing no code with the
+package's solvers.
 """
 
 import numpy as np
@@ -73,15 +74,59 @@ def penalized_direct(mu, sigma, alpha, beta, phi, w):
     return total
 
 
+def mimicking_structure(alpha, beta, phi):
+    """``d = (alpha + phi) beta`` and ``u = (beta'phi - 2 phi) beta``.
+
+    The mimicking matrix is ``a = diag(d) + u beta'``, entrywise
+    ``a[i, j] = beta_i (alpha_i + phi_i) [i == j] + beta_i beta_j (beta'phi - 2 phi_i)``.
+    """
+    d = (alpha + phi) * beta
+    u = (float(beta @ phi) - 2.0 * phi) * beta
+    return d, u
+
+
+def dense_mimicking(d, u, beta):
+    """Dense ``a = diag(d) + u beta'`` and ``a_phi = (a + a') / 2``, in O(n^2)."""
+    a = np.diag(d) + np.outer(u, beta)
+    return a, (a + a.T) / 2.0
+
+
+def equal_wealth_matrix(alpha, phi):
+    """Mimicking matrix in the rescaled form available under uniform wealth.
+
+    For ``beta_i = 1/n`` the matrix ``n (A0 + Phi) + (phi_bar I - 2 Phi) 11'``
+    equals ``n^2`` times the general mimicking matrix, and
+    ``1' a_phi_scaled^-1 1`` equals ``beta' a_phi^-1 beta``.
+    """
+    n = len(alpha)
+    return n * np.diag(alpha + phi) + np.outer(np.mean(phi) - 2.0 * phi, np.ones(n))
+
+
+def mv_utility(mu, sigma, w, alpha):
+    """Mean-variance utility ``w'mu - (alpha/2) w'sigma w``."""
+    return float(w @ mu - 0.5 * alpha * (w @ sigma @ w))
+
+
+def lambda_closed_form(ctx, group):
+    """Closed-form Lagrange multipliers of the stacked problem.
+
+    ``lambda = v_gmv a_phi 1_n - mu_gmv beta``, with ``a_phi`` rebuilt from
+    its definition.
+    """
+    d, u = mimicking_structure(group.alpha, group.beta, group.phi)
+    _, a_phi = dense_mimicking(d, u, group.beta)
+    return ctx.v_gmv * (a_phi @ np.ones(group.n)) - ctx.mu_gmv * group.beta
+
+
 def mimicking_foc_residuals(mu, sigma, alpha, beta, phi, w):
     """First-order-condition residuals of the penalized group problem at ``w``.
 
     The wealth-weighted objective has gradient ``G = mu beta' - sigma W a_phi``
     in ``W``, where ``a_phi`` has entries
-    ``d_i [i == j] + (u_i beta_j + beta_i u_j) / 2`` with
-    ``d = (alpha + phi) beta`` and ``u = (beta'phi - 2 phi) beta``.  At the
-    constrained optimum every column of ``G`` is constant (it equals that
-    investor's unit-sum multiplier) and every column of ``W`` sums to one.
+    ``d_i [i == j] + (u_i beta_j + beta_i u_j) / 2`` with ``d`` and ``u`` from
+    :func:`mimicking_structure`.  At the constrained optimum every column of
+    ``G`` is constant (it equals that investor's unit-sum multiplier) and
+    every column of ``W`` sums to one.
     ``sigma W a_phi`` is applied through this structure without forming
     ``a_phi``, so the check costs O(n k^2) time and O(n k) memory.
 
@@ -89,8 +134,7 @@ def mimicking_foc_residuals(mu, sigma, alpha, beta, phi, w):
     relative to the magnitude of the terms it sums, and the largest
     deviation of a column sum from one.
     """
-    d = (alpha + phi) * beta
-    u = (float(beta @ phi) - 2.0 * phi) * beta
+    d, u = mimicking_structure(alpha, beta, phi)
     sw = sigma @ w
     terms = (
         np.outer(mu, beta),

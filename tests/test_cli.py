@@ -123,6 +123,15 @@ class TestSolve:
         assert result.returncode == 1
         assert "market" in result.stderr
 
+    @pytest.mark.parametrize("present", ["mu", "sigma"])
+    def test_half_market_in_config_exits_1(self, tmp_path, present):
+        config = {key: TEXTBOOK_CONFIG[key] for key in ("alpha", "beta", "phi", present)}
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        result = run_cli("solve", "--config", str(path))
+        assert result.returncode == 1
+        assert "solve config must give mu and sigma together" in result.stderr
+
     def test_missing_returns_file_exits_2(self, solve_config, tmp_path):
         result = run_cli(
             "solve", "--config", str(solve_config), "--returns", str(tmp_path / "nope.csv")
@@ -301,6 +310,14 @@ class TestEstimate:
     def test_missing_file_exits_2(self, tmp_path):
         result = run_cli("estimate", "--returns", str(tmp_path / "missing.csv"))
         assert result.returncode == 2
+
+    def test_non_utf8_file_exits_1(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"A,B\n\xff\xfe,1\n")
+        result = run_cli("estimate", "--returns", str(path))
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert "not UTF-8" in result.stderr
 
 
 def test_cli_import_defers_command_modules():

@@ -10,11 +10,17 @@ from mimicfund.model import PortfolioMatrix
 TEXTBOOK_A = np.array([[1.75, -0.75], [-0.75, 2.75]])
 
 
+def dense(mm, beta):
+    """Dense ``(a, a_phi)`` of a structured mimicking matrix."""
+    return support.dense_mimicking(mm.d, mm.u, beta)
+
+
 class TestMimickingMatrix:
     def test_textbook_matrix(self, base_group):
         mm = mimicking.mimicking_matrix(base_group)
-        np.testing.assert_allclose(mm.a, TEXTBOOK_A, rtol=1e-14)
-        np.testing.assert_allclose(mm.a_phi, TEXTBOOK_A, rtol=1e-14)
+        a, a_phi = dense(mm, base_group.beta)
+        np.testing.assert_allclose(a, TEXTBOOK_A, rtol=1e-14)
+        np.testing.assert_allclose(a_phi, TEXTBOOK_A, rtol=1e-14)
         assert mm.phi_bar == pytest.approx(3.0, rel=1e-14)
 
     def test_matches_entrywise_construction(self):
@@ -23,12 +29,12 @@ class TestMimickingMatrix:
             g = sampling.random_group(rng, int(rng.integers(2, 9)))
             mm = mimicking.mimicking_matrix(g)
             reference = oracle.entrywise_mimicking_matrix(g.alpha, g.beta, g.phi)
-            np.testing.assert_allclose(mm.a, reference, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(dense(mm, g.beta)[0], reference, rtol=1e-12, atol=1e-15)
 
     def test_zero_penalty_reduces_to_diagonal(self):
         g = build_group((2.0, 4.0, 8.0), (0.5, 0.25, 0.25), (0.0, 0.0, 0.0))
         mm = mimicking.mimicking_matrix(g)
-        np.testing.assert_allclose(mm.a, np.diag(g.alpha * g.beta), atol=1e-15)
+        np.testing.assert_allclose(dense(mm, g.beta)[0], np.diag(g.alpha * g.beta), atol=1e-15)
         assert mm.phi_bar == 0.0
 
     def test_equal_penalty_closed_form(self):
@@ -40,16 +46,16 @@ class TestMimickingMatrix:
             )
             phi = g.phi[0]
             expected = np.diag((g.alpha + phi) * g.beta) - phi * np.outer(g.beta, g.beta)
-            mm = mimicking.mimicking_matrix(g)
-            np.testing.assert_allclose(mm.a, expected, rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(mm.a, mm.a.T, atol=1e-15)
+            a, _ = dense(mimicking.mimicking_matrix(g), g.beta)
+            np.testing.assert_allclose(a, expected, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(a, a.T, atol=1e-15)
 
     def test_symmetrized_matrix_is_positive_definite(self):
         rng = np.random.default_rng(33)
         for _ in range(200):
             g = sampling.random_group(rng, int(rng.integers(2, 51)), alpha_low=1e-3)
             mm = mimicking.mimicking_matrix(g)  # raises if the certificate fails
-            assert np.min(np.linalg.eigvalsh(mm.a_phi)) > 0
+            assert np.min(np.linalg.eigvalsh(dense(mm, g.beta)[1])) > 0
 
 
 def max_rel(got, expected):
@@ -58,19 +64,15 @@ def max_rel(got, expected):
 
 
 class TestStructuredOperator:
-    def test_solve_and_matvec_match_dense(self):
+    def test_inverse_beta_matches_dense(self):
         rng = np.random.default_rng(34)
         for _ in range(200):
             n = int(rng.integers(2, 60))
             g = sampling.random_group(rng, n, alpha_low=1e-3)
             mm = mimicking.mimicking_matrix(g)
-            for x in (rng.standard_normal(n), rng.standard_normal((n, 3)), g.beta):
-                assert mm.solve(x).shape == x.shape
-                assert mm.matvec(x).shape == x.shape
-                assert max_rel(mm.solve(x), np.linalg.solve(mm.a_phi, x)) <= 1e-12
-                assert max_rel(mm.matvec(x), mm.a_phi @ x) <= 1e-12
             c = mm.inverse_beta()
-            assert max_rel(c, np.linalg.solve(mm.a_phi, g.beta)) <= 1e-12
+            assert c.shape == (n,)
+            assert max_rel(c, np.linalg.solve(dense(mm, g.beta)[1], g.beta)) <= 1e-12
             assert float(g.beta @ c) == pytest.approx(4.0 * mm.s_bb / mm.delta, rel=1e-12)
 
     def test_penalized_utility_matches_dense_trace(self):
@@ -79,12 +81,12 @@ class TestStructuredOperator:
             market = sampling.random_market(rng, int(rng.integers(2, 9)))
             g = sampling.random_group(rng, int(rng.integers(2, 40)))
             w = support.unit_sum_columns(rng, market.k, g.n)
-            mm = mimicking.mimicking_matrix(g)
-            dense = float(
-                g.beta @ (w.T @ market.mu) - 0.5 * np.sum(mm.a_phi * (w.T @ market.sigma @ w))
+            _, a_phi = dense(mimicking.mimicking_matrix(g), g.beta)
+            dense_value = float(
+                g.beta @ (w.T @ market.mu) - 0.5 * np.sum(a_phi * (w.T @ market.sigma @ w))
             )
             got = mimicking.penalized_utility(market, g, w)
-            assert abs(got - dense) <= 1e-12 * max(1.0, abs(dense))
+            assert abs(got - dense_value) <= 1e-12 * max(1.0, abs(dense_value))
 
     def test_certificate_sign_matches_eigenvalues(self):
         # phi < 0 lies outside the valid domain and is the only way to make
@@ -103,19 +105,46 @@ class TestStructuredOperator:
             if positive:
                 mm = mimicking.mimicking_matrix(group)
                 assert mm.delta > 0
-                assert np.min(np.linalg.eigvalsh(mm.a_phi)) > 0
+                assert np.min(np.linalg.eigvalsh(dense(mm, beta)[1])) > 0
             else:
                 indefinite += 1
                 with pytest.raises(errors.NotPositiveDefinite):
                     mimicking.mimicking_matrix(group)
         assert indefinite >= 100
 
-    def test_dense_views_are_lazy_and_read_only(self, base_group):
+    def test_single_group_arrays_are_read_only(self, base_group):
         mm = mimicking.mimicking_matrix(base_group)
-        assert "a" not in vars(mm) and "a_phi" not in vars(mm)
-        assert not mm.a_phi.flags.writeable
-        assert not mm.a.flags.writeable
-        assert not mm.d.flags.writeable
+        for arr in (mm.d, mm.u, mm.d_inv_beta, mm.d_inv_u):
+            assert not arr.flags.writeable
+
+    def test_stack_rows_match_single_groups(self):
+        # one type serves a stack (..., n) and one group; the fields built
+        # without an inner product agree bitwise, the others to rounding,
+        # because one group's inner products take the BLAS dot and a
+        # stack's take numpy's pairwise sum
+        rng = np.random.default_rng(37)
+        for _ in range(50):
+            m, n = int(rng.integers(1, 8)), int(rng.integers(2, 200))
+            alpha = rng.uniform(0.1, 20, (m, n))
+            beta = rng.dirichlet(np.ones(n), m)
+            phi = rng.uniform(0, 20, (m, n))
+            stack = mimicking._woodbury(alpha, beta, phi)
+            assert isinstance(stack, mimicking.MimickingMatrix)
+            for i in range(m):
+                single = mimicking.mimicking_matrix(build_group(alpha[i], beta[i], phi[i]))
+                for name in mimicking.MimickingMatrix._fields:
+                    got = getattr(stack, name)[i]
+                    want = np.asarray(getattr(single, name))
+                    assert got.shape == ((n,) if want.ndim else (1,))
+                    got = got.reshape(want.shape)
+                    if name in ("d", "d_inv_beta", "s_bb", "certified"):
+                        assert got.tobytes() == want.tobytes(), name
+                    else:
+                        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), name
+                # a stack row does not depend on the other rows
+                one = mimicking._woodbury(alpha[i : i + 1], beta[i : i + 1], phi[i : i + 1])
+                for name in mimicking.MimickingMatrix._fields:
+                    assert getattr(one, name)[0].tobytes() == getattr(stack, name)[i].tobytes()
 
 
 class TestSolve:
@@ -231,7 +260,7 @@ class TestPenalizedUtility:
         w = support.unit_sum_columns(rng, textbook_market.k, g.n)
         got = mimicking.penalized_utility(textbook_market, g, w)
         expected = sum(
-            b * markowitz.mv_utility(textbook_market, w[:, i], a)
+            b * support.mv_utility(textbook_market.mu, textbook_market.sigma, w[:, i], a)
             for i, (a, b) in enumerate(zip(g.alpha, g.beta))
         )
         assert got == pytest.approx(expected, rel=1e-12)
@@ -241,7 +270,7 @@ class TestPenalizedUtility:
         w = np.column_stack([common, common])
         got = mimicking.penalized_utility(textbook_market, base_group, w)
         expected = sum(
-            b * markowitz.mv_utility(textbook_market, common, a)
+            b * support.mv_utility(textbook_market.mu, textbook_market.sigma, common, a)
             for a, b in zip(base_group.alpha, base_group.beta)
         )
         assert got == pytest.approx(expected, rel=1e-12)
@@ -278,14 +307,14 @@ class TestPenalizedUtility:
 class TestEqualWealthMatrix:
     def test_textbook_scaled_matrix(self):
         g = build_group((2.0, 4.0), (0.5, 0.5), (3.0, 3.0))
-        scaled = mimicking.equal_wealth_matrix(g)
+        scaled = support.equal_wealth_matrix(g.alpha, g.phi)
         np.testing.assert_allclose(scaled, [[7.0, -3.0], [-3.0, 11.0]], rtol=1e-14)
         np.testing.assert_allclose(scaled, 4.0 * TEXTBOOK_A, rtol=1e-14)
 
     def test_zero_penalty_form(self):
         g = build_group((2.0, 4.0, 8.0), (1 / 3, 1 / 3, 1 / 3), (0.0, 0.0, 0.0))
         np.testing.assert_allclose(
-            mimicking.equal_wealth_matrix(g), 3.0 * np.diag(g.alpha), atol=1e-12
+            support.equal_wealth_matrix(g.alpha, g.phi), 3.0 * np.diag(g.alpha), atol=1e-12
         )
 
     def test_scale_identity_and_fund_weights_agree(self, textbook_ctx):
@@ -293,9 +322,9 @@ class TestEqualWealthMatrix:
         for _ in range(50):
             n = int(rng.integers(2, 11))
             g = sampling.random_group(rng, n, uniform_wealth=True)
-            scaled = mimicking.equal_wealth_matrix(g)
-            general = mimicking.mimicking_matrix(g)
-            np.testing.assert_allclose(scaled, n * n * general.a, rtol=1e-12, atol=1e-13)
+            scaled = support.equal_wealth_matrix(g.alpha, g.phi)
+            general, _ = dense(mimicking.mimicking_matrix(g), g.beta)
+            np.testing.assert_allclose(scaled, n * n * general, rtol=1e-12, atol=1e-13)
             scaled_sym = (scaled + scaled.T) / 2
             ones = np.ones(n)
             tau = float(ones @ np.linalg.solve(scaled_sym, ones))
@@ -303,34 +332,21 @@ class TestEqualWealthMatrix:
             solution = mimicking.solve(textbook_ctx, g)
             np.testing.assert_allclose(fund, solution.fund_weights, atol=1e-12)
 
-    def test_rejects_non_uniform_wealth(self, base_group):
-        g = build_group((2.0, 4.0), (0.4, 0.6), (3.0, 3.0))
-        with pytest.raises(errors.NotUniformWealth):
-            mimicking.equal_wealth_matrix(g)
-        assert mimicking.equal_wealth_matrix(base_group) is not None
-
 
 class TestAsymptoticAlpha:
     def test_textbook_values(self, base_group):
         got = mimicking.asymptotic_alpha(base_group)
-        assert got.limit_inverse == pytest.approx(6 / 35, rel=1e-14)
+        assert mimicking.mimicking_matrix(base_group).s_bb == pytest.approx(6 / 35, rel=1e-14)
         assert got.upper == pytest.approx(6.0, rel=1e-14)
         assert got.classical == pytest.approx(8 / 3, rel=1e-14)
-        assert 1.0 / got.limit_inverse <= got.upper
+        assert got.classical <= 1.0 / got.exact_inverse <= got.upper
         # 1 / alpha_star_f with criterion 8's frozen alpha_star_f = 17/6
         assert got.exact_inverse == pytest.approx(6 / 17, rel=1e-14)
-
-    def test_harmonic_below_arithmetic_always(self):
-        rng = np.random.default_rng(71)
-        for _ in range(200):
-            g = sampling.random_group(rng, int(rng.integers(2, 40)))
-            got = mimicking.asymptotic_alpha(g)
-            assert 1.0 / got.limit_inverse <= got.upper * (1 + 1e-12)
 
     def test_zero_penalty_collapses_to_classical(self):
         g = build_group((2.0, 5.0, 9.0), (0.2, 0.3, 0.5), (0.0, 0.0, 0.0))
         got = mimicking.asymptotic_alpha(g)
-        assert 1.0 / got.limit_inverse == pytest.approx(got.classical, rel=1e-14)
+        assert 1.0 / got.exact_inverse == pytest.approx(got.classical, rel=1e-14)
 
     def test_large_group_risk_aversion_ordering(self, textbook_ctx):
         # with many small investors the solved aggregate risk aversion sits

@@ -66,6 +66,12 @@ class TestLoadCsv:
         with pytest.raises(errors.ParseError):
             load_csv(write_csv(tmp_path, ""))
 
+    def test_non_utf8_bytes(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"A,B\n\xff\xfe,1\n")
+        with pytest.raises(errors.ParseError, match="latin.csv: not UTF-8"):
+            load_csv(path)
+
 
 def load_by_cells(monkeypatch, path):
     """``load_csv`` with the ``np.loadtxt`` fast path turned off."""

@@ -1,5 +1,7 @@
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,7 +83,7 @@ class TestKktSolve:
 class TestLambdaClosedForm:
     def test_textbook_zero_penalty_values(self, textbook_ctx, textbook_market):
         group = build_group((2.0, 4.0), (0.5, 0.5), (0.0, 0.0))
-        lam = oracle.lambda_closed_form(textbook_ctx, group)
+        lam = support.lambda_closed_form(textbook_ctx, group)
         np.testing.assert_allclose(lam, [-2111 / 70000, -1247 / 70000], rtol=1e-12)
         checked = oracle.kkt_solve(textbook_market, group)
         np.testing.assert_allclose(lam, checked.multipliers, atol=1e-9)
@@ -91,7 +93,7 @@ class TestLambdaClosedForm:
         for _ in range(100):
             market, group = sampling.random_instance(rng)
             ctx = markowitz.context(market)
-            lam = oracle.lambda_closed_form(ctx, group)
+            lam = support.lambda_closed_form(ctx, group)
             checked = oracle.kkt_solve(market, group)
             np.testing.assert_allclose(lam, checked.multipliers, atol=1e-9)
 
@@ -105,7 +107,7 @@ class TestLambdaClosedForm:
         a_phi = (a + a.T) / 2
         expected = ctx.v_gmv * (a_phi @ np.ones(4)) - c * group.beta
         np.testing.assert_allclose(
-            oracle.lambda_closed_form(ctx, group), expected, atol=1e-12
+            support.lambda_closed_form(ctx, group), expected, atol=1e-12
         )
 
 
@@ -118,3 +120,13 @@ def test_oracle_module_stays_independent():
     )
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True)
     assert result.returncode == 0, result.stderr.decode()
+    # nor import them anywhere in its source, a TYPE_CHECKING block included
+    solvers = {"markowitz", "mimicking"}
+    imported = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+    assert not imported & solvers
