@@ -378,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--max-n", type=_int_at_least(2), default=10, help="largest investor count"
     )
-    verify.add_argument("--seed", type=int, default=0, help="RNG seed")
+    verify.add_argument("--seed", type=_int_at_least(0), default=0, help="RNG seed")
     verify.set_defaults(handler=_cmd_verify)
 
     study = sub.add_parser("study", help="run the utility-gain sweeps and write CSV tables")

@@ -191,7 +191,8 @@ def solve(ctx: MarkowitzContext, group: InvestorGroup) -> MimickingSolution:
     mm = mimicking_matrix(group)
     c = mm.inverse_beta()
     tau = float(group.beta @ c)
-    w = ctx.gmvp[:, None] + np.outer(ctx.tilt, c)
+    w = np.multiply.outer(ctx.tilt, c)
+    w += ctx.gmvp[:, None]
     w_star = PortfolioMatrix(w)
     fund_weights, point = markowitz.frontier(ctx, tau)
     fund_weights.setflags(write=False)
@@ -228,7 +229,9 @@ def _structured_utility(
     market: MarketModel, group: InvestorGroup, mm: MimickingMatrix, w: np.ndarray
 ) -> float:
     sw = market.sigma @ w
-    trace = mm.d @ np.sum(w * sw, axis=0) + (w @ mm.u) @ (sw @ group.beta)
+    s_beta = sw @ group.beta
+    sw *= w
+    trace = mm.d @ sw.sum(axis=0) + (w @ mm.u) @ s_beta
     return float(group.beta @ (w.T @ market.mu) - 0.5 * trace)
 
 

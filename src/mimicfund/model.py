@@ -182,7 +182,8 @@ class InvestorGroup:
 class PortfolioMatrix:
     """A ``k x n`` matrix whose column ``i`` is investor ``i``'s weights.
 
-    Every column must sum to 1 within ``COLUMN_SUM_TOL``.
+    Every column must sum to 1 within ``COLUMN_SUM_TOL``.  The constructor
+    copies its input, so the caller's array stays writeable and unshared.
     """
 
     weights: np.ndarray

@@ -2,13 +2,16 @@
 
 Treats the penalized group problem as a generic equality-constrained
 quadratic program in the stacked unknowns ``(vec(W'), lambda)`` and solves
-the dense KKT system assembled with Kronecker products:
+the dense KKT system written with Kronecker products:
 
     [ sigma (x) a_phi   1_k (x) I_n ] [ vec(W') ]   [ (mu (x) I_n) beta ]
     [ 1_k' (x) I_n      0           ] [ lambda  ] = [ 1_n               ]
 
 ``sigma (x) a_phi`` is positive definite, so the maximizer is unique and any
 disagreement with the closed form indicates a bug on one of the two paths.
+The system is the same entry for entry as the one ``np.kron`` would build,
+but it is assembled blockwise in place: each block is written through a
+reshaped view of one preallocated matrix, with no Kronecker temporaries.
 This module imports neither :mod:`mimicfund.mimicking` nor
 :mod:`mimicfund.markowitz`, not even for type hints, and shares no solver code
 with them; even the mimicking matrix is rebuilt here from its entrywise
@@ -46,7 +49,7 @@ class OracleSolution:
 
 
 def entrywise_mimicking_matrix(alpha, beta, phi) -> np.ndarray:
-    """Mimicking matrix built entry by entry, independent of the matrix form.
+    """Mimicking matrix from its entry formulas, independent of the matrix form.
 
     Diagonal: ``beta_i^2 (alpha_i/beta_i + (1/beta_i - 2) phi_i + phi_bar)``.
     Off-diagonal: ``beta_i beta_j (phi_bar - 2 phi_i)``.
@@ -54,18 +57,35 @@ def entrywise_mimicking_matrix(alpha, beta, phi) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    n = alpha.shape[0]
     phi_bar = float(beta @ phi)
-    a = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                a[i, i] = beta[i] ** 2 * (
-                    alpha[i] / beta[i] + (1.0 / beta[i] - 2.0) * phi[i] + phi_bar
-                )
-            else:
-                a[i, j] = beta[i] * beta[j] * (phi_bar - 2.0 * phi[i])
+    a = np.multiply.outer(beta, beta)
+    a *= (phi_bar - 2.0 * phi)[:, None]
+    np.fill_diagonal(a, beta * beta * (alpha / beta + (1.0 / beta - 2.0) * phi + phi_bar))
     return a
+
+
+def _kkt_system(mu, sigma, a_phi, beta) -> tuple[np.ndarray, np.ndarray]:
+    """The KKT matrix and right-hand side, written blockwise into one array.
+
+    Row ``p n + i`` of the stationarity block belongs to asset ``p`` and
+    investor ``i``; viewed as ``(k, n, k, n)`` the block ``sigma (x) a_phi``
+    is ``sigma[p, q] a_phi[i, j]`` and ``1_k (x) I_n`` is ``I_n`` for every
+    asset ``p``.
+    """
+    k = mu.shape[0]
+    n = beta.shape[0]
+    kn = k * n
+    kkt = np.empty((kn + n, kn + n))
+    # reshaping a slice only to split its axes always gives a view, so the
+    # products land in kkt itself
+    np.multiply(
+        sigma[:, None, :, None], a_phi[None, :, None, :], out=kkt[:kn, :kn].reshape(k, n, k, n)
+    )
+    kkt[:kn, kn:].reshape(k, n, n)[...] = np.eye(n)
+    kkt[kn:, :kn] = kkt[:kn, kn:].T
+    kkt[kn:, kn:] = 0.0
+    rhs = np.concatenate([np.multiply.outer(mu, beta).ravel(), np.ones(n)])
+    return kkt, rhs
 
 
 def solve_kkt_system(
@@ -89,12 +109,7 @@ def solve_kkt_system(
         raise errors.SizeCapExceeded(
             f"KKT system has {size} unknowns, exceeding the cap of {max_unknowns}"
         )
-    kkt = np.zeros((size, size))
-    kkt[: k * n, : k * n] = np.kron(sigma, a_phi)
-    constraint = np.kron(np.ones((k, 1)), np.eye(n))
-    kkt[: k * n, k * n :] = constraint
-    kkt[k * n :, : k * n] = constraint.T
-    rhs = np.concatenate([np.kron(mu, beta), np.ones(n)])
+    kkt, rhs = _kkt_system(mu, sigma, a_phi, beta)
     try:
         x = np.linalg.solve(kkt, rhs)
         # one step of iterative refinement on the residual

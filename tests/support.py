@@ -102,6 +102,43 @@ def equal_wealth_matrix(alpha, phi):
     return n * np.diag(alpha + phi) + np.outer(np.mean(phi) - 2.0 * phi, np.ones(n))
 
 
+def entrywise_by_loop(alpha, beta, phi):
+    """Mimicking matrix filled in one entry at a time from its two formulas.
+
+    Diagonal: ``beta_i^2 (alpha_i/beta_i + (1/beta_i - 2) phi_i + phi_bar)``.
+    Off-diagonal: ``beta_i beta_j (phi_bar - 2 phi_i)``.
+    """
+    n = len(alpha)
+    phi_bar = float(beta @ phi)
+    a = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                a[i, i] = beta[i] ** 2 * (
+                    alpha[i] / beta[i] + (1.0 / beta[i] - 2.0) * phi[i] + phi_bar
+                )
+            else:
+                a[i, j] = beta[i] * beta[j] * (phi_bar - 2.0 * phi[i])
+    return a
+
+
+def kkt_by_kron(mu, sigma, a_phi, beta):
+    """The stacked KKT matrix and right-hand side built with Kronecker products.
+
+    Unknowns ``(vec(W'), lambda)``: the system is
+    ``[[sigma (x) a_phi, 1_k (x) I_n], [1_k' (x) I_n, 0]]`` with right-hand
+    side ``[mu (x) beta, 1_n]``.
+    """
+    k = len(mu)
+    n = len(beta)
+    kkt = np.zeros((k * n + n, k * n + n))
+    kkt[: k * n, : k * n] = np.kron(sigma, a_phi)
+    constraint = np.kron(np.ones((k, 1)), np.eye(n))
+    kkt[: k * n, k * n :] = constraint
+    kkt[k * n :, : k * n] = constraint.T
+    return kkt, np.concatenate([np.kron(mu, beta), np.ones(n)])
+
+
 def mv_utility(mu, sigma, w, alpha):
     """Mean-variance utility ``w'mu - (alpha/2) w'sigma w``."""
     return float(w @ mu - 0.5 * alpha * (w @ sigma @ w))

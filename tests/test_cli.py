@@ -216,6 +216,11 @@ class TestVerify:
         assert_validation_error(result)
         assert "--max-n" in result.stderr
 
+    def test_negative_seed_exits_1(self):
+        result = run_cli("verify", "--seed", "-1", "--count", "1")
+        assert_validation_error(result)
+        assert "--seed" in result.stderr
+
     def test_disagreement_exits_4(self, monkeypatch, capsys):
         from mimicfund import cli, oracle
 

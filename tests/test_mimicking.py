@@ -304,6 +304,20 @@ class TestPenalizedUtility:
             )
 
 
+    def test_solution_weights_are_read_only_and_reproduce_eu_star(self):
+        rng = np.random.default_rng(39)
+        for _ in range(25):
+            market, group = sampling.random_instance(rng)
+            sol = mimicking.solve(markowitz.context(market), group)
+            assert not sol.w_star.weights.flags.writeable
+            assert mimicking.penalized_utility(market, group, sol.w_star) == sol.eu_star
+            arr = np.array(sol.w_star.weights)
+            before = arr.copy()
+            assert mimicking.penalized_utility(market, group, arr) == sol.eu_star
+            assert arr.flags.writeable
+            assert np.array_equal(arr, before)
+
+
 class TestEqualWealthMatrix:
     def test_textbook_scaled_matrix(self):
         g = build_group((2.0, 4.0), (0.5, 0.5), (3.0, 3.0))

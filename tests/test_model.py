@@ -133,3 +133,11 @@ class TestPortfolioMatrix:
     def test_non_finite_rejected(self):
         with pytest.raises(errors.NonFiniteValue):
             PortfolioMatrix(((np.nan, 0.5), (1.0, 0.5)))
+
+    def test_constructor_copies_its_input(self):
+        arr = np.array([[0.5, 1.5], [0.5, -0.5]])
+        pm = PortfolioMatrix(arr)
+        assert arr.flags.writeable
+        assert not pm.weights.flags.writeable
+        arr[0, 0] = 9.0
+        assert pm.weights[0, 0] == 0.5

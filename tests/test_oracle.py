@@ -74,10 +74,38 @@ class TestKktSolve:
                 textbook_market.mu, textbook_market.sigma, np.zeros((n, n)), np.full(n, 1 / n)
             )
 
+    def test_weights_and_multipliers_are_read_only(self, textbook_market, base_group):
+        checked = oracle.kkt_solve(textbook_market, base_group)
+        assert not checked.weights.weights.flags.writeable
+        assert not checked.multipliers.flags.writeable
+
     def test_residual_is_reported(self, textbook_market, base_group):
         checked = oracle.kkt_solve(textbook_market, base_group)
         assert np.isfinite(checked.residual)
         assert checked.residual >= 0.0
+
+
+class TestAssembly:
+    def test_kkt_system_equals_kronecker_build(self):
+        rng = np.random.default_rng(86)
+        shapes = [(k, n) for k in range(1, 7) for n in range(1, 7)]
+        for k, n in shapes + [tuple(rng.integers(1, 7, 2)) for _ in range(64)]:
+            mu = rng.standard_normal(k)
+            sigma = rng.standard_normal((k, k))
+            a_phi = rng.standard_normal((n, n))
+            beta = rng.random(n)
+            kkt, rhs = oracle._kkt_system(mu, sigma, a_phi, beta)
+            expected_kkt, expected_rhs = support.kkt_by_kron(mu, sigma, a_phi, beta)
+            assert np.array_equal(kkt, expected_kkt), (k, n)
+            assert np.array_equal(rhs, expected_rhs), (k, n)
+
+    def test_entrywise_matrix_matches_loop_within_one_ulp(self):
+        rng = np.random.default_rng(87)
+        for _ in range(200):
+            group = sampling.random_group(rng, int(rng.integers(2, 20)))
+            a = oracle.entrywise_mimicking_matrix(group.alpha, group.beta, group.phi)
+            expected = support.entrywise_by_loop(group.alpha, group.beta, group.phi)
+            assert np.all(np.abs(a - expected) <= np.spacing(np.abs(expected)))
 
 
 class TestLambdaClosedForm:
