@@ -13,7 +13,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -66,34 +65,15 @@ def _digest(path: str) -> str:
         raise errors.IoError(f"cannot read {path}: {exc}") from exc
 
 
-@dataclass
-class RunManifest:
+def _manifest(command: str, config: dict, input_paths: list) -> dict:
     """Audit block accompanying every output: what ran, on what, when."""
-
-    command: str
-    config: dict
-    inputs: dict
-    version: str
-    timestamp: str
-
-    @classmethod
-    def collect(cls, command: str, config: dict, input_paths: list) -> "RunManifest":
-        return cls(
-            command=command,
-            config=config,
-            inputs={path: _digest(path) for path in input_paths},
-            version=__version__,
-            timestamp=_timestamp(),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "inputs": self.inputs,
-            "version": self.version,
-            "timestamp": self.timestamp,
-        }
+    return {
+        "command": command,
+        "config": config,
+        "inputs": {path: _digest(path) for path in input_paths},
+        "version": __version__,
+        "timestamp": _timestamp(),
+    }
 
 
 def _load_json(path: str) -> dict:
@@ -156,7 +136,7 @@ def _cmd_solve(args) -> int:
     solution = mimicking.solve(ctx, group)
     base_weights, alpha_f, base_point = markowitz.fund_aggregate(ctx, group)
 
-    manifest = RunManifest.collect(
+    manifest = _manifest(
         command="solve",
         config={
             "mu": market.mu.tolist(),
@@ -169,7 +149,7 @@ def _cmd_solve(args) -> int:
         input_paths=input_paths,
     )
     report = {
-        "manifest": manifest.to_dict(),
+        "manifest": manifest,
         "mimicking": {
             "weights": solution.w_star.weights.tolist(),
             "fund_weights": solution.fund_weights.tolist(),
@@ -280,10 +260,6 @@ def _cmd_study(args) -> int:
 
     config = _study_config(args.config)
     figure1, figure2 = run_sweeps(config)
-    try:
-        os.makedirs(args.output_dir, exist_ok=True)
-    except OSError as exc:
-        raise errors.IoError(f"cannot create {args.output_dir}: {exc}") from exc
     manifest_config = {
         "mu": config.market.mu.tolist(),
         "sigma": config.market.sigma.tolist(),
@@ -295,17 +271,20 @@ def _cmd_study(args) -> int:
         "grid_points": config.grid_points,
         "phi_ratio": config.phi_ratio,
     }
-    input_paths = [args.config] if args.config else []
+    manifest = _manifest("study", manifest_config, [args.config] if args.config else [])
+    try:
+        os.makedirs(args.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise errors.IoError(f"cannot create {args.output_dir}: {exc}") from exc
     for name, table in (("figure1", figure1), ("figure2", figure2)):
         csv_path = os.path.join(args.output_dir, f"{name}.csv")
-        manifest = RunManifest.collect("study", manifest_config, input_paths)
         try:
             with open(csv_path, "w", encoding="utf-8", newline="") as handle:
                 handle.write(table.to_csv())
             with open(
                 os.path.join(args.output_dir, f"{name}.manifest.json"), "w", encoding="utf-8"
             ) as handle:
-                json.dump(manifest.to_dict(), handle, indent=2)
+                json.dump(manifest, handle, indent=2)
                 handle.write("\n")
         except OSError as exc:
             raise errors.IoError(f"cannot write {csv_path}: {exc}") from exc
@@ -316,11 +295,9 @@ def _cmd_study(args) -> int:
 def _cmd_estimate(args) -> int:
     sample = load_csv(args.returns)
     market = estimate(sample, args.annualize)
-    manifest = RunManifest.collect(
-        "estimate", {"annualize": args.annualize}, [args.returns]
-    )
+    manifest = _manifest("estimate", {"annualize": args.annualize}, [args.returns])
     report = {
-        "manifest": manifest.to_dict(),
+        "manifest": manifest,
         "asset_names": list(sample.asset_names),
         "observations": sample.t,
         "mu": market.mu.tolist(),

@@ -23,7 +23,7 @@ class FrontierPoint:
     variance: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkowitzContext:
     """Derived quantities of a market, shared by all closed-form solvers.
 

@@ -18,8 +18,8 @@ in this structured form, so certifying and inverting it
 ``n`` investors, and :func:`solve` and :func:`penalized_utility` cost
 O(n k^2) for ``k`` assets; no ``n x n`` array is formed.  The same type
 holds a stack of groups, so :mod:`mimicfund.study` evaluates a whole grid
-with the Woodbury sums, the certificate and ``c = a_phi^-1 beta`` that
-:func:`solve` uses.
+with the same Woodbury sums, certificate, ``c = a_phi^-1 beta`` and
+``tau = beta'c`` as :func:`solve`, bit for bit.
 """
 
 from __future__ import annotations
@@ -40,17 +40,13 @@ PD_RTOL = 1e-13
 
 
 def _sum(x: np.ndarray) -> np.ndarray:
-    """Sum along the last axis; a stack of groups keeps it with length 1."""
-    return np.add.reduce(x, axis=-1, keepdims=x.ndim > 1)
+    """Pairwise sum along the last (investor) axis, kept with length 1."""
+    return np.add.reduce(x, axis=-1, keepdims=True)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``_sum(x * y)``; one group takes the BLAS dot product.
-
-    The two reductions round differently, so a row of a stack agrees with
-    the same group alone only to rounding in the fields that use them.
-    """
-    return x @ y if x.ndim == 1 else _sum(x * y)
+    """``_sum(x * y)``, the one inner product of a group or a stack of groups."""
+    return _sum(x * y)
 
 
 class MimickingMatrix(NamedTuple):
@@ -82,10 +78,12 @@ class MimickingMatrix(NamedTuple):
     valid group (``alpha > 0``, ``beta > 0``, ``phi >= 0``).  ``certified``
     is the certificate ``alpha + phi > 0`` and ``delta > PD_RTOL (2 + s_ub)^2``.
 
-    The fields describe one group or a stack of groups along the last axis.
-    Per-investor arrays have the groups' shape ``(..., n)``.  Per-group
-    values are scalars for one group and keep a trailing axis of length 1
-    for a stack, so they broadcast against the per-investor arrays.
+    The fields describe one group ``(n,)`` or a stack of groups ``(..., n)``
+    along the last axis, and one group is a stack of one.  Per-investor
+    arrays have the groups' shape; per-group values always keep a trailing
+    axis of length 1 (``(1,)`` for one group), so they broadcast against
+    the per-investor arrays and a stack row equals its group alone bit for
+    bit.
     """
 
     d: np.ndarray
@@ -119,9 +117,10 @@ def _woodbury(alpha: np.ndarray, beta: np.ndarray, phi: np.ndarray) -> Mimicking
     s_bb = _sum(weights)
     s_ub = _dot(weights, deviation)
     s_uu = _dot(weights, deviation * deviation)
-    delta = (2.0 + s_ub) ** 2 - s_uu * s_bb
-    positive = np.logical_and.reduce(alpha_phi > 0, axis=-1, keepdims=alpha.ndim > 1)
-    certified = positive & (delta > PD_RTOL * (2.0 + s_ub) ** 2)
+    scale = (2.0 + s_ub) ** 2
+    delta = scale - s_uu * s_bb
+    positive = np.logical_and.reduce(alpha_phi > 0, axis=-1, keepdims=True)
+    certified = positive & (delta > PD_RTOL * scale)
     return MimickingMatrix(
         d=alpha_phi * beta,
         u=deviation * beta,
@@ -136,7 +135,7 @@ def _woodbury(alpha: np.ndarray, beta: np.ndarray, phi: np.ndarray) -> Mimicking
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MimickingSolution:
     """Closed-form optimum of the penalized group problem.
 
@@ -170,7 +169,7 @@ def mimicking_matrix(group: InvestorGroup) -> MimickingMatrix:
     tolerance pathologies and raises :class:`errors.NotPositiveDefinite`.
     """
     mm = _woodbury(group.alpha, group.beta, group.phi)
-    if not mm.certified:
+    if not mm.certified.item():
         raise errors.NotPositiveDefinite(
             "symmetrized mimicking matrix failed its positive-definiteness guard"
         )
@@ -190,7 +189,7 @@ def solve(ctx: MarkowitzContext, group: InvestorGroup) -> MimickingSolution:
     """
     mm = mimicking_matrix(group)
     c = mm.inverse_beta()
-    tau = float(group.beta @ c)
+    tau = _dot(group.beta, c).item()
     w = np.multiply.outer(ctx.tilt, c)
     w += ctx.gmvp[:, None]
     w_star = PortfolioMatrix(w)
@@ -261,5 +260,5 @@ def asymptotic_alpha(group: InvestorGroup) -> AsymptoticAlpha:
     upper = float(beta @ group.alpha + beta @ group.phi)
     classical = 1.0 / float(np.sum(beta / group.alpha))
     return AsymptoticAlpha(
-        upper=upper, classical=classical, exact_inverse=float(4.0 * mm.s_bb / mm.delta)
+        upper=upper, classical=classical, exact_inverse=(4.0 * mm.s_bb / mm.delta).item()
     )

@@ -3,7 +3,9 @@
 Construction is total: every constructor either returns a value satisfying
 all invariants or raises a typed :mod:`mimicfund.errors` exception.  All
 values are immutable after construction (frozen dataclasses over read-only
-arrays), so they are safe to share across threads.
+arrays), so they are safe to share across threads.  Types that hold arrays
+compare and hash by identity (``eq=False``), since an array comparison has
+no single truth value.
 """
 
 from __future__ import annotations
@@ -61,38 +63,40 @@ def _group_faults(alpha: np.ndarray, beta: np.ndarray, phi: np.ndarray) -> list:
     """The rules of :class:`InvestorGroup` along the last axis, in check order.
 
     ``alpha``, ``beta`` and ``phi`` are one group (``n`` entries each) or a
-    stack of groups of equal shape ``(..., n)``.  Each rule is a fault
-    ``(bad, error, message, detail)``: ``bad`` is a boolean array over the
-    leading axes (a scalar for one group) that marks where the rule fails,
-    ``error`` the exception type, and ``message`` its text, formatted with
-    the entry of ``detail`` at the failing point unless ``detail`` is None.
+    stack of groups of equal shape ``(..., n)``; one group is a stack of
+    one.  Each rule is a fault ``(bad, error, message, detail)``: ``bad`` is
+    a boolean array of shape ``(..., 1)`` (``(1,)`` for one group) that
+    marks where the rule fails, ``error`` the exception type, and
+    ``message`` its text, formatted with the entry of ``detail`` at the
+    failing point unless ``detail`` is None.
     """
     n = alpha.shape[-1]
-    every, some = np.logical_and.reduce, np.logical_or.reduce
-    total = np.add.reduce(beta, axis=-1)
+    every = functools.partial(np.logical_and.reduce, axis=-1, keepdims=True)
+    some = functools.partial(np.logical_or.reduce, axis=-1, keepdims=True)
+    total = np.add.reduce(beta, axis=-1, keepdims=True)
     return [
-        (~every(np.isfinite(alpha), axis=-1), errors.NonFiniteValue,
+        (~every(np.isfinite(alpha)), errors.NonFiniteValue,
          "alpha contains a non-finite entry", None),
-        (~every(np.isfinite(beta), axis=-1), errors.NonFiniteValue,
+        (~every(np.isfinite(beta)), errors.NonFiniteValue,
          "beta contains a non-finite entry", None),
-        (~every(np.isfinite(phi), axis=-1), errors.NonFiniteValue,
+        (~every(np.isfinite(phi)), errors.NonFiniteValue,
          "phi contains a non-finite entry", None),
-        (np.full(alpha.shape[:-1], n < 2), errors.TooFewInvestors,
+        (np.full(total.shape, n < 2), errors.TooFewInvestors,
          f"need at least 2 investors, got {n}", None),
-        (some(alpha <= 0, axis=-1), errors.NonPositiveAlpha, "every alpha must be > 0", None),
-        (some(beta <= 0, axis=-1), errors.NonPositiveBeta, "every beta must be > 0", None),
+        (some(alpha <= 0), errors.NonPositiveAlpha, "every alpha must be > 0", None),
+        (some(beta <= 0), errors.NonPositiveBeta, "every beta must be > 0", None),
         (abs(total - 1.0) > BETA_SUM_TOL, errors.BetaNotNormalized,
          "beta must sum to 1, got {!r}", total),
-        (some(phi < 0, axis=-1), errors.NegativePhi, "every phi must be >= 0", None),
+        (some(phi < 0), errors.NegativePhi, "every phi must be >= 0", None),
     ]
 
 
 def _raise_first_fault(faults: list, prefix: Callable[[tuple], str] = lambda _: "") -> None:
     """Raise the first broken rule of the first failing point, if any.
 
-    ``faults`` are laid out as in :func:`_group_faults`.  Points are taken
-    in C order of the leading axes; ``prefix(index)`` starts the message
-    with the name of the point.
+    ``faults`` are laid out as in :func:`_group_faults`, each ``bad`` of
+    shape ``(..., 1)``.  Points are taken in C order of the leading axes;
+    ``prefix(index)`` starts the message with the name of the point.
     """
     failing = functools.reduce(operator.or_, (fault[0] for fault in faults))
     if not failing.any():
@@ -104,7 +108,7 @@ def _raise_first_fault(faults: list, prefix: Callable[[tuple], str] = lambda _: 
             raise error(prefix(index) + text)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarketModel:
     """Return moments of ``k >= 2`` risky assets.
 
@@ -112,12 +116,12 @@ class MarketModel:
     ``sigma`` is the symmetric positive-definite covariance matrix.
     ``cholesky`` is its lower-triangular factor ``L`` with ``sigma = L L'``,
     computed once by the positive-definiteness check; it is not a
-    constructor argument and takes no part in comparisons.
+    constructor argument.
     """
 
     mu: np.ndarray
     sigma: np.ndarray
-    cholesky: np.ndarray = field(init=False, repr=False, compare=False)
+    cholesky: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mu = _as_vector(self.mu, "mu")
@@ -147,7 +151,7 @@ class MarketModel:
         return self.mu.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InvestorGroup:
     """Preferences of ``n >= 2`` investors.
 
@@ -178,7 +182,7 @@ class InvestorGroup:
         return self.alpha.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PortfolioMatrix:
     """A ``k x n`` matrix whose column ``i`` is investor ``i``'s weights.
 

@@ -20,7 +20,7 @@ from . import errors
 from .model import MarketModel, build_market
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReturnSample:
     """A ``T x k`` matrix of observed per-period returns with asset names.
 

@@ -28,13 +28,13 @@ from . import errors
 from .model import InvestorGroup, MarketModel, PortfolioMatrix
 
 # Cap on kn + n unknowns of the dense KKT system (O(N^3) factorization).
-DEFAULT_MAX_UNKNOWNS = 5000
+MAX_UNKNOWNS = 5000
 
 # Accepted scaled residual of a returned KKT solution.
 RESIDUAL_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleSolution:
     """KKT solution with its Lagrange multipliers and reported residual.
 
@@ -88,9 +88,15 @@ def _kkt_system(mu, sigma, a_phi, beta) -> tuple[np.ndarray, np.ndarray]:
     return kkt, rhs
 
 
-def solve_kkt_system(
-    mu, sigma, a_phi, beta, max_unknowns: int = DEFAULT_MAX_UNKNOWNS
-) -> tuple[np.ndarray, np.ndarray, float]:
+def _require_size(k: int, n: int) -> None:
+    size = k * n + n
+    if size > MAX_UNKNOWNS:
+        raise errors.SizeCapExceeded(
+            f"KKT system has {size} unknowns, exceeding the cap of {MAX_UNKNOWNS}"
+        )
+
+
+def solve_kkt_system(mu, sigma, a_phi, beta) -> tuple[np.ndarray, np.ndarray, float]:
     """Assemble and solve the dense KKT system; returns ``(W, lambda, residual)``.
 
     Accepts raw arrays so degenerate shapes (e.g. a single investor) can be
@@ -104,11 +110,7 @@ def solve_kkt_system(
     beta = np.asarray(beta, dtype=float)
     k = mu.shape[0]
     n = beta.shape[0]
-    size = k * n + n
-    if size > max_unknowns:
-        raise errors.SizeCapExceeded(
-            f"KKT system has {size} unknowns, exceeding the cap of {max_unknowns}"
-        )
+    _require_size(k, n)
     kkt, rhs = _kkt_system(mu, sigma, a_phi, beta)
     try:
         x = np.linalg.solve(kkt, rhs)
@@ -128,13 +130,14 @@ def solve_kkt_system(
     return w, -x[k * n :], residual
 
 
-def kkt_solve(
-    market: MarketModel, group: InvestorGroup, max_unknowns: int = DEFAULT_MAX_UNKNOWNS
-) -> OracleSolution:
-    """Solve the penalized group problem through the KKT system alone."""
+def kkt_solve(market: MarketModel, group: InvestorGroup) -> OracleSolution:
+    """Solve the penalized group problem through the KKT system alone.
+
+    The size cap is checked before the ``n x n`` mimicking matrix is built.
+    """
+    _require_size(market.k, group.n)
     a = entrywise_mimicking_matrix(group.alpha, group.beta, group.phi)
     a_phi = (a + a.T) / 2.0
-    w, lam, residual = solve_kkt_system(market.mu, market.sigma, a_phi, group.beta, max_unknowns)
+    w, lam, residual = solve_kkt_system(market.mu, market.sigma, a_phi, group.beta)
     lam.setflags(write=False)
     return OracleSolution(weights=PortfolioMatrix(w), multipliers=lam, residual=residual)
-

@@ -12,11 +12,11 @@ ALPHA_HIGH = 20.0
 PHI_HIGH = 20.0
 
 
-def random_market(rng: np.random.Generator, k: int, ridge: float = SIGMA_RIDGE) -> MarketModel:
-    """Random market with covariance ``F F' + ridge I`` and standard-normal means."""
+def random_market(rng: np.random.Generator, k: int) -> MarketModel:
+    """Random market with covariance ``F F' + SIGMA_RIDGE I`` and standard-normal means."""
     f = rng.standard_normal((k, k))
     sigma = f @ f.T
-    sigma = (sigma + sigma.T) / 2.0 + ridge * np.eye(k)
+    sigma = (sigma + sigma.T) / 2.0 + SIGMA_RIDGE * np.eye(k)
     mu = rng.standard_normal(k)
     return build_market(mu, sigma)
 

@@ -142,38 +142,35 @@ class SweepTable:
         return "\n".join(lines) + "\n"
 
 
-def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``sum(x * y)`` along the investor (last) axis."""
-    return np.add.reduce(x * y, axis=-1)
-
-
 def _frontier_gains(
     ctx: MarkowitzContext, alpha: np.ndarray, beta: np.ndarray, phi: np.ndarray
 ) -> tuple:
     """``delta_omega`` and ``delta_eu`` of one group or a stack ``(..., n)``.
 
     Returns ``(delta_omega, delta_eu, optimum_faults, utility_faults)``; the
-    values span the leading axes.  The faults, laid out as in
+    values have shape ``(..., 1)``, like every per-group value of
+    :class:`mimicking.MimickingMatrix`.  The faults, laid out as in
     :func:`model._group_faults`, are the checks of the optimum (the
     positive-definiteness guard) and of the utilities (a positive optimum,
     no gain below rounding noise); the values are meaningless where a check
     fails.  The inputs are assumed to be valid groups.
     """
+    dot = mimicking._dot
     with np.errstate(all="ignore"):
         w = mimicking._woodbury(alpha, beta, phi)
         c = w.inverse_beta()
         c_cl = 1.0 / alpha
-        tau = _inner(beta, c)
-        tau_cl = _inner(beta, c_cl)
-        curvature = _inner(w.d, c * c) + _inner(w.u, c) * tau
+        tau = dot(beta, c)
+        tau_cl = dot(beta, c_cl)
+        curvature = dot(w.d, c * c) + dot(w.u, c) * tau
         eu_star = ctx.mu_gmv + ctx.slope * tau - 0.5 * (
-            ctx.v_gmv * _inner(beta, alpha) + ctx.slope * curvature
+            ctx.v_gmv * dot(beta, alpha) + ctx.slope * curvature
         )
         e = c_cl - c
-        gain = 0.5 * ctx.slope * (_inner(w.d, e * e) + _inner(w.u, e) * _inner(beta, e))
+        gain = 0.5 * ctx.slope * (dot(w.d, e * e) + dot(w.u, e) * dot(beta, e))
         noise = _GAIN_CLAMP * np.maximum(1.0, abs(eu_star))
         optimum_faults = [
-            (~np.reshape(w.certified, tau.shape), errors.NotPositiveDefinite,
+            (~w.certified, errors.NotPositiveDefinite,
              "symmetrized mimicking matrix failed its positive-definiteness guard", None),
         ]
         utility_faults = [
@@ -192,7 +189,7 @@ def delta_omega(ctx: MarkowitzContext, group: InvestorGroup) -> float:
     """First-asset fund-weight change caused by accounting for mimicking."""
     d_omega, _, optimum_faults, _ = _frontier_gains(ctx, group.alpha, group.beta, group.phi)
     model._raise_first_fault(optimum_faults)
-    return float(d_omega)
+    return d_omega.item()
 
 
 def delta_eu(market: MarketModel, group: InvestorGroup) -> float:
@@ -209,7 +206,7 @@ def delta_eu(market: MarketModel, group: InvestorGroup) -> float:
         ctx, group.alpha, group.beta, group.phi
     )
     model._raise_first_fault(optimum_faults + utility_faults)
-    return float(d_eu)
+    return d_eu.item()
 
 
 def run_sweeps(config: StudyConfig) -> tuple[SweepTable, SweepTable]:
@@ -243,5 +240,7 @@ def run_sweeps(config: StudyConfig) -> tuple[SweepTable, SweepTable]:
         model._group_faults(alpha, beta, phi) + optimum_faults + utility_faults,
         prefix=lambda i: f"series {labels[i[0]]}, coordinate {coords[i[0]]:g}: ",
     )
-    records = tuple(map(SweepRecord, labels, coords.tolist(), d_omega.tolist(), d_eu.tolist()))
+    records = tuple(
+        map(SweepRecord, labels, coords.tolist(), d_omega.ravel().tolist(), d_eu.ravel().tolist())
+    )
     return SweepTable(records=records[:split]), SweepTable(records=records[split:])

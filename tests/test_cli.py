@@ -226,8 +226,8 @@ class TestVerify:
 
         true_solve = oracle.kkt_solve
 
-        def skewed(market, group, max_unknowns=oracle.DEFAULT_MAX_UNKNOWNS):
-            solution = true_solve(market, group, max_unknowns)
+        def skewed(market, group):
+            solution = true_solve(market, group)
             weights = solution.weights.weights.copy()
             weights[0, 0] += 0.01  # stay unit-sum, but wrong
             weights[1, 0] -= 0.01
@@ -259,6 +259,24 @@ class TestStudy:
         manifest = json.loads((out / "figure1.manifest.json").read_text(encoding="utf-8"))
         assert manifest["command"] == "study"
         assert manifest["config"]["grid_points"] == 101
+
+    def test_one_manifest_per_run(self, monkeypatch, tmp_path):
+        from mimicfund import cli
+
+        stamps = iter(range(10))
+        monkeypatch.setattr(cli, "_timestamp", lambda: f"stamp {next(stamps)}")
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps({"grid_points": 3}), encoding="utf-8")
+        out = tmp_path / "study"
+        assert cli.main(["study", "--config", str(cfg), "--output-dir", str(out)]) == 0
+        first, second = ((out / f"figure{i}.manifest.json").read_bytes() for i in (1, 2))
+        assert first == second
+
+    def test_malformed_source_date_epoch_writes_nothing(self, tmp_path):
+        out = tmp_path / "study"
+        result = run_cli("study", "--output-dir", str(out), env={"SOURCE_DATE_EPOCH": "abc"})
+        assert_validation_error(result)
+        assert not out.exists()
 
     def test_gain_threshold_row(self, tmp_path):
         out = tmp_path / "study"

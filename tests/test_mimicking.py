@@ -117,11 +117,10 @@ class TestStructuredOperator:
         for arr in (mm.d, mm.u, mm.d_inv_beta, mm.d_inv_u):
             assert not arr.flags.writeable
 
-    def test_stack_rows_match_single_groups(self):
-        # one type serves a stack (..., n) and one group; the fields built
-        # without an inner product agree bitwise, the others to rounding,
-        # because one group's inner products take the BLAS dot and a
-        # stack's take numpy's pairwise sum
+    def test_stack_rows_match_single_groups(self, textbook_ctx):
+        # one group is a stack of one: every field of a stack row equals the
+        # group alone bit for bit, and solve reads tau = beta'c through the
+        # same reduction as the study
         rng = np.random.default_rng(37)
         for _ in range(50):
             m, n = int(rng.integers(1, 8)), int(rng.integers(2, 200))
@@ -130,17 +129,16 @@ class TestStructuredOperator:
             phi = rng.uniform(0, 20, (m, n))
             stack = mimicking._woodbury(alpha, beta, phi)
             assert isinstance(stack, mimicking.MimickingMatrix)
+            c = stack.inverse_beta()
             for i in range(m):
-                single = mimicking.mimicking_matrix(build_group(alpha[i], beta[i], phi[i]))
+                group = build_group(alpha[i], beta[i], phi[i])
+                single = mimicking.mimicking_matrix(group)
                 for name in mimicking.MimickingMatrix._fields:
-                    got = getattr(stack, name)[i]
-                    want = np.asarray(getattr(single, name))
-                    assert got.shape == ((n,) if want.ndim else (1,))
-                    got = got.reshape(want.shape)
-                    if name in ("d", "d_inv_beta", "s_bb", "certified"):
-                        assert got.tobytes() == want.tobytes(), name
-                    else:
-                        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), name
+                    got, want = getattr(stack, name)[i], getattr(single, name)
+                    assert got.shape == want.shape, name
+                    assert got.tobytes() == want.tobytes(), name
+                tau = mimicking._dot(beta[i], c[i]).item()
+                assert mimicking.solve(textbook_ctx, group).alpha_star_f == 1.0 / tau
                 # a stack row does not depend on the other rows
                 one = mimicking._woodbury(alpha[i : i + 1], beta[i : i + 1], phi[i : i + 1])
                 for name in mimicking.MimickingMatrix._fields:

@@ -1,9 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimicfund import build_group, build_market, errors
+from mimicfund import build_group, build_market, errors, mimicking, moments, oracle
 from mimicfund.model import PortfolioMatrix
 
 
@@ -141,3 +143,21 @@ class TestPortfolioMatrix:
         assert not pm.weights.flags.writeable
         arr[0, 0] = 9.0
         assert pm.weights[0, 0] == 0.5
+
+
+def test_array_holding_types_compare_and_hash_by_identity(textbook_ctx, base_group):
+    market = textbook_ctx.market
+    values = [
+        market,
+        base_group,
+        PortfolioMatrix(((0.5, 1.5), (0.5, -0.5))),
+        textbook_ctx,
+        mimicking.solve(textbook_ctx, base_group),
+        oracle.kkt_solve(market, base_group),
+        moments.ReturnSample(np.eye(4, 2), ("A", "B")),
+    ]
+    for value in values:
+        twin = copy.copy(value)
+        assert (value == value) is True
+        assert (value == twin) is False
+        assert len({value, twin}) == 2

@@ -1,6 +1,7 @@
 import ast
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -60,11 +61,20 @@ class TestKktSolve:
             np.testing.assert_allclose(w[:, 0], expected, atol=1e-10)
 
     def test_size_cap(self, textbook_market):
+        # the cap is checked before the n x n mimicking matrix is built, so a
+        # group just above it is rejected without O(n^2) memory
         rng = np.random.default_rng(85)
-        group = sampling.random_group(rng, 100)
-        with pytest.raises(errors.SizeCapExceeded):
-            oracle.kkt_solve(textbook_market, group, max_unknowns=200)
-        assert oracle.kkt_solve(textbook_market, group).residual <= 1e-8
+        assert oracle.kkt_solve(textbook_market, sampling.random_group(rng, 100)).residual <= 1e-8
+        n = oracle.MAX_UNKNOWNS // (textbook_market.k + 1) + 1
+        group = sampling.random_group(rng, n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(errors.SizeCapExceeded):
+                oracle.kkt_solve(textbook_market, group)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * n * n * 8
 
     def test_exactly_singular_system_raises_singular_kkt(self, textbook_market):
         # a zero mimicking matrix leaves the KKT matrix rank-deficient
