@@ -8,12 +8,12 @@ go to stderr.  Exit codes: 0 ok, 1 validation error, 2 I/O error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
 import os
 import sys
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,8 +23,6 @@ from .moments import estimate, load_csv
 
 # oracle, sampling and study are imported by the commands that use them, so
 # that solve and estimate do not pay for them at start-up.
-if TYPE_CHECKING:
-    from .study import StudyConfig
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -76,26 +74,41 @@ def _manifest(command: str, config: dict, input_paths: list) -> dict:
     }
 
 
-def _load_json(path: str) -> dict:
+def _parse_json(text: str, where: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise errors.ParseError(f"{where}: invalid JSON: {exc}") from exc
+
+
+def _config(command: str, path, keys) -> dict:
+    """``command``'s JSON config object: keys from ``keys``, mu and sigma together."""
+    if path is None:
+        return {}
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise errors.IoError(f"cannot read {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise errors.ParseError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
+    except UnicodeDecodeError as exc:
+        raise errors.ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    config = _parse_json(text, path)
+    if not isinstance(config, dict):
         raise errors.ParseError(f"{path}: expected a JSON object at top level")
-    return data
+    unknown = set(config) - set(keys)
+    if unknown:
+        raise errors.ValidationError(f"unknown {command} config keys: {', '.join(sorted(unknown))}")
+    if ("mu" in config) != ("sigma" in config):
+        raise errors.ValidationError(f"{command} config must give mu and sigma together")
+    return config
 
 
-def _parse_json_flag(text: str, flag: str):
+def _write(path: str, text: str) -> None:
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise errors.ParseError(f"{flag}: invalid JSON: {exc}") from exc
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise errors.IoError(f"cannot write {path}: {exc}") from exc
 
 
 def _resolve_market(args, config: dict) -> MarketModel:
@@ -105,10 +118,8 @@ def _resolve_market(args, config: dict) -> MarketModel:
     if args.mu is not None or args.sigma is not None:
         if args.mu is None or args.sigma is None:
             raise errors.ValidationError("--mu and --sigma must be given together")
-        return build_market(_parse_json_flag(args.mu, "--mu"), _parse_json_flag(args.sigma, "--sigma"))
-    if "mu" in config or "sigma" in config:
-        if "mu" not in config or "sigma" not in config:
-            raise errors.ValidationError("solve config must give mu and sigma together")
+        return build_market(_parse_json(args.mu, "--mu"), _parse_json(args.sigma, "--sigma"))
+    if "mu" in config:
         return build_market(config["mu"], config["sigma"])
     raise errors.ValidationError(
         "no market given: use --returns, --mu/--sigma, or mu/sigma keys in the config file"
@@ -123,10 +134,7 @@ def _resolve_group(config: dict):
 
 
 def _cmd_solve(args) -> int:
-    config = _load_json(args.config) if args.config else {}
-    unknown = set(config) - {"alpha", "beta", "phi", "mu", "sigma"}
-    if unknown:
-        raise errors.ValidationError(f"unknown solve config keys: {', '.join(sorted(unknown))}")
+    config = _config("solve", args.config, ("alpha", "beta", "phi", "mu", "sigma"))
     if args.annualize is not None and args.returns is None:
         raise errors.ValidationError("--annualize applies only to a market estimated from --returns")
     input_paths = [p for p in (args.config, args.returns) if p]
@@ -167,11 +175,7 @@ def _cmd_solve(args) -> int:
     }
     text = json.dumps(report, indent=2) + "\n"
     if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise errors.IoError(f"cannot write {args.output}: {exc}") from exc
+        _write(args.output, text)
         _log(f"wrote {args.output}")
     else:
         sys.stdout.write(text)
@@ -192,6 +196,12 @@ def _relative_entry_error(a: np.ndarray, b: np.ndarray) -> float:
 def _cmd_verify(args) -> int:
     from . import oracle, sampling
 
+    size = args.max_k * args.max_n + args.max_n
+    if size > oracle.MAX_UNKNOWNS:
+        raise errors.ValidationError(
+            f"--max-k {args.max_k} and --max-n {args.max_n} allow KKT systems of {size} "
+            f"unknowns, above the oracle's cap of {oracle.MAX_UNKNOWNS}"
+        )
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     worst_tag = "n/a"
@@ -225,69 +235,34 @@ def _cmd_verify(args) -> int:
     return EXIT_VERIFY if failures else EXIT_OK
 
 
-def _study_config(path) -> StudyConfig:
-    from .study import DEFAULT_MARKET, StudyConfig
-
-    if path is None:
-        return StudyConfig()
-    raw = _load_json(path)
-    allowed = {
-        "mu", "sigma", "alpha1", "phi_set", "a_set", "a_range", "phi_range",
-        "grid_points", "phi_ratio",
-    }
-    unknown = set(raw) - allowed
-    if unknown:
-        raise errors.ValidationError(f"unknown study config keys: {', '.join(sorted(unknown))}")
-    market = DEFAULT_MARKET
-    if "mu" in raw or "sigma" in raw:
-        if "mu" not in raw or "sigma" not in raw:
-            raise errors.ValidationError("study config must give mu and sigma together")
-        market = build_market(raw["mu"], raw["sigma"])
-    kwargs = {"market": market}
-    for key in ("alpha1", "grid_points", "phi_ratio"):
-        if key in raw:
-            kwargs[key] = raw[key]
-    for key in ("phi_set", "a_set", "a_range", "phi_range"):
-        if key in raw:
-            if not isinstance(raw[key], list):
-                raise errors.ValidationError(f"study config key {key} must be a JSON array")
-            kwargs[key] = tuple(raw[key])
-    return StudyConfig(**kwargs)
-
-
 def _cmd_study(args) -> int:
-    from .study import run_sweeps
+    from .study import StudyConfig, run_sweeps
 
-    config = _study_config(args.config)
+    # the grid keys are the fields of StudyConfig; those with tuple defaults take JSON arrays
+    grid = [field for field in dataclasses.fields(StudyConfig) if field.name != "market"]
+    raw = _config("study", args.config, ["mu", "sigma"] + [field.name for field in grid])
+    kwargs = {"market": build_market(raw.pop("mu"), raw.pop("sigma"))} if "mu" in raw else {}
+    arrays = [field.name for field in grid if isinstance(field.default, tuple)]
+    for key, value in raw.items():
+        if key in arrays and not isinstance(value, list):
+            raise errors.ValidationError(f"study config key {key} must be a JSON array")
+        kwargs[key] = tuple(value) if key in arrays else value
+    config = StudyConfig(**kwargs)
     figure1, figure2 = run_sweeps(config)
-    manifest_config = {
-        "mu": config.market.mu.tolist(),
-        "sigma": config.market.sigma.tolist(),
-        "alpha1": config.alpha1,
-        "phi_set": list(config.phi_set),
-        "a_set": list(config.a_set),
-        "a_range": list(config.a_range),
-        "phi_range": list(config.phi_range),
-        "grid_points": config.grid_points,
-        "phi_ratio": config.phi_ratio,
-    }
-    manifest = _manifest("study", manifest_config, [args.config] if args.config else [])
+    echo = {"mu": config.market.mu.tolist(), "sigma": config.market.sigma.tolist()}
+    for field in grid:
+        value = getattr(config, field.name)
+        echo[field.name] = list(value) if isinstance(value, tuple) else value
+    manifest = _manifest("study", echo, [args.config] if args.config else [])
+    sidecar = json.dumps(manifest, indent=2) + "\n"
     try:
         os.makedirs(args.output_dir, exist_ok=True)
     except OSError as exc:
         raise errors.IoError(f"cannot create {args.output_dir}: {exc}") from exc
     for name, table in (("figure1", figure1), ("figure2", figure2)):
         csv_path = os.path.join(args.output_dir, f"{name}.csv")
-        try:
-            with open(csv_path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(table.to_csv())
-            with open(
-                os.path.join(args.output_dir, f"{name}.manifest.json"), "w", encoding="utf-8"
-            ) as handle:
-                json.dump(manifest, handle, indent=2)
-                handle.write("\n")
-        except OSError as exc:
-            raise errors.IoError(f"cannot write {csv_path}: {exc}") from exc
+        _write(csv_path, table.to_csv())
+        _write(os.path.join(args.output_dir, f"{name}.manifest.json"), sidecar)
         _log(f"wrote {csv_path} ({len(table.records)} records)")
     return EXIT_OK
 
@@ -374,9 +349,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except errors.IoError as exc:
-        _log(f"error: {exc}")
-        return EXIT_IO
     except errors.ValidationError as exc:
         _log(f"error: {exc}")
         return EXIT_VALIDATION

@@ -26,11 +26,22 @@ BETA_SUM_TOL = 1e-12
 COLUMN_SUM_TOL = 1e-10
 
 
+# Entries that np.array(..., dtype=float) converts although they are not numbers.
+_NOT_NUMBERS = (str, bytes, bool, np.bool_)
+
+
 def _as_float_array(x, name: str) -> np.ndarray:
     try:
-        return np.array(x, dtype=float)
+        arr = np.array(x, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise errors.ParseError(f"{name} is not an array of numbers: {exc}") from None
+    if not (isinstance(x, np.ndarray) and x.dtype.kind in "iuf"):
+        # look at each distinct entry type once, not at each entry
+        entries = np.array(x, dtype=object)
+        if any(issubclass(kind, _NOT_NUMBERS) for kind in set(map(type, entries.flat))):
+            bad = next(value for value in entries.flat if isinstance(value, _NOT_NUMBERS))
+            raise errors.ParseError(f"{name} is not an array of numbers: it holds {bad!r}")
+    return arr
 
 
 def _as_vector(x, name: str) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -14,6 +15,9 @@ def run_cli(*args, cwd=None, env=None):
         cwd=cwd,
         env=None if env is None else {**os.environ, **env},
     )
+
+
+NON_UTF8_CONFIG = b'{"alpha": [1, 2]\xff}'
 
 
 def assert_validation_error(result):
@@ -132,6 +136,22 @@ class TestSolve:
         assert result.returncode == 1
         assert "solve config must give mu and sigma together" in result.stderr
 
+    def test_half_market_in_config_exits_1_under_returns(self, tmp_path, returns_csv):
+        # the config is checked as a whole, even where --returns would replace its market
+        config = {key: TEXTBOOK_CONFIG[key] for key in ("alpha", "beta", "phi", "mu")}
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        result = run_cli("solve", "--config", str(path), "--returns", str(returns_csv))
+        assert_validation_error(result)
+        assert "solve config must give mu and sigma together" in result.stderr
+
+    def test_non_utf8_config_exits_1(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(NON_UTF8_CONFIG)
+        result = run_cli("solve", "--config", str(path))
+        assert_validation_error(result)
+        assert "not UTF-8" in result.stderr
+
     def test_missing_returns_file_exits_2(self, solve_config, tmp_path):
         result = run_cli(
             "solve", "--config", str(solve_config), "--returns", str(tmp_path / "nope.csv")
@@ -152,6 +172,27 @@ class TestSolve:
         result = run_cli("solve", "--config", str(path))
         assert_validation_error(result)
         assert "sigma" in result.stderr
+
+    @pytest.mark.parametrize("alpha", [["2", 4.0], [True, 4.0], [True, 2.5]])
+    def test_string_or_boolean_alpha_exits_1(self, tmp_path, alpha):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TEXTBOOK_CONFIG, "alpha": alpha}), encoding="utf-8")
+        result = run_cli("solve", "--config", str(path))
+        assert_validation_error(result)
+        assert "alpha is not an array of numbers" in result.stderr
+
+    def test_string_in_mu_flag_exits_1(self, tmp_path):
+        group = tmp_path / "group.json"
+        group.write_text(
+            json.dumps({key: TEXTBOOK_CONFIG[key] for key in ("alpha", "beta", "phi")}),
+            encoding="utf-8",
+        )
+        result = run_cli(
+            "solve", "--config", str(group),
+            "--mu", '["0.07", 0.14]', "--sigma", json.dumps(TEXTBOOK_CONFIG["sigma"]),
+        )
+        assert_validation_error(result)
+        assert "mu is not an array of numbers" in result.stderr
 
     def test_unknown_config_key_exits_1(self, tmp_path):
         path = tmp_path / "extra.json"
@@ -221,6 +262,16 @@ class TestVerify:
         assert_validation_error(result)
         assert "--seed" in result.stderr
 
+    def test_sizes_above_the_oracle_cap_exit_1(self):
+        # at k = 10 and n = 455 the KKT system has 5005 unknowns, above the cap of 5000
+        result = run_cli("verify", "--count", "1", "--max-k", "10", "--max-n", "455")
+        assert_validation_error(result)
+        assert "--max-k 10 and --max-n 455" in result.stderr
+        assert result.stdout == ""
+        result = run_cli("verify", "--count", "0", "--max-k", "10", "--max-n", "454")
+        assert result.returncode == 0
+        assert "result: OK" in result.stdout
+
     def test_disagreement_exits_4(self, monkeypatch, capsys):
         from mimicfund import cli, oracle
 
@@ -272,6 +323,31 @@ class TestStudy:
         first, second = ((out / f"figure{i}.manifest.json").read_bytes() for i in (1, 2))
         assert first == second
 
+    def test_manifest_echoes_every_config_field(self, tmp_path):
+        from mimicfund.study import StudyConfig
+
+        cfg = tmp_path / "study.json"
+        given = {
+            "mu": [0.08, 0.15],
+            "sigma": TEXTBOOK_CONFIG["sigma"],
+            "phi_set": [1, 2.5],
+            "grid_points": 3,
+            "phi_ratio": 0.5,
+        }
+        cfg.write_text(json.dumps(given), encoding="utf-8")
+        out = tmp_path / "study"
+        assert run_cli("study", "--config", str(cfg), "--output-dir", str(out)).returncode == 0
+        echo = json.loads((out / "figure2.manifest.json").read_text(encoding="utf-8"))["config"]
+        defaults = StudyConfig()
+        fields = [f.name for f in dataclasses.fields(StudyConfig) if f.name != "market"]
+        assert list(echo) == ["mu", "sigma"] + fields
+        for name in fields:
+            value = getattr(defaults, name)
+            expected = given.get(name, list(value) if isinstance(value, tuple) else value)
+            assert echo[name] == expected, name
+        assert echo["mu"] == given["mu"]
+        assert echo["sigma"] == given["sigma"]
+
     def test_malformed_source_date_epoch_writes_nothing(self, tmp_path):
         out = tmp_path / "study"
         result = run_cli("study", "--output-dir", str(out), env={"SOURCE_DATE_EPOCH": "abc"})
@@ -313,11 +389,33 @@ class TestStudy:
         assert_validation_error(result)
         assert "grid_points" in result.stderr
 
+    def test_non_array_phi_set_exits_1(self, tmp_path):
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps({"phi_set": 3}), encoding="utf-8")
+        result = run_cli("study", "--config", str(cfg), "--output-dir", str(tmp_path / "s"))
+        assert_validation_error(result)
+        assert "study config key phi_set must be a JSON array" in result.stderr
+
+    def test_non_utf8_config_exits_1(self, tmp_path):
+        cfg = tmp_path / "study.json"
+        cfg.write_bytes(NON_UTF8_CONFIG)
+        result = run_cli("study", "--config", str(cfg), "--output-dir", str(tmp_path / "s"))
+        assert_validation_error(result)
+        assert "not UTF-8" in result.stderr
+
     def test_unwritable_output_location_exits_2(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("not a directory", encoding="utf-8")
         result = run_cli("study", "--output-dir", str(blocker))
         assert result.returncode == 2
+
+    def test_unwritable_sidecar_is_named(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "figure1.manifest.json").mkdir(parents=True)
+        result = run_cli("study", "--output-dir", str(out))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "cannot write " + str(out / "figure1.manifest.json") in result.stderr
 
 
 class TestEstimate:

@@ -94,6 +94,10 @@ class TestInvestorGroup:
             build_group("ab", (0.5, 0.5), (3.0, 3.0))
         with pytest.raises(errors.ParseError):
             build_group((2.0, 4.0), (0.5, [0.5]), (3.0, 3.0))
+        # np.array(..., dtype=float) would turn strings and booleans into numbers
+        for alpha in (["2", 4.0], [True, 4.0], [True, 2.0], np.array([True, True])):
+            with pytest.raises(errors.ParseError, match="alpha is not an array of numbers"):
+                build_group(alpha, (0.5, 0.5), (3.0, 3.0))
 
     def test_single_investor_rejected(self):
         with pytest.raises(errors.TooFewInvestors):
