@@ -8,8 +8,10 @@ go to stderr.  Exit codes: 0 ok, 1 validation error, 2 I/O error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import datetime
+import errno
 import hashlib
 import json
 import os
@@ -103,12 +105,28 @@ def _config(command: str, path, keys) -> dict:
     return config
 
 
-def _write(path: str, text: str) -> None:
+def _write(files: dict) -> None:
+    """Write each ``path: text`` of ``files``, all of them or none.
+
+    Each text goes to a temporary file beside its path, and the temporaries
+    are renamed over their paths only once every one of them is written.  A
+    failure removes the temporaries and names the path it was writing.
+    """
+    temps = {}
     try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        for path, text in files.items():
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            temps[path] = f"{path}.{os.getpid()}.tmp"
+            with open(temps[path], "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        for path, temp in temps.items():
+            os.replace(temp, path)
     except OSError as exc:
-        raise errors.IoError(f"cannot write {path}: {exc}") from exc
+        for temp in temps.values():
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        raise errors.IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _resolve_market(args, config: dict) -> MarketModel:
@@ -175,7 +193,7 @@ def _cmd_solve(args) -> int:
     }
     text = json.dumps(report, indent=2) + "\n"
     if args.output:
-        _write(args.output, text)
+        _write({args.output: text})
         _log(f"wrote {args.output}")
     else:
         sys.stdout.write(text)
@@ -259,11 +277,15 @@ def _cmd_study(args) -> int:
         os.makedirs(args.output_dir, exist_ok=True)
     except OSError as exc:
         raise errors.IoError(f"cannot create {args.output_dir}: {exc}") from exc
-    for name, table in (("figure1", figure1), ("figure2", figure2)):
-        csv_path = os.path.join(args.output_dir, f"{name}.csv")
-        _write(csv_path, table.to_csv())
-        _write(os.path.join(args.output_dir, f"{name}.manifest.json"), sidecar)
-        _log(f"wrote {csv_path} ({len(table.records)} records)")
+    tables = {os.path.join(args.output_dir, name): table
+              for name, table in (("figure1", figure1), ("figure2", figure2))}
+    files = {}
+    for stem, table in tables.items():
+        files[f"{stem}.csv"] = table.to_csv()
+        files[f"{stem}.manifest.json"] = sidecar
+    _write(files)
+    for stem, table in tables.items():
+        _log(f"wrote {stem}.csv ({len(table.records)} records)")
     return EXIT_OK
 
 

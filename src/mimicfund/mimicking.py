@@ -15,11 +15,13 @@ classical solution: every optimal column still lies on the line through the
 GMVP spanned by the frontier tilt.  :class:`MimickingMatrix` keeps ``a_phi``
 in this structured form, so certifying and inverting it
 (Sherman-Morrison-Woodbury with a 2 x 2 capacitance matrix) cost O(n) for
-``n`` investors, and :func:`solve` and :func:`penalized_utility` cost
-O(n k^2) for ``k`` assets; no ``n x n`` array is formed.  The same type
-holds a stack of groups, so :mod:`mimicfund.study` evaluates a whole grid
-with the same Woodbury sums, certificate, ``c = a_phi^-1 beta`` and
-``tau = beta'c`` as :func:`solve`, bit for bit.
+``n`` investors; no ``n x n`` array is formed.  :func:`solve` costs
+O(n k) for ``k`` assets, the size of the weight matrix it returns: its
+achieved utility depends on ``tau`` alone (:func:`_optimal_utility`).
+:func:`penalized_utility`, which evaluates any ``W``, costs O(n k^2).  The
+same type holds a stack of groups, so :mod:`mimicfund.study` evaluates a
+whole grid with the same Woodbury sums, certificate, ``c = a_phi^-1 beta``,
+``tau = beta'c`` and optimal utility as :func:`solve`, bit for bit.
 """
 
 from __future__ import annotations
@@ -178,30 +180,43 @@ def mimicking_matrix(group: InvestorGroup) -> MimickingMatrix:
     return mm
 
 
+def _optimal_utility(ctx: MarkowitzContext, tau, beta_alpha):
+    """Penalized utility at the optimum: ``mu_gmv + (slope tau - v_gmv beta'alpha) / 2``.
+
+    With ``W = gmvp 1' + tilt c'`` and ``1' a_phi 1 = beta'alpha`` the
+    utility is ``mu_gmv + slope beta'c - (v_gmv beta'alpha + slope c'a_phi c) / 2``;
+    at the optimum ``a_phi c = beta``, so ``c'a_phi c = beta'c = tau``.  Takes
+    floats for one group or per-group arrays for a stack.
+    """
+    return ctx.mu_gmv + 0.5 * (ctx.slope * tau - ctx.v_gmv * beta_alpha)
+
+
 def solve(ctx: MarkowitzContext, group: InvestorGroup) -> MimickingSolution:
     """Closed-form solution of the penalized group problem.
 
     Column ``i`` of the optimum is ``gmvp + c_i * tilt`` where
     ``c = a_phi^-1 beta``; the fund aggregate is the frontier portfolio at
     inverse risk aversion ``tau = beta' c`` (:func:`markowitz.frontier`),
-    which equals ``w_star @ beta``.  The achieved utility is evaluated by the
-    trace form of :func:`penalized_utility` rather than re-derived.
+    which equals ``w_star @ beta``.  The achieved utility depends on ``tau``
+    alone (:func:`_optimal_utility`), so no product with ``sigma`` is formed.
+    The freshly built ``W`` is frozen and handed to :class:`PortfolioMatrix`,
+    which keeps it without a copy.
     """
     mm = mimicking_matrix(group)
     c = mm.inverse_beta()
     tau = _dot(group.beta, c).item()
     w = np.multiply.outer(ctx.tilt, c)
     w += ctx.gmvp[:, None]
-    w_star = PortfolioMatrix(w)
+    w.setflags(write=False)
     fund_weights, point = markowitz.frontier(ctx, tau)
     fund_weights.setflags(write=False)
-    eu_star = _structured_utility(ctx.market, group, mm, w_star.weights)
+    beta_alpha = _dot(group.beta, group.alpha).item()
     return MimickingSolution(
-        w_star=w_star,
+        w_star=PortfolioMatrix(w),
         fund_weights=fund_weights,
         alpha_star_f=1.0 / tau,
         point=point,
-        eu_star=eu_star,
+        eu_star=_optimal_utility(ctx, tau, beta_alpha),
     )
 
 
@@ -221,12 +236,8 @@ def penalized_utility(
         raise errors.DimensionMismatch(
             f"weights are {weights.k}x{weights.n}, expected {market.k}x{group.n}"
         )
-    return _structured_utility(market, group, mimicking_matrix(group), weights.weights)
-
-
-def _structured_utility(
-    market: MarketModel, group: InvestorGroup, mm: MimickingMatrix, w: np.ndarray
-) -> float:
+    mm = mimicking_matrix(group)
+    w = weights.weights
     sw = market.sigma @ w
     s_beta = sw @ group.beta
     sw *= w

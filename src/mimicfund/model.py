@@ -58,6 +58,18 @@ def _as_matrix(x, name: str) -> np.ndarray:
     return arr
 
 
+def _frozen_matrix(x) -> bool:
+    """Whether ``x`` is a read-only, C-contiguous float64 matrix owning its data."""
+    return (
+        type(x) is np.ndarray
+        and x.dtype == np.float64
+        and x.ndim == 2
+        and x.base is None
+        and x.flags.c_contiguous
+        and not x.flags.writeable
+    )
+
+
 def _require_finite(arr: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise errors.NonFiniteValue(f"{name} contains a non-finite entry")
@@ -197,14 +209,19 @@ class InvestorGroup:
 class PortfolioMatrix:
     """A ``k x n`` matrix whose column ``i`` is investor ``i``'s weights.
 
-    Every column must sum to 1 within ``COLUMN_SUM_TOL``.  The constructor
-    copies its input, so the caller's array stays writeable and unshared.
+    Every column must sum to 1 within ``COLUMN_SUM_TOL``, and every entry
+    must be finite; both are checked on every construction.  A read-only,
+    C-contiguous float64 2-D array that owns its data is kept as it is: its
+    owner has frozen it and hands it over.  Every other input is copied, so
+    the caller's array stays writeable and unshared.
     """
 
     weights: np.ndarray
 
     def __post_init__(self):
-        weights = _as_matrix(self.weights, "weights")
+        weights = self.weights
+        if not _frozen_matrix(weights):
+            weights = _as_matrix(weights, "weights")
         _require_finite(weights, "weights")
         sums = weights.sum(axis=0)
         off = np.max(np.abs(sums - 1.0))

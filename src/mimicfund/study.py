@@ -20,12 +20,14 @@ and ``1' a_phi 1 = beta' alpha`` the penalized utility is
     mu_gmv + slope beta'c - (v_gmv beta'alpha + slope c' a_phi c) / 2,
     c' a_phi c = sum_i d_i c_i^2 + (u'c)(beta'c),
 
-a concave quadratic in ``c`` that peaks at ``c*``.  So the utility gain is
-the quadratic form ``slope (c_cl - c*)' a_phi (c_cl - c*) / 2``, computed
-directly rather than as a difference of two nearly equal utilities, and the
-weight shift is ``(beta'c* - beta'c_cl) tilt_0``.  The whole grid is one
-stack of groups, evaluated by array operations along the investor axis: a
-run costs O(points n) and forms no weight matrix and no mimicking matrix.
+a concave quadratic in ``c`` that peaks at ``c*``, where ``c*' a_phi c* =
+beta'c*`` makes it the optimal utility of :func:`mimicking.solve`.  So the
+utility gain is the quadratic form ``slope (c_cl - c*)' a_phi (c_cl - c*) / 2``,
+computed directly rather than as a difference of two nearly equal
+utilities, and the weight shift is ``(beta'c* - beta'c_cl) tilt_0``.  The
+whole grid is one stack of groups, evaluated by array operations along the
+investor axis: a run costs O(points n) and forms no weight matrix and no
+mimicking matrix.
 """
 
 from __future__ import annotations
@@ -151,9 +153,10 @@ def _frontier_gains(
     values have shape ``(..., 1)``, like every per-group value of
     :class:`mimicking.MimickingMatrix`.  The faults, laid out as in
     :func:`model._group_faults`, are the checks of the optimum (the
-    positive-definiteness guard) and of the utilities (a positive optimum,
-    no gain below rounding noise); the values are meaningless where a check
-    fails.  The inputs are assumed to be valid groups.
+    positive-definiteness guard, a finite ``delta_omega``) and of the
+    utilities (a positive optimum, no gain below rounding noise, a finite
+    ``delta_eu``); the values are meaningless where a check fails.  The
+    inputs are assumed to be valid groups.
     """
     dot = mimicking._dot
     with np.errstate(all="ignore"):
@@ -162,27 +165,28 @@ def _frontier_gains(
         c_cl = 1.0 / alpha
         tau = dot(beta, c)
         tau_cl = dot(beta, c_cl)
-        curvature = dot(w.d, c * c) + dot(w.u, c) * tau
-        eu_star = ctx.mu_gmv + ctx.slope * tau - 0.5 * (
-            ctx.v_gmv * dot(beta, alpha) + ctx.slope * curvature
-        )
+        eu_star = mimicking._optimal_utility(ctx, tau, dot(beta, alpha))
         e = c_cl - c
         gain = 0.5 * ctx.slope * (dot(w.d, e * e) + dot(w.u, e) * dot(beta, e))
         noise = _GAIN_CLAMP * np.maximum(1.0, abs(eu_star))
+        d_eu = np.where(abs(gain) <= noise, 0.0, gain) / eu_star
+        g0, t0 = ctx.gmvp[0], ctx.tilt[0]
+        d_omega = (g0 + tau * t0) - (g0 + tau_cl * t0)
         optimum_faults = [
             (~w.certified, errors.NotPositiveDefinite,
              "symmetrized mimicking matrix failed its positive-definiteness guard", None),
+            (~np.isfinite(d_omega), errors.NumericalBreakdown,
+             "delta_omega is {!r}; the fund weights are not finite", d_omega),
         ]
         utility_faults = [
             (eu_star <= 0, errors.NonPositiveOptimum,
              "penalized utility at the optimum is {!r}; relative gains are undefined", eu_star),
             (gain < -noise, errors.NumericalBreakdown,
              "utility gain {!r} is negative; optimality is violated", gain),
+            (~np.isfinite(d_eu), errors.NumericalBreakdown,
+             "delta_eu is {!r}; the utilities are not finite", d_eu),
         ]
-        gain = np.where(abs(gain) <= noise, 0.0, gain)
-        g0, t0 = ctx.gmvp[0], ctx.tilt[0]
-        d_omega = (g0 + tau * t0) - (g0 + tau_cl * t0)
-        return d_omega, gain / eu_star, optimum_faults, utility_faults
+    return d_omega, d_eu, optimum_faults, utility_faults
 
 
 def delta_omega(ctx: MarkowitzContext, group: InvestorGroup) -> float:

@@ -5,6 +5,8 @@ and the model's definitions with plain numpy, sharing no code with the
 package's solvers.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 
@@ -71,6 +73,29 @@ def penalized_direct(mu, sigma, alpha, beta, phi, w):
             - 0.5 * alpha[i] * (wi @ sigma @ wi)
             - 0.5 * phi[i] * (diff @ sigma @ diff)
         )
+    return total
+
+
+def penalized_exact(mu, sigma, alpha, beta, phi, w):
+    """:func:`penalized_direct` in exact rational arithmetic.
+
+    Every float input is converted to a :class:`fractions.Fraction` without
+    rounding, so the result is the exact utility at the given floats.
+    """
+    exact = np.vectorize(Fraction, otypes=[object])
+    mu, sigma, alpha, beta, phi, w = map(exact, (mu, sigma, alpha, beta, phi, w))
+    k, n = w.shape
+    fund = [sum(w[a, j] * beta[j] for j in range(n)) for a in range(k)]
+
+    def quad(x):
+        return sum(x[a] * sigma[a, b] * x[b] for a in range(k) for b in range(k))
+
+    total = Fraction(0)
+    for i in range(n):
+        wi = w[:, i]
+        diff = [wi[a] - fund[a] for a in range(k)]
+        mean = sum(wi[a] * mu[a] for a in range(k))
+        total += beta[i] * (mean - alpha[i] * quad(wi) / 2 - phi[i] * quad(diff) / 2)
     return total
 
 

@@ -416,6 +416,37 @@ class TestStudy:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert "cannot write " + str(out / "figure1.manifest.json") in result.stderr
+        # all or none: no figure1.csv and no temporary file is left behind
+        assert sorted(p.name for p in out.iterdir()) == ["figure1.manifest.json"]
+        assert not any((out / "figure1.manifest.json").iterdir())
+
+    def test_failed_write_keeps_earlier_output(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("study", "--output-dir", str(out)).returncode == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps({"grid_points": 3}), encoding="utf-8")
+        (out / "figure2.manifest.json").unlink()
+        (out / "figure2.manifest.json").mkdir()
+        result = run_cli("study", "--config", str(cfg), "--output-dir", str(out))
+        assert result.returncode == 2
+        assert "cannot write " + str(out / "figure2.manifest.json") in result.stderr
+        after = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        del before["figure2.manifest.json"]
+        assert after == before
+
+    def test_non_finite_result_exits_3(self, tmp_path):
+        # the textbook covariance scaled by 1e-300 is valid, but its frontier
+        # tilt overflows; the run must name the point, not write NaN rows
+        cfg = tmp_path / "study.json"
+        sigma = [[1.44e-302, 4.8e-303], [4.8e-303, 4e-302]]
+        cfg.write_text(json.dumps({"mu": [0.07, 0.14], "sigma": sigma}), encoding="utf-8")
+        out = tmp_path / "study"
+        result = run_cli("study", "--config", str(cfg), "--output-dir", str(out))
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        assert "error: series phi=3, coordinate 1: delta_omega is nan" in result.stderr
+        assert not (out / "figure1.csv").exists()
 
 
 class TestEstimate:

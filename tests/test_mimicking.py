@@ -1,3 +1,4 @@
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -303,15 +304,22 @@ class TestPenalizedUtility:
 
 
     def test_solution_weights_are_read_only_and_reproduce_eu_star(self):
+        # eu_star comes from tau alone, not from the trace form at w_star; it
+        # must agree with both the trace form and the exact utility at w_star
         rng = np.random.default_rng(39)
         for _ in range(25):
             market, group = sampling.random_instance(rng)
             sol = mimicking.solve(markowitz.context(market), group)
             assert not sol.w_star.weights.flags.writeable
-            assert mimicking.penalized_utility(market, group, sol.w_star) == sol.eu_star
+            got = mimicking.penalized_utility(market, group, sol.w_star)
+            assert got == pytest.approx(sol.eu_star, rel=1e-13)
+            exact = support.penalized_exact(
+                market.mu, market.sigma, group.alpha, group.beta, group.phi, sol.w_star.weights
+            )
+            assert abs(Fraction(sol.eu_star) - exact) / max(1, abs(exact)) <= 1e-13
             arr = np.array(sol.w_star.weights)
             before = arr.copy()
-            assert mimicking.penalized_utility(market, group, arr) == sol.eu_star
+            assert mimicking.penalized_utility(market, group, arr) == got
             assert arr.flags.writeable
             assert np.array_equal(arr, before)
 

@@ -148,6 +148,46 @@ class TestPortfolioMatrix:
         arr[0, 0] = 9.0
         assert pm.weights[0, 0] == 0.5
 
+    def test_frozen_owning_array_is_kept(self):
+        arr = np.array([[0.5, 1.5], [0.5, -0.5]])
+        arr.setflags(write=False)
+        pm = PortfolioMatrix(arr)
+        assert pm.weights is arr
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda arr: arr,
+            lambda arr: arr[:, :],
+            lambda arr: np.asfortranarray(arr),
+            lambda arr: arr.astype(np.float32),
+            lambda arr: arr.tolist(),
+        ],
+        ids=["writeable", "view", "fortran", "float32", "list"],
+    )
+    def test_other_inputs_are_copied(self, make):
+        arr = np.array([[0.5, 1.5, 0.25], [0.5, -0.5, 0.75]])
+        given = make(arr)
+        if isinstance(given, np.ndarray) and given is not arr:
+            given.setflags(write=False)
+        pm = PortfolioMatrix(given)
+        assert pm.weights is not given
+        assert not np.shares_memory(pm.weights, arr)
+        assert pm.weights.dtype == np.float64
+        assert not pm.weights.flags.writeable
+        assert arr.flags.writeable
+        np.testing.assert_array_equal(pm.weights, np.asarray(given, dtype=float))
+
+    def test_kept_array_is_still_checked(self):
+        bad_sum = np.array([[0.5, 0.5], [0.5, 0.4]])
+        bad_sum.setflags(write=False)
+        with pytest.raises(errors.ConstraintViolated):
+            PortfolioMatrix(bad_sum)
+        non_finite = np.array([[np.nan, 0.5], [1.0, 0.5]])
+        non_finite.setflags(write=False)
+        with pytest.raises(errors.NonFiniteValue):
+            PortfolioMatrix(non_finite)
+
 
 def test_array_holding_types_compare_and_hash_by_identity(textbook_ctx, base_group):
     market = textbook_ctx.market
