@@ -7,6 +7,7 @@ individual optimum and the fund-level aggregation across a group.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,60 +26,56 @@ class FrontierPoint:
 
 @dataclass(frozen=True, eq=False)
 class MarkowitzContext:
-    """Derived quantities of a market, shared by all closed-form solvers.
+    """Frontier constants of a market, shared by all closed-form solvers.
 
     ``gmvp``                global minimum-variance weights, sums to 1
-    ``q``                   symmetric PSD matrix with ``q @ 1 == 0``
-    ``tilt``                ``q @ mu``; scaled by an inverse risk aversion it
-                            gives the optimal tilt away from ``gmvp``
+    ``tilt``                ``sigma^-1 (mu - mu_gmv 1)``, sums to 0; scaled by
+                            an inverse risk aversion it gives the optimal tilt
+                            away from ``gmvp``
     ``mu_gmv``, ``v_gmv``   mean and variance of the GMVP (``v_gmv > 0``)
-    ``slope``               curvature constant ``mu' q mu >= 0`` of the
+    ``slope``               curvature constant ``mu' tilt >= 0`` of the
                             frontier parametrization
-    ``market``              the generating :class:`MarketModel`
     """
 
     gmvp: np.ndarray
-    q: np.ndarray
     tilt: np.ndarray
     mu_gmv: float
     v_gmv: float
     slope: float
-    market: MarketModel
 
 
 def context(market: MarketModel) -> MarkowitzContext:
-    """Compute the GMVP, the tilt matrix and the frontier constants.
+    """Compute the GMVP, the frontier tilt and the frontier constants.
 
-    Reuses the market's Cholesky factor ``L``: ``sigma^-1 = L^-1' L^-1``
-    stays symmetric positive semidefinite, and no second factorization of
-    ``sigma`` is made.
+    With the market's Cholesky factor ``L`` (``sigma = L L'``), ``y1 = L^-1 1``
+    and ``ym = L^-1 mu`` give ``1' sigma^-1 1 = y1'y1``, ``mu_gmv = y1'ym / y1'y1``
+    and ``slope = |ym - mu_gmv y1|^2``, a sum of squares.  Nothing scales
+    faster than ``sigma^-1``: a power-of-4 scale of ``(mu, sigma)`` keeps the
+    weights' bits while every intermediate stays in the normal float range,
+    and a result that is not finite raises :class:`errors.NumericalBreakdown`.
     """
-    k = market.k
     try:
-        l_inv = np.linalg.solve(market.cholesky, np.eye(k))
+        l_inv = np.linalg.solve(market.cholesky, np.eye(market.k))
     except np.linalg.LinAlgError as exc:
         raise errors.NumericalBreakdown(f"covariance solve failed: {exc}") from exc
-    sigma_inv = l_inv.T @ l_inv
-    si_one = sigma_inv.sum(axis=1)
-    c0 = float(si_one.sum())
-    if c0 <= 0 or not np.isfinite(c0):
-        raise errors.NumericalBreakdown("1' sigma^-1 1 is not positive")
-    gmvp = si_one / c0
-    q = sigma_inv - np.outer(si_one, si_one) / c0
-    q = (q + q.T) / 2.0
-    mu_gmv = float(market.mu @ si_one) / c0
-    v_gmv = 1.0 / c0
-    tilt = q @ market.mu
-    slope = float(market.mu @ tilt)
-    if slope < 0:
-        # exact value is >= 0; only rounding noise may dip below
-        if slope < -1e-12 * max(1.0, float(market.mu @ market.mu)) * np.max(np.abs(q)):
-            raise errors.NumericalBreakdown(f"frontier slope came out negative: {slope!r}")
-        slope = 0.0
-    for arr in (gmvp, q, tilt):
-        arr.setflags(write=False)
+    with np.errstate(all="ignore"):
+        y1 = l_inv.sum(axis=1)
+        ym = l_inv @ market.mu
+        c0 = y1 @ y1
+        mu_gmv = (y1 @ ym) / c0
+        excess = ym - mu_gmv * y1
+        slope = excess @ excess
+        si_one = l_inv.T @ y1
+        gmvp = si_one / si_one.sum()
+        si_mu = l_inv.T @ ym
+        tilt = si_mu - si_mu.sum() * gmvp
+        v_gmv = 1.0 / c0
+    if not (np.isfinite(tilt).all() and all(map(math.isfinite, (mu_gmv, v_gmv, slope)))):
+        raise errors.NumericalBreakdown("frontier constants are not finite at this market's scale")
+    gmvp.setflags(write=False)
+    tilt.setflags(write=False)
     return MarkowitzContext(
-        gmvp=gmvp, q=q, tilt=tilt, mu_gmv=mu_gmv, v_gmv=v_gmv, slope=slope, market=market
+        gmvp=gmvp, tilt=tilt, mu_gmv=float(mu_gmv), v_gmv=float(v_gmv), slope=float(slope)
     )
 
 

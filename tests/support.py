@@ -99,6 +99,35 @@ def penalized_exact(mu, sigma, alpha, beta, phi, w):
     return total
 
 
+def frontier_exact(mu, sigma):
+    """GMVP, frontier tilt and slope of a market in exact rational arithmetic.
+
+    Solves ``sigma [x y] = [1 mu]`` by Gauss-Jordan elimination on
+    :class:`fractions.Fraction` entries, so the results are exact at the
+    given floats: ``gmvp = x / 1'x``, ``tilt = y - (1'y) gmvp`` and
+    ``slope = mu'tilt``.
+    """
+    k = len(mu)
+    rows = [
+        [Fraction(x) for x in sigma[i]] + [Fraction(1), Fraction(mu[i])] for i in range(k)
+    ]
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col][col]
+        rows[col] = [x / head for x in rows[col]]
+        for r in range(k):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    x = [row[k] for row in rows]
+    y = [row[k + 1] for row in rows]
+    gmvp = [xi / sum(x) for xi in x]
+    tilt = [yi - sum(y) * g for yi, g in zip(y, gmvp)]
+    slope = sum(Fraction(m) * t for m, t in zip(mu, tilt))
+    return gmvp, tilt, slope
+
+
 def mimicking_structure(alpha, beta, phi):
     """``d = (alpha + phi) beta`` and ``u = (beta'phi - 2 phi) beta``.
 

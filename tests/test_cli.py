@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -34,6 +36,11 @@ TEXTBOOK_CONFIG = {
     "beta": [0.5, 0.5],
     "phi": [3.0, 3.0],
 }
+
+
+# the textbook covariance scaled by 1e-300: valid, with entries near the
+# bottom of the normal float range
+TINY_SIGMA = [[1.44e-302, 4.8e-303], [4.8e-303, 4e-302]]
 
 
 @pytest.fixture
@@ -200,6 +207,17 @@ class TestSolve:
         result = run_cli("solve", "--config", str(path))
         assert_validation_error(result)
         assert "error: unknown solve config keys: extra" in result.stderr
+
+    def test_overflowing_frontier_exits_3(self, tmp_path):
+        # sigma^-1 mu is about 1e312: a numerical failure, not invalid input
+        cfg = tmp_path / "config.json"
+        config = {**TEXTBOOK_CONFIG, "mu": [1e10, 2e10], "sigma": TINY_SIGMA}
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        result = run_cli("solve", "--config", str(cfg))
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert "error: frontier constants are not finite" in result.stderr
+        assert "Warning" not in result.stderr and "Traceback" not in result.stderr
 
     def test_annualize_without_returns_exits_1(self, solve_config):
         result = run_cli("solve", "--config", str(solve_config), "--annualize", "12")
@@ -435,18 +453,46 @@ class TestStudy:
         del before["figure2.manifest.json"]
         assert after == before
 
-    def test_non_finite_result_exits_3(self, tmp_path):
-        # the textbook covariance scaled by 1e-300 is valid, but its frontier
-        # tilt overflows; the run must name the point, not write NaN rows
+    def test_tiny_covariance_solves(self, tmp_path):
+        # the frontier constants scale like sigma^-1 at most, so a valid
+        # covariance near the bottom of the float range still solves
         cfg = tmp_path / "study.json"
-        sigma = [[1.44e-302, 4.8e-303], [4.8e-303, 4e-302]]
-        cfg.write_text(json.dumps({"mu": [0.07, 0.14], "sigma": sigma}), encoding="utf-8")
+        cfg.write_text(json.dumps({"mu": [0.07, 0.14], "sigma": TINY_SIGMA}), encoding="utf-8")
+        out = tmp_path / "study"
+        result = run_cli("study", "--config", str(cfg), "--output-dir", str(out))
+        assert result.returncode == 0, result.stderr
+        assert "Warning" not in result.stderr
+        for name in ("figure1.csv", "figure2.csv"):
+            with open(out / name, newline="", encoding="utf-8") as handle:
+                rows = list(csv.DictReader(handle))
+            assert len(rows) == 303
+            values = [float(row[key]) for row in rows for key in ("delta_omega", "delta_eu")]
+            assert all(math.isfinite(v) for v in values)
+
+    def test_non_finite_result_exits_3(self, tmp_path):
+        # on the same covariance alpha1 = 1e-6 overflows the utilities; the
+        # run must name the point, not write inf rows
+        cfg = tmp_path / "study.json"
+        config = {"mu": [0.07, 0.14], "sigma": TINY_SIGMA, "alpha1": 1e-6}
+        cfg.write_text(json.dumps(config), encoding="utf-8")
         out = tmp_path / "study"
         result = run_cli("study", "--config", str(cfg), "--output-dir", str(out))
         assert result.returncode == 3
         assert "Traceback" not in result.stderr
-        assert "error: series phi=3, coordinate 1: delta_omega is nan" in result.stderr
+        assert "error: series phi=3, coordinate 1.09: delta_eu is inf" in result.stderr
         assert not (out / "figure1.csv").exists()
+
+    def test_overflowing_slope_exits_3(self, tmp_path):
+        # mu' sigma^-1 mu is about 2.5e309; it must not be read as a flat frontier
+        cfg = tmp_path / "study.json"
+        config = {"mu": [1e154, 2e154], "sigma": TEXTBOOK_CONFIG["sigma"]}
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "study"
+        result = run_cli("study", "--config", str(cfg), "--output-dir", str(out))
+        assert result.returncode == 3
+        assert "error: frontier constants are not finite" in result.stderr
+        assert "Warning" not in result.stderr and "Traceback" not in result.stderr
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestEstimate:

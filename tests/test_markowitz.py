@@ -1,17 +1,20 @@
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import support
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimicfund import build_group, build_market, errors, markowitz, sampling
+from mimicfund import build_group, build_market, errors, markowitz, mimicking, sampling
 
 # Hand-derived constants for the textbook market, confirmed against the
 # independent KKT oracles below before being frozen.
 GMVP = np.array([11 / 14, 3 / 14])
 MU_GMV = 0.085
 V_GMV = 54 / 4375
-Q_MU = np.array([-1.5625, 1.5625])
+TILT = np.array([-1.5625, 1.5625])
 SLOPE = 0.109375
 
 TEXTBOOK_CTX = markowitz.context(
@@ -20,13 +23,17 @@ TEXTBOOK_CTX = markowitz.context(
 
 
 class TestContext:
+    def test_has_only_the_frontier_constants(self, textbook_ctx):
+        names = [field.name for field in dataclasses.fields(textbook_ctx)]
+        assert names == ["gmvp", "tilt", "mu_gmv", "v_gmv", "slope"]
+
     def test_textbook_values_match_oracle_then_frozen(self, textbook_market, textbook_ctx):
         oracle_gmvp = support.qp_gmvp(textbook_market.sigma)
         np.testing.assert_allclose(textbook_ctx.gmvp, oracle_gmvp, rtol=1e-12)
         np.testing.assert_allclose(textbook_ctx.gmvp, GMVP, rtol=1e-12)
         assert textbook_ctx.mu_gmv == pytest.approx(MU_GMV, abs=1e-12)
         assert textbook_ctx.v_gmv == pytest.approx(V_GMV, rel=1e-12)
-        np.testing.assert_allclose(textbook_ctx.q @ textbook_market.mu, Q_MU, rtol=1e-12)
+        np.testing.assert_allclose(textbook_ctx.tilt, TILT, rtol=1e-12)
         assert textbook_ctx.slope == pytest.approx(SLOPE, rel=1e-12)
 
     def test_identity_covariance_gives_uniform_gmvp(self):
@@ -38,7 +45,7 @@ class TestContext:
         rng = np.random.default_rng(5)
         market = build_market(np.full(4, 0.03), sampling.random_market(rng, 4).sigma)
         ctx = markowitz.context(market)
-        np.testing.assert_allclose(ctx.q @ market.mu, 0.0, atol=1e-14)
+        np.testing.assert_allclose(ctx.tilt, 0.0, atol=1e-14)
         assert ctx.slope == pytest.approx(0.0, abs=1e-14)
 
     def test_invariants_on_random_markets(self):
@@ -48,15 +55,27 @@ class TestContext:
             ctx = markowitz.context(market)
             assert abs(ctx.gmvp.sum() - 1.0) <= 1e-12
             assert ctx.v_gmv > 0
+            assert abs(ctx.tilt.sum()) <= 1e-10 * np.max(np.abs(ctx.tilt))
             assert ctx.slope >= 0
-            scale = np.max(np.abs(ctx.q))
-            assert np.max(np.abs(ctx.q @ np.ones(market.k))) <= 1e-10 * scale
-            np.testing.assert_allclose(ctx.q, ctx.q.T, atol=1e-15 * scale)
-            assert np.min(np.linalg.eigvalsh(ctx.q)) >= -1e-10 * scale
+            assert ctx.slope == pytest.approx(market.mu @ ctx.tilt, rel=1e-12)
+
+    def test_matches_exact_rational_arithmetic(self):
+        # the slope is a sum of squares, not a difference of two quadratic forms
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            market = sampling.random_market(rng, int(rng.integers(2, 7)))
+            ctx = markowitz.context(market)
+            gmvp, tilt, slope = support.frontier_exact(market.mu.tolist(), market.sigma.tolist())
+            tilt_scale = max(abs(t) for t in tilt)
+            for got, exact in zip(ctx.gmvp.tolist(), gmvp):
+                assert abs(Fraction(got) - exact) <= Fraction(1, 10**13)
+            for got, exact in zip(ctx.tilt.tolist(), tilt):
+                assert abs(Fraction(got) - exact) <= Fraction(1, 10**11) * tilt_scale
+            assert abs(Fraction(ctx.slope) - slope) <= Fraction(1, 10**12) * slope
 
     def test_ill_conditioned_covariance(self):
         # positive definite with condition number 1e12: the factor-based
-        # inverse must still give a unit-sum GMVP and a q that kills constants
+        # solve must still give a unit-sum GMVP and a zero-sum tilt
         rng = np.random.default_rng(17)
         for k in (2, 5, 10):
             basis, _ = np.linalg.qr(rng.standard_normal((k, k)))
@@ -66,9 +85,24 @@ class TestContext:
             assert np.linalg.cond(market.sigma) == pytest.approx(1e12, rel=1e-2)
             ctx = markowitz.context(market)
             assert abs(ctx.gmvp.sum() - 1.0) <= 1e-12
-            inverse_norm = 1.0 / np.linalg.eigvalsh(market.sigma)[0]
-            assert np.max(np.abs(ctx.q @ np.ones(k))) <= 1e-12 * inverse_norm
+            assert abs(ctx.tilt.sum()) <= 1e-12 * np.max(np.abs(ctx.tilt))
             assert ctx.slope >= 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), j=st.integers(-500, 500))
+    def test_solve_is_scale_free(self, seed, j):
+        # (mu, sigma) -> 4^j (mu, sigma) leaves the optimum unchanged, and
+        # powers of 4 have exact square roots, so W keeps its bits; a failure
+        # must be typed as numerical, never as invalid input
+        market, group = sampling.random_instance(np.random.default_rng(seed), 10, 10)
+        reference = mimicking.solve(markowitz.context(market), group).w_star.weights
+        scale = 4.0**j
+        scaled = build_market(scale * market.mu, scale * market.sigma)
+        try:
+            weights = mimicking.solve(markowitz.context(scaled), group).w_star.weights
+        except errors.NumericalError:
+            return
+        assert np.array_equal(weights, reference)
 
 
 class TestIndividualWeights:
@@ -76,7 +110,7 @@ class TestIndividualWeights:
         weights, point = markowitz.individual_weights(textbook_ctx, 2.0)
         oracle = support.qp_individual(textbook_market.mu, textbook_market.sigma, 2.0)
         np.testing.assert_allclose(weights, oracle, atol=1e-12)
-        np.testing.assert_allclose(weights, GMVP + 0.5 * Q_MU, rtol=1e-12)
+        np.testing.assert_allclose(weights, GMVP + 0.5 * TILT, rtol=1e-12)
         assert point.mean == pytest.approx(MU_GMV + SLOPE / 2, rel=1e-12)
         assert point.variance == pytest.approx(V_GMV + SLOPE / 4, rel=1e-12)
 
@@ -129,12 +163,12 @@ class TestIndividualWeights:
 
 
 class TestFundAggregate:
-    def test_textbook_harmonic_aggregation(self, textbook_ctx, base_group):
+    def test_textbook_harmonic_aggregation(self, textbook_market, textbook_ctx, base_group):
         weights, alpha_f, _ = markowitz.fund_aggregate(textbook_ctx, base_group)
         assert alpha_f == pytest.approx(8 / 3, rel=1e-12)
         stacked = support.classical_stacked(
-            textbook_ctx.market.mu,
-            textbook_ctx.market.sigma,
+            textbook_market.mu,
+            textbook_market.sigma,
             base_group.alpha,
             base_group.beta,
         )

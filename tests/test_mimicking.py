@@ -184,10 +184,9 @@ class TestSolve:
 
     def test_columns_lie_on_the_frontier_tilt_line(self, textbook_ctx):
         # mimicking only moves the aggregate risk aversion: every column is
-        # gmvp plus a scalar multiple of q @ mu
+        # gmvp plus a scalar multiple of the frontier tilt
         rng = np.random.default_rng(43)
-        tilt = textbook_ctx.q @ textbook_ctx.market.mu
-        tilt_unit = tilt / np.linalg.norm(tilt)
+        tilt_unit = textbook_ctx.tilt / np.linalg.norm(textbook_ctx.tilt)
         for _ in range(20):
             g = sampling.random_group(rng, int(rng.integers(2, 9)))
             s = mimicking.solve(textbook_ctx, g)
@@ -348,7 +347,7 @@ class TestEqualWealthMatrix:
             scaled_sym = (scaled + scaled.T) / 2
             ones = np.ones(n)
             tau = float(ones @ np.linalg.solve(scaled_sym, ones))
-            fund = textbook_ctx.gmvp + tau * (textbook_ctx.q @ textbook_ctx.market.mu)
+            fund = textbook_ctx.gmvp + tau * textbook_ctx.tilt
             solution = mimicking.solve(textbook_ctx, g)
             np.testing.assert_allclose(fund, solution.fund_weights, atol=1e-12)
 

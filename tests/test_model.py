@@ -189,15 +189,14 @@ class TestPortfolioMatrix:
             PortfolioMatrix(non_finite)
 
 
-def test_array_holding_types_compare_and_hash_by_identity(textbook_ctx, base_group):
-    market = textbook_ctx.market
+def test_array_holding_types_compare_and_hash_by_identity(textbook_market, textbook_ctx, base_group):
     values = [
-        market,
+        textbook_market,
         base_group,
         PortfolioMatrix(((0.5, 1.5), (0.5, -0.5))),
         textbook_ctx,
         mimicking.solve(textbook_ctx, base_group),
-        oracle.kkt_solve(market, base_group),
+        oracle.kkt_solve(textbook_market, base_group),
         moments.ReturnSample(np.eye(4, 2), ("A", "B")),
     ]
     for value in values:

@@ -20,17 +20,18 @@ def study_group(a, phi, alpha1=2.0):
     return build_group((alpha1, a * alpha1), STUDY_BETA, (phi, phi))
 
 
-def per_group_gains(ctx, group):
+def per_group_gains(market, group):
     """delta_omega and delta_eu by their definition, one group at a time.
 
     The optimum and its utility come from ``mimicking.solve``; the baseline
     evaluates ``penalized_utility`` at the matrix of penalty-free optima.
     """
+    ctx = markowitz.context(market)
     solution = mimicking.solve(ctx, group)
     base_weights, _, _ = markowitz.fund_aggregate(ctx, group)
     d_omega = float(solution.fund_weights[0] - base_weights[0])
     classical = np.column_stack([markowitz.individual_weights(ctx, a)[0] for a in group.alpha])
-    baseline = mimicking.penalized_utility(ctx.market, group, classical)
+    baseline = mimicking.penalized_utility(market, group, classical)
     gain = solution.eu_star - baseline
     if abs(gain) <= 1e-13 * max(1.0, abs(solution.eu_star)):
         gain = 0.0
@@ -166,7 +167,7 @@ class TestDeltaOmega:
         )
 
     def test_consistent_with_scalar_aggregation_form(self, textbook_ctx):
-        tilt_first = float((textbook_ctx.q @ textbook_ctx.market.mu)[0])
+        tilt_first = float(textbook_ctx.tilt[0])
         for a, phi in ((1.0, 0.5), (2.0, 3.0), (5.0, 3.0), (7.5, 4.2), (10.0, 10.0)):
             group = study_group(a, phi)
             got = delta_omega(textbook_ctx, group)
@@ -208,7 +209,7 @@ class TestDeltaEu:
             ctx = markowitz.context(market)
             n = int(rng.integers(2, 51))
             group = sampling.random_group(rng, n, alpha_low=0.5, phi_high=5.0)
-            d_omega, d_eu, eu_star = per_group_gains(ctx, group)
+            d_omega, d_eu, eu_star = per_group_gains(market, group)
             assert delta_omega(ctx, group) == pytest.approx(d_omega, abs=1e-12)
             if eu_star <= 0:
                 rejected += 1
@@ -308,13 +309,12 @@ class TestRunSweeps:
 
     def test_records_match_per_group_definition(self):
         for config in random_configs():
-            ctx = markowitz.context(config.market)
             figure1, figure2 = run_sweeps(config)
             records = figure1.records + figure2.records
             points = sweep_inputs(config)
             assert len(records) == len(points)
             for record, (phi1, a) in zip(records, points):
-                d_omega, d_eu, _ = per_group_gains(ctx, config_group(config, phi1, a))
+                d_omega, d_eu, _ = per_group_gains(config.market, config_group(config, phi1, a))
                 assert record.delta_omega == pytest.approx(d_omega, abs=1e-12)
                 assert record.delta_eu == pytest.approx(d_eu, abs=1e-12)
 
