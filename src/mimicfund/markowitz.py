@@ -1,8 +1,10 @@
 """Classical mean-variance solutions without any mimicking penalty.
 
-Provides the global minimum-variance portfolio, the frontier constants, the
-frontier portfolio at a given inverse risk aversion, the closed-form
-individual optimum and the fund-level aggregation across a group.
+Provides the global minimum-variance portfolio, the frontier constants and
+the frontier portfolio at an inverse risk aversion ``t`` (investor ``i``
+alone holds it at ``t = 1 / alpha_i``).  A group's fund is the frontier
+portfolio at one scalar: ``tau_cl = beta' (1 / alpha)`` without mimicking,
+and the utility at a group's optimum depends on that scalar alone.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .model import InvestorGroup, MarketModel
+from .model import InvestorGroup, MarketModel, _dot
 
 
 @dataclass(frozen=True)
@@ -90,11 +92,26 @@ def frontier(ctx: MarkowitzContext, t: float) -> tuple[np.ndarray, FrontierPoint
     return weights, point
 
 
-def individual_weights(ctx: MarkowitzContext, alpha_i: float) -> tuple[np.ndarray, FrontierPoint]:
-    """Optimal unit-sum weights and frontier point for risk aversion ``alpha_i``."""
-    if alpha_i <= 0:
-        raise errors.NonPositiveAlpha(f"alpha must be > 0, got {alpha_i!r}")
-    return frontier(ctx, 1.0 / alpha_i)
+def _classical_tau(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Penalty-free fund scalar ``tau_cl = beta' (1 / alpha)`` along the last axis.
+
+    One group ``(n,)`` or a stack ``(..., n)``; the result keeps a trailing
+    axis of length 1, like every per-group value.
+    """
+    return _dot(beta, 1.0 / alpha)
+
+
+def _optimal_utility(ctx: MarkowitzContext, tau, beta_alpha):
+    """Group utility at its optimum: ``mu_gmv + (slope tau - v_gmv beta'alpha) / 2``.
+
+    Investor ``i`` holds ``gmvp + c_i tilt``, so the group's utility is
+    ``mu_gmv + slope beta'c - (v_gmv beta'alpha + slope c'a c) / 2``, and
+    the optimum ``a c = beta`` makes ``c'a c = beta'c = tau``.  Without a
+    penalty ``a = diag(alpha beta)`` and ``tau = tau_cl``; with one, ``a`` is
+    :mod:`mimicfund.mimicking`'s ``a_phi``.  Takes floats for one group or
+    per-group arrays for a stack.
+    """
+    return ctx.mu_gmv + 0.5 * (ctx.slope * tau - ctx.v_gmv * beta_alpha)
 
 
 def fund_aggregate(
@@ -102,11 +119,10 @@ def fund_aggregate(
 ) -> tuple[np.ndarray, float, FrontierPoint]:
     """Wealth-weighted fund portfolio of a group that ignores mimicking.
 
-    The fund's risk aversion is the weighted harmonic mean of the individual
-    ones, and its weights equal the beta-weighted average of the individual
-    optima.
+    The fund is the frontier portfolio at ``tau_cl = beta' (1 / alpha)``,
+    the beta-weighted average of the individual optima; its risk aversion
+    ``1 / tau_cl`` is the weighted harmonic mean of the individual ones.
     """
-    alpha_f = 1.0 / float(np.sum(group.beta / group.alpha))
-    weights, point = frontier(ctx, 1.0 / alpha_f)
-    return weights, alpha_f, point
-
+    tau_cl = _classical_tau(group.alpha, group.beta).item()
+    weights, point = frontier(ctx, tau_cl)
+    return weights, 1.0 / tau_cl, point

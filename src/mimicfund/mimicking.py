@@ -12,16 +12,16 @@ trace-form mean-variance problem through the symmetrized mimicking matrix
 a diagonal plus a rank-two term, and the optimum is available in closed
 form.  Only the aggregate risk-aversion scalar changes relative to the
 classical solution: every optimal column still lies on the line through the
-GMVP spanned by the frontier tilt.  :class:`MimickingMatrix` keeps ``a_phi``
-in this structured form, so certifying and inverting it
-(Sherman-Morrison-Woodbury with a 2 x 2 capacitance matrix) cost O(n) for
-``n`` investors; no ``n x n`` array is formed.  :func:`solve` costs
-O(n k) for ``k`` assets, the size of the weight matrix it returns: its
-achieved utility depends on ``tau`` alone (:func:`_optimal_utility`).
-:func:`penalized_utility`, which evaluates any ``W``, costs O(n k^2).  The
-same type holds a stack of groups, so :mod:`mimicfund.study` evaluates a
-whole grid with the same Woodbury sums, certificate, ``c = a_phi^-1 beta``,
-``tau = beta'c`` and optimal utility as :func:`solve`, bit for bit.
+GMVP spanned by the frontier tilt, and the fund scalar ``tau = beta'c``,
+``c = a_phi^-1 beta``, replaces the classical ``beta' (1 / alpha)``.
+:class:`MimickingMatrix` keeps ``a_phi`` in this structured form, so
+certifying and inverting it (Sherman-Morrison-Woodbury with a 2 x 2
+capacitance matrix) cost O(n) for ``n`` investors; no ``n x n`` array is
+formed.  :func:`_optimum` alone computes ``c`` and ``tau``, for one group or
+a stack of groups, so :func:`solve`, :func:`asymptotic_alpha` and
+:mod:`mimicfund.study` agree bit for bit.  :func:`solve` costs O(n k) for
+``k`` assets, the size of the weight matrix it returns.
+:func:`penalized_utility`, which evaluates any ``W``, costs O(n k^2).
 """
 
 from __future__ import annotations
@@ -33,22 +33,13 @@ import numpy as np
 
 from . import errors, markowitz
 from .markowitz import FrontierPoint, MarkowitzContext
-from .model import InvestorGroup, MarketModel, PortfolioMatrix
+from .model import InvestorGroup, MarketModel, PortfolioMatrix, _dot, _sum
 
 # Relative margin of the positive-definiteness certificate: ``delta`` is the
 # difference of two products of size ``(2 + s_ub)^2``, so a smaller positive
 # value is indistinguishable from rounding.
 PD_RTOL = 1e-13
-
-
-def _sum(x: np.ndarray) -> np.ndarray:
-    """Pairwise sum along the last (investor) axis, kept with length 1."""
-    return np.add.reduce(x, axis=-1, keepdims=True)
-
-
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``_sum(x * y)``, the one inner product of a group or a stack of groups."""
-    return _sum(x * y)
+NOT_CERTIFIED = "symmetrized mimicking matrix failed its positive-definiteness guard"
 
 
 class MimickingMatrix(NamedTuple):
@@ -73,12 +64,13 @@ class MimickingMatrix(NamedTuple):
         d_inv_u    = (phi_bar - 2 phi) / (alpha + phi)      (= D^-1 u)
         s_bb = beta' D^-1 beta,  s_ub = u' D^-1 beta,  s_uu = u' D^-1 u
 
-    none of which divides by a wealth share.  ``delta =
-    (2 + s_ub)^2 - s_uu s_bb`` is minus the determinant of the capacitance
-    matrix; with ``D`` positive definite, ``a_phi`` is positive definite iff
-    ``delta > 0`` (Haynsworth inertia additivity).  Both hold for every
-    valid group (``alpha > 0``, ``beta > 0``, ``phi >= 0``).  ``certified``
-    is the certificate ``alpha + phi > 0`` and ``delta > PD_RTOL (2 + s_ub)^2``.
+    none of which divides by a wealth share.  ``s_uu`` is kept only inside
+    ``delta = (2 + s_ub)^2 - s_uu s_bb``, minus the determinant of the
+    capacitance matrix; with ``D`` positive definite, ``a_phi`` is positive
+    definite iff ``delta > 0`` (Haynsworth inertia additivity).
+    ``certified`` is the certificate ``alpha + phi > 0`` and
+    ``delta > PD_RTOL (2 + s_ub)^2``; the two products in ``delta`` can
+    cancel, so rounding can fail it for a valid group.
 
     The fields describe one group ``(n,)`` or a stack of groups ``(..., n)``
     along the last axis, and one group is a stack of one.  Per-investor
@@ -92,10 +84,8 @@ class MimickingMatrix(NamedTuple):
     u: np.ndarray
     d_inv_beta: np.ndarray
     d_inv_u: np.ndarray
-    phi_bar: np.ndarray
     s_bb: np.ndarray
     s_ub: np.ndarray
-    s_uu: np.ndarray
     delta: np.ndarray
     certified: np.ndarray
 
@@ -128,13 +118,28 @@ def _woodbury(alpha: np.ndarray, beta: np.ndarray, phi: np.ndarray) -> Mimicking
         u=deviation * beta,
         d_inv_beta=d_inv_beta,
         d_inv_u=d_inv_u,
-        phi_bar=phi_bar,
         s_bb=s_bb,
         s_ub=s_ub,
-        s_uu=s_uu,
         delta=delta,
         certified=certified,
     )
+
+
+def _optimum(alpha: np.ndarray, beta: np.ndarray, phi: np.ndarray) -> tuple:
+    """``(matrix, c, tau)`` of one group or a stack along the last axis.
+
+    The structured mimicking matrix, not yet certified, ``c = a_phi^-1 beta``
+    and the fund scalar ``tau = beta'c``, the one formula for ``tau``.
+    """
+    mm = _woodbury(alpha, beta, phi)
+    c = mm.inverse_beta()
+    return mm, c, _dot(beta, c)
+
+
+def _certify(mm: MimickingMatrix) -> None:
+    """Raise :class:`errors.NumericalBreakdown` unless one group's ``mm`` is certified."""
+    if not mm.certified.item():
+        raise errors.NumericalBreakdown(NOT_CERTIFIED)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,28 +172,14 @@ def mimicking_matrix(group: InvestorGroup) -> MimickingMatrix:
     """Build the structured mimicking matrix and certify positive definiteness.
 
     The O(n) certificate is ``delta > 0`` with a positive diagonal ``d``.
-    It cannot fail for a valid group; it is kept as a guard against
-    tolerance pathologies and raises :class:`errors.NotPositiveDefinite`.
+    A valid group fails it only through rounding in ``delta``, so a failure
+    raises :class:`errors.NumericalBreakdown`.
     """
     mm = _woodbury(group.alpha, group.beta, group.phi)
-    if not mm.certified.item():
-        raise errors.NotPositiveDefinite(
-            "symmetrized mimicking matrix failed its positive-definiteness guard"
-        )
+    _certify(mm)
     for arr in (mm.d, mm.u, mm.d_inv_beta, mm.d_inv_u):
         arr.setflags(write=False)
     return mm
-
-
-def _optimal_utility(ctx: MarkowitzContext, tau, beta_alpha):
-    """Penalized utility at the optimum: ``mu_gmv + (slope tau - v_gmv beta'alpha) / 2``.
-
-    With ``W = gmvp 1' + tilt c'`` and ``1' a_phi 1 = beta'alpha`` the
-    utility is ``mu_gmv + slope beta'c - (v_gmv beta'alpha + slope c'a_phi c) / 2``;
-    at the optimum ``a_phi c = beta``, so ``c'a_phi c = beta'c = tau``.  Takes
-    floats for one group or per-group arrays for a stack.
-    """
-    return ctx.mu_gmv + 0.5 * (ctx.slope * tau - ctx.v_gmv * beta_alpha)
 
 
 def solve(ctx: MarkowitzContext, group: InvestorGroup) -> MimickingSolution:
@@ -198,25 +189,32 @@ def solve(ctx: MarkowitzContext, group: InvestorGroup) -> MimickingSolution:
     ``c = a_phi^-1 beta``; the fund aggregate is the frontier portfolio at
     inverse risk aversion ``tau = beta' c`` (:func:`markowitz.frontier`),
     which equals ``w_star @ beta``.  The achieved utility depends on ``tau``
-    alone (:func:`_optimal_utility`), so no product with ``sigma`` is formed.
-    The freshly built ``W`` is frozen and handed to :class:`PortfolioMatrix`,
-    which keeps it without a copy.
+    alone (:func:`markowitz._optimal_utility`), so no product with ``sigma``
+    is formed.  The freshly built ``W`` is frozen and handed to
+    :class:`PortfolioMatrix`, which keeps it without a copy.  A failed
+    certificate, or a ``W`` that fails the checks of
+    :class:`PortfolioMatrix`, comes from rounding and raises
+    :class:`errors.NumericalBreakdown`.
     """
-    mm = mimicking_matrix(group)
-    c = mm.inverse_beta()
-    tau = _dot(group.beta, c).item()
+    mm, c, tau = _optimum(group.alpha, group.beta, group.phi)
+    _certify(mm)
+    tau = tau.item()
     w = np.multiply.outer(ctx.tilt, c)
     w += ctx.gmvp[:, None]
     w.setflags(write=False)
+    try:
+        w_star = PortfolioMatrix(w)
+    except (errors.NonFiniteValue, errors.ConstraintViolated) as exc:
+        raise errors.NumericalBreakdown(f"optimal weights fail their checks: {exc}") from exc
     fund_weights, point = markowitz.frontier(ctx, tau)
     fund_weights.setflags(write=False)
     beta_alpha = _dot(group.beta, group.alpha).item()
     return MimickingSolution(
-        w_star=PortfolioMatrix(w),
+        w_star=w_star,
         fund_weights=fund_weights,
         alpha_star_f=1.0 / tau,
         point=point,
-        eu_star=_optimal_utility(ctx, tau, beta_alpha),
+        eu_star=markowitz._optimal_utility(ctx, tau, beta_alpha),
     )
 
 
@@ -250,26 +248,19 @@ def asymptotic_alpha(group: InvestorGroup) -> AsymptoticAlpha:
 
     ``upper``          ``beta'alpha + beta'phi``, an upper bound of the
                        fund risk aversion ``1/exact_inverse``
-    ``classical``      the penalty-free fund risk aversion, a lower bound
-    ``exact_inverse``  ``tau = beta' a_phi^-1 beta`` in closed form, the value
-                       :func:`solve` reaches as ``1/alpha_star_f``
+    ``classical``      the penalty-free fund risk aversion ``1 / tau_cl``, a
+                       lower bound; the value of :func:`markowitz.fund_aggregate`
+    ``exact_inverse``  ``tau = beta'c = beta' a_phi^-1 beta`` from
+                       :func:`_optimum`, the value :func:`solve` reaches as
+                       ``1/alpha_star_f``
 
-    ``exact_inverse`` uses the wealth-weighted sums of
-    :class:`MimickingMatrix`,
-
-        s_bb = sum beta_i / (alpha_i+phi_i)
-        s_ub = sum beta_i (phi_bar-2phi_i) / (alpha_i+phi_i)
-        s_uu = sum beta_i (phi_bar-2phi_i)^2 / (alpha_i+phi_i)
-
-        tau  = 4 s_bb / ((2 + s_ub)^2 - s_uu s_bb)
-
-    in O(n), with no ``n x n`` matrix.  Under equal preferences
-    (``alpha_i = a``, ``phi_i = p``) it is ``1/a`` for every ``n`` and wealth.
+    All three cost O(n), with no ``n x n`` matrix.  Under equal preferences
+    (``alpha_i = a``, ``phi_i = p``) ``exact_inverse`` is ``1/a`` for every
+    ``n`` and wealth.
     """
-    mm = mimicking_matrix(group)
+    mm, _, tau = _optimum(group.alpha, group.beta, group.phi)
+    _certify(mm)
     beta = group.beta
     upper = float(beta @ group.alpha + beta @ group.phi)
-    classical = 1.0 / float(np.sum(beta / group.alpha))
-    return AsymptoticAlpha(
-        upper=upper, classical=classical, exact_inverse=(4.0 * mm.s_bb / mm.delta).item()
-    )
+    classical = 1.0 / markowitz._classical_tau(group.alpha, beta).item()
+    return AsymptoticAlpha(upper=upper, classical=classical, exact_inverse=tau.item())

@@ -82,6 +82,16 @@ def _freeze(obj, **fields) -> None:
         object.__setattr__(obj, key, arr)
 
 
+def _sum(x: np.ndarray) -> np.ndarray:
+    """Pairwise sum along the last (investor) axis, kept with length 1."""
+    return np.add.reduce(x, axis=-1, keepdims=True)
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``_sum(x * y)``, the one inner product of a group or a stack of groups."""
+    return _sum(x * y)
+
+
 def _group_faults(alpha: np.ndarray, beta: np.ndarray, phi: np.ndarray) -> list:
     """The rules of :class:`InvestorGroup` along the last axis, in check order.
 
@@ -96,7 +106,7 @@ def _group_faults(alpha: np.ndarray, beta: np.ndarray, phi: np.ndarray) -> list:
     n = alpha.shape[-1]
     every = functools.partial(np.logical_and.reduce, axis=-1, keepdims=True)
     some = functools.partial(np.logical_or.reduce, axis=-1, keepdims=True)
-    total = np.add.reduce(beta, axis=-1, keepdims=True)
+    total = _sum(beta)
     return [
         (~every(np.isfinite(alpha)), errors.NonFiniteValue,
          "alpha contains a non-finite entry", None),
@@ -228,7 +238,7 @@ class PortfolioMatrix:
         if off > COLUMN_SUM_TOL:
             bad = int(np.argmax(np.abs(sums - 1.0)))
             raise errors.ConstraintViolated(
-                f"column {bad} sums to {sums[bad]!r}, violating the unit-sum constraint"
+                f"column {bad} sums to {float(sums[bad])!r}, violating the unit-sum constraint"
             )
         _freeze(self, weights=weights)
 

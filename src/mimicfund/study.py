@@ -24,10 +24,12 @@ a concave quadratic in ``c`` that peaks at ``c*``, where ``c*' a_phi c* =
 beta'c*`` makes it the optimal utility of :func:`mimicking.solve`.  So the
 utility gain is the quadratic form ``slope (c_cl - c*)' a_phi (c_cl - c*) / 2``,
 computed directly rather than as a difference of two nearly equal
-utilities, and the weight shift is ``(beta'c* - beta'c_cl) tilt_0``.  The
-whole grid is one stack of groups, evaluated by array operations along the
-investor axis: a run costs O(points n) and forms no weight matrix and no
-mimicking matrix.
+utilities, and the weight shift is the first entry of the fund at
+``tau = beta'c*`` minus that at ``tau_cl = beta'c_cl``, both scalars from
+the functions :func:`mimicking.solve` and :func:`markowitz.fund_aggregate`
+use.  The whole grid is one stack of groups, evaluated by array operations
+along the investor axis: a run costs O(points n) and forms no weight
+matrix and no ``n x n`` matrix.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 
 from . import errors, markowitz, mimicking, model
 from .markowitz import MarkowitzContext
-from .model import InvestorGroup, MarketModel, build_market
+from .model import MarketModel, build_market
 
 # Textbook two-asset market: annualized means 7% and 14%, volatilities 12%
 # and 20%, correlation 0.2.
@@ -149,8 +151,8 @@ def _frontier_gains(
 ) -> tuple:
     """``delta_omega`` and ``delta_eu`` of one group or a stack ``(..., n)``.
 
-    Returns ``(delta_omega, delta_eu, optimum_faults, utility_faults)``; the
-    values have shape ``(..., 1)``, like every per-group value of
+    Returns ``(delta_omega, delta_eu, faults)``; the values have shape
+    ``(..., 1)``, like every per-group value of
     :class:`mimicking.MimickingMatrix`.  The faults, laid out as in
     :func:`model._group_faults`, are the checks of the optimum (the
     positive-definiteness guard, a finite ``delta_omega``) and of the
@@ -158,27 +160,21 @@ def _frontier_gains(
     ``delta_eu``); the values are meaningless where a check fails.  The
     inputs are assumed to be valid groups.
     """
-    dot = mimicking._dot
+    dot = model._dot
     with np.errstate(all="ignore"):
-        w = mimicking._woodbury(alpha, beta, phi)
-        c = w.inverse_beta()
-        c_cl = 1.0 / alpha
-        tau = dot(beta, c)
-        tau_cl = dot(beta, c_cl)
-        eu_star = mimicking._optimal_utility(ctx, tau, dot(beta, alpha))
-        e = c_cl - c
+        w, c, tau = mimicking._optimum(alpha, beta, phi)
+        tau_cl = markowitz._classical_tau(alpha, beta)
+        eu_star = markowitz._optimal_utility(ctx, tau, dot(beta, alpha))
+        e = 1.0 / alpha - c
         gain = 0.5 * ctx.slope * (dot(w.d, e * e) + dot(w.u, e) * dot(beta, e))
         noise = _GAIN_CLAMP * np.maximum(1.0, abs(eu_star))
         d_eu = np.where(abs(gain) <= noise, 0.0, gain) / eu_star
         g0, t0 = ctx.gmvp[0], ctx.tilt[0]
         d_omega = (g0 + tau * t0) - (g0 + tau_cl * t0)
-        optimum_faults = [
-            (~w.certified, errors.NotPositiveDefinite,
-             "symmetrized mimicking matrix failed its positive-definiteness guard", None),
+        faults = [
+            (~w.certified, errors.NumericalBreakdown, mimicking.NOT_CERTIFIED, None),
             (~np.isfinite(d_omega), errors.NumericalBreakdown,
              "delta_omega is {!r}; the fund weights are not finite", d_omega),
-        ]
-        utility_faults = [
             (eu_star <= 0, errors.NonPositiveOptimum,
              "penalized utility at the optimum is {!r}; relative gains are undefined", eu_star),
             (gain < -noise, errors.NumericalBreakdown,
@@ -186,31 +182,7 @@ def _frontier_gains(
             (~np.isfinite(d_eu), errors.NumericalBreakdown,
              "delta_eu is {!r}; the utilities are not finite", d_eu),
         ]
-    return d_omega, d_eu, optimum_faults, utility_faults
-
-
-def delta_omega(ctx: MarkowitzContext, group: InvestorGroup) -> float:
-    """First-asset fund-weight change caused by accounting for mimicking."""
-    d_omega, _, optimum_faults, _ = _frontier_gains(ctx, group.alpha, group.beta, group.phi)
-    model._raise_first_fault(optimum_faults)
-    return d_omega.item()
-
-
-def delta_eu(market: MarketModel, group: InvestorGroup) -> float:
-    """Relative penalized-utility gain of the optimal fund solution.
-
-    The comparison point evaluates the penalized objective at the matrix of
-    individual penalty-free optima (whose wealth-weighted aggregate is the
-    classical fund portfolio).  Requires a positive optimal utility, else the
-    relative measure is meaningless and :class:`errors.NonPositiveOptimum`
-    is raised.
-    """
-    ctx = markowitz.context(market)
-    _, d_eu, optimum_faults, utility_faults = _frontier_gains(
-        ctx, group.alpha, group.beta, group.phi
-    )
-    model._raise_first_fault(optimum_faults + utility_faults)
-    return d_eu.item()
+    return d_omega, d_eu, faults
 
 
 def run_sweeps(config: StudyConfig) -> tuple[SweepTable, SweepTable]:
@@ -239,9 +211,9 @@ def run_sweeps(config: StudyConfig) -> tuple[SweepTable, SweepTable]:
         phi = np.stack([phi1, phi1 * config.phi_ratio], axis=-1)
     beta = np.broadcast_to(np.asarray(STUDY_BETA, dtype=float), alpha.shape)
 
-    d_omega, d_eu, optimum_faults, utility_faults = _frontier_gains(ctx, alpha, beta, phi)
+    d_omega, d_eu, faults = _frontier_gains(ctx, alpha, beta, phi)
     model._raise_first_fault(
-        model._group_faults(alpha, beta, phi) + optimum_faults + utility_faults,
+        model._group_faults(alpha, beta, phi) + faults,
         prefix=lambda i: f"series {labels[i[0]]}, coordinate {coords[i[0]]:g}: ",
     )
     records = tuple(

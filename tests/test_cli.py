@@ -219,6 +219,43 @@ class TestSolve:
         assert "error: frontier constants are not finite" in result.stderr
         assert "Warning" not in result.stderr and "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize(
+        "alpha, phi, message",
+        [
+            # delta cancels to -256 although eigvalsh(a_phi) is (6.36, 6.05e8)
+            ((1.3863072561283194e-4, 25.442767887553956), (0.5369271349060832, 2419877411.616322),
+             "positive-definiteness guard"),
+            # a column of W sums to 1 + 3.5e-10
+            ((6.39188298965864e-6, 2.036259105597082e-6), (526555.6052483491, 1048.9066279687663),
+             "violating the unit-sum constraint"),
+        ],
+    )
+    def test_rounding_failure_of_a_valid_group_exits_3(self, tmp_path, alpha, phi, message):
+        cfg = tmp_path / "config.json"
+        config = {**TEXTBOOK_CONFIG, "alpha": alpha, "phi": phi}
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        result = run_cli("solve", "--config", str(cfg))
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert message in result.stderr and "np.float64" not in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_failed_covariance_solve_exits_3(self, solve_config, monkeypatch, capsys):
+        # no known market reaches it after a successful Cholesky; inject it
+        import numpy as np
+
+        from mimicfund import cli
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        code = cli.main(["solve", "--config", str(solve_config)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "error: covariance solve failed: Singular matrix" in err
+        assert "Traceback" not in err
+
     def test_annualize_without_returns_exits_1(self, solve_config):
         result = run_cli("solve", "--config", str(solve_config), "--annualize", "12")
         assert_validation_error(result)
@@ -480,6 +517,26 @@ class TestStudy:
         assert result.returncode == 3
         assert "Traceback" not in result.stderr
         assert "error: series phi=3, coordinate 1.09: delta_eu is inf" in result.stderr
+        assert not (out / "figure1.csv").exists()
+
+    def test_negative_gain_exits_3(self, tmp_path, monkeypatch, capsys):
+        # no known input reaches it; a negative slope makes every gain negative
+        from mimicfund import cli, markowitz
+
+        true_context = markowitz.context
+
+        def flipped(market):
+            ctx = true_context(market)
+            return dataclasses.replace(ctx, slope=-ctx.slope)
+
+        monkeypatch.setattr(markowitz, "context", flipped)
+        out = tmp_path / "study"
+        code = cli.main(["study", "--output-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "error: series phi=3, coordinate 1.09: utility gain" in err
+        assert "is negative; optimality is violated" in err
+        assert "Traceback" not in err
         assert not (out / "figure1.csv").exists()
 
     def test_overflowing_slope_exits_3(self, tmp_path):

@@ -107,7 +107,7 @@ class TestContext:
 
 class TestIndividualWeights:
     def test_textbook_alpha_two(self, textbook_market, textbook_ctx):
-        weights, point = markowitz.individual_weights(textbook_ctx, 2.0)
+        weights, point = markowitz.frontier(textbook_ctx, 0.5)
         oracle = support.qp_individual(textbook_market.mu, textbook_market.sigma, 2.0)
         np.testing.assert_allclose(weights, oracle, atol=1e-12)
         np.testing.assert_allclose(weights, GMVP + 0.5 * TILT, rtol=1e-12)
@@ -122,7 +122,7 @@ class TestIndividualWeights:
             market = sampling.random_market(rng, int(rng.integers(2, 11)))
             ctx = markowitz.context(market)
             alpha = float(rng.uniform(0.1, 20))
-            weights, _ = markowitz.individual_weights(ctx, alpha)
+            weights, _ = markowitz.frontier(ctx, 1.0 / alpha)
             reference = support.qp_individual(market.mu, market.sigma, alpha)
             assert support.rel_entry_err(weights, reference) <= 1e-10
             # the stacked KKT path degenerates to the same single-investor QP
@@ -133,19 +133,15 @@ class TestIndividualWeights:
             assert abs(weights.sum() - 1.0) <= 1e-12
 
     def test_infinite_risk_aversion_limit_is_gmvp(self, textbook_ctx):
-        weights, _ = markowitz.individual_weights(textbook_ctx, 1e12)
+        weights, _ = markowitz.frontier(textbook_ctx, 1.0 / 1e12)
         np.testing.assert_allclose(weights, textbook_ctx.gmvp, atol=1e-11)
 
     def test_equal_means_selects_gmvp_for_all(self):
         market = build_market(np.full(3, 0.05), ((0.02, 0.001, 0.0), (0.001, 0.03, 0.002), (0.0, 0.002, 0.05)))
         ctx = markowitz.context(market)
         for alpha in (0.5, 2.0, 50.0):
-            weights, _ = markowitz.individual_weights(ctx, alpha)
+            weights, _ = markowitz.frontier(ctx, 1.0 / alpha)
             np.testing.assert_allclose(weights, ctx.gmvp, atol=1e-13)
-
-    def test_non_positive_alpha_rejected(self, textbook_ctx):
-        with pytest.raises(errors.NonPositiveAlpha):
-            markowitz.individual_weights(textbook_ctx, 0.0)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -154,8 +150,8 @@ class TestIndividualWeights:
     )
     def test_frontier_is_monotone_in_risk_aversion(self, alpha, factor):
         ctx = TEXTBOOK_CTX
-        _, low = markowitz.individual_weights(ctx, alpha)
-        _, high = markowitz.individual_weights(ctx, alpha * factor)
+        _, low = markowitz.frontier(ctx, 1.0 / alpha)
+        _, high = markowitz.frontier(ctx, 1.0 / (alpha * factor))
         assert high.variance <= low.variance + 1e-15
         assert high.mean <= low.mean + 1e-15
         assert low.variance >= ctx.v_gmv - 1e-12
@@ -180,7 +176,7 @@ class TestFundAggregate:
             group = sampling.random_group(rng, int(rng.integers(2, 9)))
             weights, _, _ = markowitz.fund_aggregate(textbook_ctx, group)
             averaged = sum(
-                b * markowitz.individual_weights(textbook_ctx, a)[0]
+                b * markowitz.frontier(textbook_ctx, 1.0 / a)[0]
                 for a, b in zip(group.alpha, group.beta)
             )
             np.testing.assert_allclose(weights, averaged, atol=1e-12)
@@ -189,6 +185,21 @@ class TestFundAggregate:
         group = build_group((3.0, 3.0, 3.0), (0.2, 0.5, 0.3), (0.0, 0.0, 0.0))
         _, alpha_f, _ = markowitz.fund_aggregate(textbook_ctx, group)
         assert alpha_f == pytest.approx(3.0, rel=1e-14)
+
+    def test_optimal_utility_at_tau_cl_is_the_classical_sum(self, textbook_market, textbook_ctx):
+        # the optimum's utility depends on tau alone: at tau_cl it is the
+        # wealth-weighted sum of the individual penalty-free optima's utilities
+        rng = np.random.default_rng(4)
+        mu, sigma = textbook_market.mu, textbook_market.sigma
+        for _ in range(25):
+            group = sampling.random_group(rng, int(rng.integers(2, 9)))
+            tau_cl = markowitz._classical_tau(group.alpha, group.beta).item()
+            got = markowitz._optimal_utility(textbook_ctx, tau_cl, float(group.beta @ group.alpha))
+            expected = sum(
+                b * support.mv_utility(mu, sigma, markowitz.frontier(textbook_ctx, 1.0 / a)[0], a)
+                for a, b in zip(group.alpha, group.beta)
+            )
+            assert got == pytest.approx(expected, rel=1e-12)
 
     def test_dominant_investor_limit(self, textbook_ctx):
         eps = 1e-9
@@ -211,7 +222,7 @@ class TestMvUtility:
         mu, sigma = textbook_market.mu, textbook_market.sigma
         rng = np.random.default_rng(17)
         for alpha in (0.5, 2.0, 10.0):
-            best_w, _ = markowitz.individual_weights(textbook_ctx, alpha)
+            best_w, _ = markowitz.frontier(textbook_ctx, 1.0 / alpha)
             best = support.mv_utility(mu, sigma, best_w, alpha)
             for _ in range(50):
                 bump = rng.standard_normal(2)

@@ -22,7 +22,8 @@ class TestMimickingMatrix:
         a, a_phi = dense(mm, base_group.beta)
         np.testing.assert_allclose(a, TEXTBOOK_A, rtol=1e-14)
         np.testing.assert_allclose(a_phi, TEXTBOOK_A, rtol=1e-14)
-        assert mm.phi_bar == pytest.approx(3.0, rel=1e-14)
+        # u = (beta'phi - 2 phi) beta with beta'phi = 3
+        np.testing.assert_allclose(mm.u, [-1.5, -1.5], rtol=1e-14)
 
     def test_matches_entrywise_construction(self):
         rng = np.random.default_rng(31)
@@ -36,7 +37,7 @@ class TestMimickingMatrix:
         g = build_group((2.0, 4.0, 8.0), (0.5, 0.25, 0.25), (0.0, 0.0, 0.0))
         mm = mimicking.mimicking_matrix(g)
         np.testing.assert_allclose(dense(mm, g.beta)[0], np.diag(g.alpha * g.beta), atol=1e-15)
-        assert mm.phi_bar == 0.0
+        assert not mm.u.any()
 
     def test_equal_penalty_closed_form(self):
         rng = np.random.default_rng(32)
@@ -109,7 +110,7 @@ class TestStructuredOperator:
                 assert np.min(np.linalg.eigvalsh(dense(mm, beta)[1])) > 0
             else:
                 indefinite += 1
-                with pytest.raises(errors.NotPositiveDefinite):
+                with pytest.raises(errors.NumericalBreakdown):
                     mimicking.mimicking_matrix(group)
         assert indefinite >= 100
 
@@ -128,9 +129,8 @@ class TestStructuredOperator:
             alpha = rng.uniform(0.1, 20, (m, n))
             beta = rng.dirichlet(np.ones(n), m)
             phi = rng.uniform(0, 20, (m, n))
-            stack = mimicking._woodbury(alpha, beta, phi)
+            stack, c, tau = mimicking._optimum(alpha, beta, phi)
             assert isinstance(stack, mimicking.MimickingMatrix)
-            c = stack.inverse_beta()
             for i in range(m):
                 group = build_group(alpha[i], beta[i], phi[i])
                 single = mimicking.mimicking_matrix(group)
@@ -138,8 +138,7 @@ class TestStructuredOperator:
                     got, want = getattr(stack, name)[i], getattr(single, name)
                     assert got.shape == want.shape, name
                     assert got.tobytes() == want.tobytes(), name
-                tau = mimicking._dot(beta[i], c[i]).item()
-                assert mimicking.solve(textbook_ctx, group).alpha_star_f == 1.0 / tau
+                assert mimicking.solve(textbook_ctx, group).alpha_star_f == 1.0 / tau[i].item()
                 # a stack row does not depend on the other rows
                 one = mimicking._woodbury(alpha[i : i + 1], beta[i : i + 1], phi[i : i + 1])
                 for name in mimicking.MimickingMatrix._fields:
@@ -209,6 +208,27 @@ class TestSolve:
         assert mimicking.penalized_utility(textbook_market, g, s.w_star) == pytest.approx(
             s.eu_star, rel=1e-15
         )
+
+    def test_rounding_failures_are_numerical(self, textbook_ctx):
+        # two valid groups: delta cancels to -256 although a_phi is positive
+        # definite, and a column of W sums to 1 + 3.5e-10; neither is an
+        # input error
+        cancelled = build_group(
+            (1.3863072561283194e-4, 25.442767887553956), (0.5, 0.5),
+            (0.5369271349060832, 2419877411.616322),
+        )
+        a = oracle.entrywise_mimicking_matrix(cancelled.alpha, cancelled.beta, cancelled.phi)
+        assert np.min(np.linalg.eigvalsh((a + a.T) / 2)) > 0
+        for call in (mimicking.mimicking_matrix, mimicking.asymptotic_alpha):
+            with pytest.raises(errors.NumericalBreakdown):
+                call(cancelled)
+        off_sum = build_group(
+            (6.39188298965864e-6, 2.036259105597082e-6), (0.5, 0.5),
+            (526555.6052483491, 1048.9066279687663),
+        )
+        for group in (cancelled, off_sum):
+            with pytest.raises(errors.NumericalBreakdown):
+                mimicking.solve(textbook_ctx, group)
 
     def test_first_order_conditions_at_large_n(self):
         # 10^5 investors: a dense a_phi would take 80 GB, so passing shows
@@ -397,3 +417,15 @@ class TestAsymptoticAlpha:
             got = mimicking.asymptotic_alpha(g)
             alpha_star = mimicking.solve(textbook_ctx, g).alpha_star_f
             assert got.exact_inverse == pytest.approx(1.0 / alpha_star, rel=1e-12)
+
+    def test_one_formula_per_fund_scalar(self):
+        # tau and tau_cl each have one formula: the diagnostics, solve and
+        # fund_aggregate agree bit for bit
+        rng = np.random.default_rng(75)
+        for _ in range(2000):
+            market = sampling.random_market(rng, int(rng.integers(2, 8)))
+            g = sampling.random_group(rng, int(rng.integers(2, 60)), alpha_low=1e-3)
+            ctx = markowitz.context(market)
+            got = mimicking.asymptotic_alpha(g)
+            assert 1.0 / got.exact_inverse == mimicking.solve(ctx, g).alpha_star_f
+            assert got.classical == markowitz.fund_aggregate(ctx, g)[1]

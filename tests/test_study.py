@@ -4,20 +4,33 @@ import numpy as np
 import pytest
 import support
 
-from mimicfund import build_group, build_market, errors, markowitz, mimicking, oracle, sampling
+from mimicfund import (
+    build_group, build_market, errors, markowitz, mimicking, model, oracle, sampling,
+)
 from mimicfund.study import (
     DEFAULT_MARKET,
     STUDY_BETA,
     StudyConfig,
     SweepRecord,
-    delta_eu,
-    delta_omega,
+    _frontier_gains,
     run_sweeps,
 )
 
 
 def study_group(a, phi, alpha1=2.0):
     return build_group((alpha1, a * alpha1), STUDY_BETA, (phi, phi))
+
+
+def delta_omega(ctx, group):
+    """The study's first-asset fund-weight change of one group."""
+    return _frontier_gains(ctx, group.alpha, group.beta, group.phi)[0].item()
+
+
+def delta_eu(market, group):
+    """The study's relative utility gain of one group, with every check of a grid point."""
+    _, d_eu, faults = _frontier_gains(markowitz.context(market), group.alpha, group.beta, group.phi)
+    model._raise_first_fault(faults)
+    return d_eu.item()
 
 
 def per_group_gains(market, group):
@@ -30,7 +43,7 @@ def per_group_gains(market, group):
     solution = mimicking.solve(ctx, group)
     base_weights, _, _ = markowitz.fund_aggregate(ctx, group)
     d_omega = float(solution.fund_weights[0] - base_weights[0])
-    classical = np.column_stack([markowitz.individual_weights(ctx, a)[0] for a in group.alpha])
+    classical = np.column_stack([markowitz.frontier(ctx, 1.0 / a)[0] for a in group.alpha])
     baseline = mimicking.penalized_utility(market, group, classical)
     gain = solution.eu_star - baseline
     if abs(gain) <= 1e-13 * max(1.0, abs(solution.eu_star)):
@@ -306,6 +319,19 @@ class TestRunSweeps:
         config = StudyConfig(market=market, grid_points=2)
         with pytest.raises(errors.NonPositiveOptimum, match="coordinate"):
             run_sweeps(config)
+
+    def test_delta_omega_is_the_solved_fund_shift_bit_for_bit(self):
+        # tau and tau_cl each have one formula, so the study's shift equals
+        # solve's first fund weight minus fund_aggregate's, bit for bit
+        for config in (StudyConfig(), *random_configs()):
+            ctx = markowitz.context(config.market)
+            figure1, figure2 = run_sweeps(config)
+            records = figure1.records + figure2.records
+            for record, (phi1, a) in zip(records, sweep_inputs(config)):
+                group = config_group(config, phi1, a)
+                fund = mimicking.solve(ctx, group).fund_weights[0]
+                base = markowitz.fund_aggregate(ctx, group)[0][0]
+                assert float(fund - base) == record.delta_omega
 
     def test_records_match_per_group_definition(self):
         for config in random_configs():
