@@ -81,6 +81,8 @@ def _parse_json(text: str, where: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise errors.ParseError(f"{where}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise errors.ParseError(f"{where}: invalid JSON: nested too deeply") from None
 
 
 def _config(command: str, path, keys) -> dict:

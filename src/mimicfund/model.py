@@ -36,10 +36,11 @@ def _as_float_array(x, name: str) -> np.ndarray:
     except (TypeError, ValueError, OverflowError) as exc:
         raise errors.ParseError(f"{name} is not an array of numbers: {exc}") from None
     if not (isinstance(x, np.ndarray) and x.dtype.kind in "iuf"):
-        # look at each distinct entry type once, not at each entry
-        entries = np.array(x, dtype=object)
-        if any(issubclass(kind, _NOT_NUMBERS) for kind in set(map(type, entries.flat))):
-            bad = next(value for value in entries.flat if isinstance(value, _NOT_NUMBERS))
+        # look at each distinct entry type once, not at each entry; ravel, not
+        # .flat, whose iterator stops at 32 dimensions where arrays reach 64
+        entries = np.array(x, dtype=object).ravel()
+        if any(issubclass(kind, _NOT_NUMBERS) for kind in set(map(type, entries))):
+            bad = next(value for value in entries if isinstance(value, _NOT_NUMBERS))
             raise errors.ParseError(f"{name} is not an array of numbers: it holds {bad!r}")
     return arr
 
@@ -83,7 +84,16 @@ def _freeze(obj, **fields) -> None:
 
 
 def _sum(x: np.ndarray) -> np.ndarray:
-    """Pairwise sum along the last (investor) axis, kept with length 1."""
+    """Sum along the last (investor) axis, kept with length 1.
+
+    numpy's summation order depends on the memory layout.  Where the last
+    axis is contiguous (one group, a C-ordered stack) numpy sums each group
+    pairwise, in blocks of eight; where it is strided (an investor-major
+    stack, the transpose of a C-ordered ``(n, groups)`` array) it adds the
+    ``n`` investor rows in turn.  The two orders differ for ``n >= 8`` and
+    agree for ``n < 8``, so for the study's ``n = 2`` both compute
+    ``x0 + x1``.
+    """
     return np.add.reduce(x, axis=-1, keepdims=True)
 
 

@@ -22,6 +22,11 @@ def run_cli(*args, cwd=None, env=None):
 NON_UTF8_CONFIG = b'{"alpha": [1, 2]\xff}'
 
 
+def nested(depth):
+    """JSON text of the number 2 inside ``depth`` arrays."""
+    return "[" * depth + "2" + "]" * depth
+
+
 def assert_validation_error(result):
     # an "error:" line and exit 1, never a Python traceback
     assert result.returncode == 1
@@ -200,6 +205,33 @@ class TestSolve:
         )
         assert_validation_error(result)
         assert "mu is not an array of numbers" in result.stderr
+
+    @pytest.mark.parametrize("depth", [40, 10**5])
+    def test_deeply_nested_config_exits_1(self, tmp_path, depth):
+        # 40 arrays pass numpy's 32-dimension iterator limit, 10**5 the parser's recursion limit
+        path = tmp_path / "deep.json"
+        text = json.dumps({**TEXTBOOK_CONFIG, "alpha": None}).replace("null", nested(depth))
+        path.write_text(text, encoding="utf-8")
+        result = run_cli("solve", "--config", str(path))
+        assert_validation_error(result)
+
+    def test_deeply_nested_mu_flag_exits_1(self, tmp_path, capsys):
+        from mimicfund import cli
+
+        group = tmp_path / "group.json"
+        group.write_text(
+            json.dumps({key: TEXTBOOK_CONFIG[key] for key in ("alpha", "beta", "phi")}),
+            encoding="utf-8",
+        )
+        # in process: one command-line argument holds at most 128 KiB
+        code = cli.main([
+            "solve", "--config", str(group),
+            "--mu", nested(10**5), "--sigma", json.dumps(TEXTBOOK_CONFIG["sigma"]),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: --mu: invalid JSON: nested too deeply" in err
+        assert "Traceback" not in err
 
     def test_unknown_config_key_exits_1(self, tmp_path):
         path = tmp_path / "extra.json"
@@ -443,6 +475,24 @@ class TestStudy:
         result = run_cli("study", "--config", str(cfg), "--output-dir", str(tmp_path / "s"))
         assert_validation_error(result)
         assert "grid_points" in result.stderr
+
+    def test_deeply_nested_config_exits_1(self, tmp_path):
+        cfg = tmp_path / "study.json"
+        cfg.write_text('{"alpha1": %s}' % nested(10**5), encoding="utf-8")
+        out = tmp_path / "s"
+        result = run_cli("study", "--config", str(cfg), "--output-dir", str(out))
+        assert_validation_error(result)
+        assert "invalid JSON: nested too deeply" in result.stderr
+        assert not out.exists()
+
+    def test_oversized_grid_exits_1(self, tmp_path):
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps({"grid_points": 10**13}), encoding="utf-8")
+        out = tmp_path / "s"
+        result = run_cli("study", "--config", str(cfg), "--output-dir", str(out))
+        assert_validation_error(result)
+        assert "the study has 60000000000000 points" in result.stderr
+        assert not out.exists()
 
     def test_non_array_phi_set_exits_1(self, tmp_path):
         cfg = tmp_path / "study.json"

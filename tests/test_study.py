@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from mimicfund import (
 )
 from mimicfund.study import (
     DEFAULT_MARKET,
+    MAX_POINTS,
     STUDY_BETA,
     StudyConfig,
     SweepRecord,
@@ -167,6 +169,29 @@ class TestStudyConfig:
         ):
             with pytest.raises(errors.ConstraintViolated):
                 StudyConfig(**bad)
+
+
+    def test_integer_beyond_the_float_range_rejected(self):
+        with pytest.raises(errors.ConstraintViolated, match="alpha1 must hold finite numbers"):
+            StudyConfig(alpha1=10**400)
+        assert StudyConfig(alpha1=10**20).alpha1 == 10**20
+
+    def test_point_cap_is_checked_before_allocating(self):
+        tracemalloc.start()
+        try:
+            # the cap itself is accepted, one series more is not
+            series = MAX_POINTS // 5
+            assert StudyConfig(grid_points=series, phi_set=(1.0, 2.0)).grid_points == series
+            with pytest.raises(errors.ConstraintViolated, match="at most"):
+                StudyConfig(grid_points=series)
+            with pytest.raises(errors.ConstraintViolated, match="60000000000000 points"):
+                StudyConfig(grid_points=10**13)
+            with pytest.raises(errors.ConstraintViolated, match="points"):
+                StudyConfig(grid_points=np.int64(2**62))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestDeltaOmega:
@@ -332,6 +357,21 @@ class TestRunSweeps:
                 fund = mimicking.solve(ctx, group).fund_weights[0]
                 base = markowitz.fund_aggregate(ctx, group)[0][0]
                 assert float(fund - base) == record.delta_omega
+
+    def test_investor_major_stack_matches_c_ordered_evaluation(self):
+        # run_sweeps reduces over investors along a strided axis; the same
+        # stack in C order takes numpy's per-point pairwise reduction, and
+        # for two investors both orders add the same two terms
+        for config in (StudyConfig(), *random_configs()):
+            points = sweep_inputs(config)
+            alpha = np.ascontiguousarray([(config.alpha1, a * config.alpha1) for _, a in points])
+            phi = np.ascontiguousarray([(p, p * config.phi_ratio) for p, _ in points])
+            beta = np.ascontiguousarray(np.broadcast_to(STUDY_BETA, alpha.shape))
+            d_omega, d_eu, _ = _frontier_gains(markowitz.context(config.market), alpha, beta, phi)
+            figure1, figure2 = run_sweeps(config)
+            records = figure1.records + figure2.records
+            assert np.array([r.delta_omega for r in records]).tobytes() == d_omega.ravel().tobytes()
+            assert np.array([r.delta_eu for r in records]).tobytes() == d_eu.ravel().tobytes()
 
     def test_records_match_per_group_definition(self):
         for config in random_configs():
