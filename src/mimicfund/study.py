@@ -18,18 +18,18 @@ penalty-free optima have ``c_cl = 1 / alpha``.  With ``W = gmvp 1' + tilt c'``
 and ``1' a_phi 1 = beta' alpha`` the penalized utility is
 
     mu_gmv + slope beta'c - (v_gmv beta'alpha + slope c' a_phi c) / 2,
-    c' a_phi c = sum_i d_i c_i^2 + (u'c)(beta'c),
+    c' a_phi c = sum_i alpha_i beta_i c_i^2 + sum_i phi_i beta_i (c_i - beta'c)^2,
 
 a concave quadratic in ``c`` that peaks at ``c*``, where ``c*' a_phi c* =
 beta'c*`` makes it the optimal utility of :func:`mimicking.solve`.  So the
 utility gain is the quadratic form ``slope (c_cl - c*)' a_phi (c_cl - c*) / 2``,
-computed directly rather than as a difference of two nearly equal
-utilities, and the weight shift is the first entry of the fund at
-``tau = beta'c*`` minus that at ``tau_cl = beta'c_cl``, both scalars from
-the functions :func:`mimicking.solve` and :func:`markowitz.fund_aggregate`
-use.  The whole grid is one stack of groups, evaluated by array operations
-along the investor axis: a run costs O(points n) and forms no weight
-matrix and no ``n x n`` matrix.
+a sum of positive terms computed directly rather than as a difference of
+two nearly equal utilities, and the weight shift is the first entry of the
+fund at ``tau = beta'c*`` minus that at ``tau_cl = beta'c_cl``, both
+scalars from the functions :func:`mimicking.solve` and
+:func:`markowitz.fund_aggregate` use.  The whole grid is one stack of
+groups, evaluated by array operations along the investor axis: a run
+costs O(points n) and forms no weight matrix and no ``n x n`` matrix.
 
 The stack is investor-major: ``alpha``, ``beta`` and ``phi`` are the
 transposes of C-ordered ``(n, points)`` arrays, written in place without
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -85,7 +86,9 @@ def _require_reals(name: str, values) -> None:
         except OverflowError:  # an integer beyond the float range
             finite = False
         if not finite:
-            raise errors.ConstraintViolated(f"{name} must hold finite numbers, got {value!r}")
+            raise errors.ConstraintViolated(
+                f"{name} must hold finite numbers, got {reprlib.repr(value)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -177,27 +180,26 @@ def _frontier_gains(
     """``delta_omega`` and ``delta_eu`` of one group or a stack ``(..., n)``.
 
     Returns ``(delta_omega, delta_eu, faults)``; the values have shape
-    ``(..., 1)``, like every per-group value of
-    :class:`mimicking.MimickingMatrix`.  The faults, laid out as in
-    :func:`model._group_faults`, are the checks of the optimum (the
-    positive-definiteness guard, a finite ``delta_omega``) and of the
-    utilities (a positive optimum, no gain below rounding noise, a finite
-    ``delta_eu``); the values are meaningless where a check fails.  The
-    inputs are assumed to be valid groups.
+    ``(..., 1)``, like every per-group value of :func:`mimicking._optimum`.
+    The faults, laid out as in :func:`model._group_faults`, are the checks
+    of the optimum (a finite ``delta_omega``) and of the utilities (a
+    positive optimum, no gain below rounding noise, a finite ``delta_eu``);
+    the values are meaningless where a check fails.  The inputs are assumed
+    to be valid groups.
     """
     dot = model._dot
     with np.errstate(all="ignore"):
-        w, c, tau = mimicking._optimum(alpha, beta, phi)
+        c, tau = mimicking._optimum(alpha, beta, phi)
         tau_cl = markowitz._classical_tau(alpha, beta)
         eu_star = markowitz._optimal_utility(ctx, tau, dot(beta, alpha))
         e = 1.0 / alpha - c
-        gain = 0.5 * ctx.slope * (dot(w.d, e * e) + dot(w.u, e) * dot(beta, e))
+        spread = e - dot(beta, e)
+        gain = 0.5 * ctx.slope * (dot(alpha * beta, e * e) + dot(phi * beta, spread * spread))
         noise = _GAIN_CLAMP * np.maximum(1.0, abs(eu_star))
         d_eu = np.where(abs(gain) <= noise, 0.0, gain) / eu_star
         g0, t0 = ctx.gmvp[0], ctx.tilt[0]
         d_omega = (g0 + tau * t0) - (g0 + tau_cl * t0)
         faults = [
-            (~w.certified, errors.NumericalBreakdown, mimicking.NOT_CERTIFIED, None),
             (~np.isfinite(d_omega), errors.NumericalBreakdown,
              "delta_omega is {!r}; the fund weights are not finite", d_omega),
             (eu_star <= 0, errors.NonPositiveOptimum,

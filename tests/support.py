@@ -99,17 +99,16 @@ def penalized_exact(mu, sigma, alpha, beta, phi, w):
     return total
 
 
-def frontier_exact(mu, sigma):
-    """GMVP, frontier tilt and slope of a market in exact rational arithmetic.
+def _solve_exact(matrix, columns):
+    """``matrix^-1 columns`` by Gauss-Jordan elimination on :class:`fractions.Fraction` rows.
 
-    Solves ``sigma [x y] = [1 mu]`` by Gauss-Jordan elimination on
-    :class:`fractions.Fraction` entries, so the results are exact at the
-    given floats: ``gmvp = x / 1'x``, ``tilt = y - (1'y) gmvp`` and
-    ``slope = mu'tilt``.
+    ``matrix`` is a list of rows and ``columns`` a list of right-hand sides;
+    returns one list of exact solution entries per right-hand side.
     """
-    k = len(mu)
+    k = len(matrix)
     rows = [
-        [Fraction(x) for x in sigma[i]] + [Fraction(1), Fraction(mu[i])] for i in range(k)
+        [Fraction(x) for x in matrix[i]] + [Fraction(col[i]) for col in columns]
+        for i in range(k)
     ]
     for col in range(k):
         pivot = next(r for r in range(col, k) if rows[r][col] != 0)
@@ -120,12 +119,53 @@ def frontier_exact(mu, sigma):
             if r != col and rows[r][col] != 0:
                 factor = rows[r][col]
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    x = [row[k] for row in rows]
-    y = [row[k + 1] for row in rows]
+    return [[row[k + j] for row in rows] for j in range(len(columns))]
+
+
+def frontier_exact(mu, sigma):
+    """GMVP, frontier tilt and slope of a market in exact rational arithmetic.
+
+    Solves ``sigma [x y] = [1 mu]`` exactly, so the results are exact at the
+    given floats: ``gmvp = x / 1'x``, ``tilt = y - (1'y) gmvp`` and
+    ``slope = mu'tilt``.
+    """
+    x, y = _solve_exact(sigma, [[1] * len(mu), mu])
     gmvp = [xi / sum(x) for xi in x]
     tilt = [yi - sum(y) * g for yi, g in zip(y, gmvp)]
     slope = sum(Fraction(m) * t for m, t in zip(mu, tilt))
     return gmvp, tilt, slope
+
+
+def inverse_beta_exact(alpha, beta, phi):
+    """``c = a_phi^-1 beta`` in exact rational arithmetic, from the entry formulas.
+
+    ``a[i, j] = beta_i (alpha_i + phi_i) [i == j] + beta_i beta_j (beta'phi - 2 phi_i)``
+    and ``a_phi = (a + a') / 2``, every float input taken exactly.
+    """
+    alpha, beta, phi = ([Fraction(x) for x in v] for v in (alpha, beta, phi))
+    n = len(alpha)
+    phi_bar = sum(b * p for b, p in zip(beta, phi))
+    a_phi = [
+        [
+            beta[i] * (alpha[i] + phi[i]) * (i == j)
+            + beta[i] * beta[j] * (phi_bar - phi[i] - phi[j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    return _solve_exact(a_phi, [beta])[0]
+
+
+def split_mimicking(alpha, beta, phi):
+    """Dense ``a_phi = diag(alpha beta) + (I - beta 1') diag(phi beta) (I - 1 beta')``.
+
+    The wealth-weighted risk aversions plus the penalty term: column ``i``
+    of ``I - beta 1'`` is ``e_i - beta``, the deviation map of investor
+    ``i`` from the fund.
+    """
+    n = len(alpha)
+    deviation = np.eye(n) - np.outer(beta, np.ones(n))
+    return np.diag(alpha * beta) + deviation @ np.diag(phi * beta) @ deviation.T
 
 
 def mimicking_structure(alpha, beta, phi):
@@ -137,12 +177,6 @@ def mimicking_structure(alpha, beta, phi):
     d = (alpha + phi) * beta
     u = (float(beta @ phi) - 2.0 * phi) * beta
     return d, u
-
-
-def dense_mimicking(d, u, beta):
-    """Dense ``a = diag(d) + u beta'`` and ``a_phi = (a + a') / 2``, in O(n^2)."""
-    a = np.diag(d) + np.outer(u, beta)
-    return a, (a + a.T) / 2.0
 
 
 def equal_wealth_matrix(alpha, phi):
@@ -204,8 +238,7 @@ def lambda_closed_form(ctx, group):
     ``lambda = v_gmv a_phi 1_n - mu_gmv beta``, with ``a_phi`` rebuilt from
     its definition.
     """
-    d, u = mimicking_structure(group.alpha, group.beta, group.phi)
-    _, a_phi = dense_mimicking(d, u, group.beta)
+    a_phi = split_mimicking(group.alpha, group.beta, group.phi)
     return ctx.v_gmv * (a_phi @ np.ones(group.n)) - ctx.mu_gmv * group.beta
 
 

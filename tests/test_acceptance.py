@@ -68,12 +68,16 @@ def test_criterion_2_trace_form_matches_direct_sum():
 
 def test_criterion_3_mimicking_matrix_positive_definite():
     rng = np.random.default_rng(SEED + 2)
+    textbook = build_market((0.07, 0.14), ((0.0144, 0.0048), (0.0048, 0.04)))
+    ctx = markowitz.context(textbook)
     failures = 0
     for _ in range(1000):
         group = sampling.random_group(rng, int(rng.integers(2, 51)), alpha_low=1e-3)
+        a = oracle.entrywise_mimicking_matrix(group.alpha, group.beta, group.phi)
         try:
-            mimicking.mimicking_matrix(group)  # O(n) certificate inside
-        except errors.NumericalBreakdown:
+            np.linalg.cholesky((a + a.T) / 2.0)
+            mimicking.solve(ctx, group)
+        except (np.linalg.LinAlgError, errors.NumericalBreakdown):
             failures += 1
     report("3 symmetrized mimicking matrix PD", failures == 0, f"{failures} failures in 1000 groups")
     assert failures == 0
@@ -110,8 +114,7 @@ def test_criterion_5_special_case_suite():
         n = int(rng.integers(2, 11))
         group = sampling.random_group(rng, n, uniform_wealth=True)
         scaled = support.equal_wealth_matrix(group.alpha, group.phi)
-        mm = mimicking.mimicking_matrix(group)
-        general, _ = support.dense_mimicking(mm.d, mm.u, group.beta)
+        general = oracle.entrywise_mimicking_matrix(group.alpha, group.beta, group.phi)
         worst_scale = max(worst_scale, support.rel_entry_err(scaled, n * n * general))
         scaled_sym = (scaled + scaled.T) / 2
         tau = float(np.ones(n) @ np.linalg.solve(scaled_sym, np.ones(n)))
@@ -134,8 +137,7 @@ def test_criterion_5_special_case_suite():
         expected = np.diag((group.alpha + phi) * group.beta) - phi * np.outer(
             group.beta, group.beta
         )
-        mm = mimicking.mimicking_matrix(group)
-        a, _ = support.dense_mimicking(mm.d, mm.u, group.beta)
+        a = oracle.entrywise_mimicking_matrix(group.alpha, group.beta, group.phi)
         worst_equal = max(worst_equal, support.rel_entry_err(a, expected))
     assert worst_equal <= 1e-12
 
@@ -172,8 +174,8 @@ def large_group_sweep():
     rows = []
     for _ in range(50):
         group = sampling.random_group(rng, 1000, uniform_wealth=True)
-        mm = mimicking.mimicking_matrix(group)
-        _, a_phi = support.dense_mimicking(mm.d, mm.u, group.beta)
+        a = oracle.entrywise_mimicking_matrix(group.alpha, group.beta, group.phi)
+        a_phi = (a + a.T) / 2.0
         tau = float(group.beta @ np.linalg.solve(a_phi, group.beta))
         diagnostics = mimicking.asymptotic_alpha(group)
         alpha_star = mimicking.solve(ctx, group).alpha_star_f

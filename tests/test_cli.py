@@ -5,8 +5,10 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+import support
 
 
 def run_cli(*args, cwd=None, env=None):
@@ -254,9 +256,9 @@ class TestSolve:
     @pytest.mark.parametrize(
         "alpha, phi, message",
         [
-            # delta cancels to -256 although eigvalsh(a_phi) is (6.36, 6.05e8)
-            ((1.3863072561283194e-4, 25.442767887553956), (0.5369271349060832, 2419877411.616322),
-             "positive-definiteness guard"),
+            # alpha + phi overflows to inf
+            ((1e308, 1e308), (1e308, 1e308),
+             "error: fund scalar tau is nan; the sums over alpha + phi are out of floating-point"),
             # a column of W sums to 1 + 3.5e-10
             ((6.39188298965864e-6, 2.036259105597082e-6), (526555.6052483491, 1048.9066279687663),
              "violating the unit-sum constraint"),
@@ -270,7 +272,29 @@ class TestSolve:
         assert result.returncode == 3
         assert result.stdout == ""
         assert message in result.stderr and "np.float64" not in result.stderr
-        assert "Traceback" not in result.stderr
+        assert "Warning" not in result.stderr and "Traceback" not in result.stderr
+
+    def test_preferences_over_13_decades_solve(self, tmp_path):
+        # eigvalsh(a_phi) is (6.36, 6.05e8); the dense KKT oracle is itself
+        # 1.1e-10 off here, above criterion 1's 1e-10, so W is checked
+        # against exact rationals
+        cfg = tmp_path / "config.json"
+        config = {
+            **TEXTBOOK_CONFIG,
+            "alpha": [1.3863072561283194e-4, 25.442767887553956],
+            "phi": [0.5369271349060832, 2419877411.616322],
+        }
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        result = run_cli("solve", "--config", str(cfg))
+        assert result.returncode == 0
+        weights = json.loads(result.stdout)["mimicking"]["weights"]
+        gmvp, tilt, _ = support.frontier_exact(config["mu"], config["sigma"])
+        c = support.inverse_beta_exact(config["alpha"], config["beta"], config["phi"])
+        exact = [[x + ci * t for ci in c] for x, t in zip(gmvp, tilt)]
+        scale = max(abs(e) for row in exact for e in row)
+        for row, exact_row in zip(weights, exact):
+            for got, want in zip(row, exact_row):
+                assert abs(Fraction(got) - want) <= 1e-12 * scale
 
     def test_failed_covariance_solve_exits_3(self, solve_config, monkeypatch, capsys):
         # no known market reaches it after a successful Cholesky; inject it

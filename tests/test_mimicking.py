@@ -1,5 +1,4 @@
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,33 +10,39 @@ from mimicfund.model import PortfolioMatrix
 TEXTBOOK_A = np.array([[1.75, -0.75], [-0.75, 2.75]])
 
 
-def dense(mm, beta):
-    """Dense ``(a, a_phi)`` of a structured mimicking matrix."""
-    return support.dense_mimicking(mm.d, mm.u, beta)
+def dense(group):
+    """Dense ``(a, a_phi)`` of a group from the oracle's entry formulas."""
+    a = oracle.entrywise_mimicking_matrix(group.alpha, group.beta, group.phi)
+    return a, (a + a.T) / 2.0
 
 
 class TestMimickingMatrix:
     def test_textbook_matrix(self, base_group):
-        mm = mimicking.mimicking_matrix(base_group)
-        a, a_phi = dense(mm, base_group.beta)
+        a, a_phi = dense(base_group)
         np.testing.assert_allclose(a, TEXTBOOK_A, rtol=1e-14)
         np.testing.assert_allclose(a_phi, TEXTBOOK_A, rtol=1e-14)
-        # u = (beta'phi - 2 phi) beta with beta'phi = 3
-        np.testing.assert_allclose(mm.u, [-1.5, -1.5], rtol=1e-14)
+        split = support.split_mimicking(base_group.alpha, base_group.beta, base_group.phi)
+        np.testing.assert_allclose(split, TEXTBOOK_A, rtol=1e-14)
+        c, tau = mimicking._optimum(base_group.alpha, base_group.beta, base_group.phi)
+        np.testing.assert_allclose(c, np.linalg.solve(TEXTBOOK_A, base_group.beta), rtol=1e-14)
+        assert tau.item() == pytest.approx(6 / 17, rel=1e-14)
 
     def test_matches_entrywise_construction(self):
+        # the split that _optimum inverts is the symmetrized entrywise matrix
         rng = np.random.default_rng(31)
         for _ in range(100):
             g = sampling.random_group(rng, int(rng.integers(2, 9)))
-            mm = mimicking.mimicking_matrix(g)
-            reference = oracle.entrywise_mimicking_matrix(g.alpha, g.beta, g.phi)
-            np.testing.assert_allclose(dense(mm, g.beta)[0], reference, rtol=1e-12, atol=1e-15)
+            split = support.split_mimicking(g.alpha, g.beta, g.phi)
+            np.testing.assert_allclose(split, dense(g)[1], rtol=1e-12, atol=1e-15)
 
     def test_zero_penalty_reduces_to_diagonal(self):
         g = build_group((2.0, 4.0, 8.0), (0.5, 0.25, 0.25), (0.0, 0.0, 0.0))
-        mm = mimicking.mimicking_matrix(g)
-        np.testing.assert_allclose(dense(mm, g.beta)[0], np.diag(g.alpha * g.beta), atol=1e-15)
-        assert not mm.u.any()
+        np.testing.assert_allclose(dense(g)[0], np.diag(g.alpha * g.beta), atol=1e-15)
+        c, tau = mimicking._optimum(g.alpha, g.beta, g.phi)
+        np.testing.assert_allclose(c, 1.0 / g.alpha, rtol=1e-15)
+        assert tau.item() == pytest.approx(
+            markowitz._classical_tau(g.alpha, g.beta).item(), rel=1e-15
+        )
 
     def test_equal_penalty_closed_form(self):
         rng = np.random.default_rng(32)
@@ -48,21 +53,31 @@ class TestMimickingMatrix:
             )
             phi = g.phi[0]
             expected = np.diag((g.alpha + phi) * g.beta) - phi * np.outer(g.beta, g.beta)
-            a, _ = dense(mimicking.mimicking_matrix(g), g.beta)
+            a, _ = dense(g)
             np.testing.assert_allclose(a, expected, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(a, a.T, atol=1e-15)
+            split = support.split_mimicking(g.alpha, g.beta, g.phi)
+            np.testing.assert_allclose(split, expected, rtol=1e-12, atol=1e-15)
 
     def test_symmetrized_matrix_is_positive_definite(self):
+        # a_phi is diag(alpha beta) plus a positive semidefinite penalty term,
+        # so its smallest eigenvalue is at least min alpha_i beta_i
         rng = np.random.default_rng(33)
         for _ in range(200):
             g = sampling.random_group(rng, int(rng.integers(2, 51)), alpha_low=1e-3)
-            mm = mimicking.mimicking_matrix(g)  # raises if the certificate fails
-            assert np.min(np.linalg.eigvalsh(dense(mm, g.beta)[1])) > 0
+            eigenvalues = np.linalg.eigvalsh(dense(g)[1])
+            floor = np.min(g.alpha * g.beta)
+            assert eigenvalues[0] >= floor - 1e-13 * eigenvalues[-1]
 
 
 def max_rel(got, expected):
     """Largest deviation relative to the largest reference entry."""
     return float(np.max(np.abs(got - expected)) / np.max(np.abs(expected)))
+
+
+def exact_rel(got, exact):
+    """Largest entrywise deviation of floats from exact values, relative to each entry."""
+    return max(float(abs(Fraction(float(x)) - e) / abs(e)) for x, e in zip(got, exact))
 
 
 class TestStructuredOperator:
@@ -71,11 +86,23 @@ class TestStructuredOperator:
         for _ in range(200):
             n = int(rng.integers(2, 60))
             g = sampling.random_group(rng, n, alpha_low=1e-3)
-            mm = mimicking.mimicking_matrix(g)
-            c = mm.inverse_beta()
-            assert c.shape == (n,)
-            assert max_rel(c, np.linalg.solve(dense(mm, g.beta)[1], g.beta)) <= 1e-12
-            assert float(g.beta @ c) == pytest.approx(4.0 * mm.s_bb / mm.delta, rel=1e-12)
+            c, tau = mimicking._optimum(g.alpha, g.beta, g.phi)
+            assert c.shape == (n,) and tau.shape == (1,)
+            assert max_rel(c, np.linalg.solve(dense(g)[1], g.beta)) <= 1e-12
+            assert tau.item() == pytest.approx(float(g.beta @ c), rel=1e-12)
+
+    def test_extreme_preferences_match_exact_rationals(self):
+        # preferences over 8 and 11 decades: every group solves, and c has
+        # no cancellation to lose digits in
+        rng = np.random.default_rng(2)
+        for _ in range(500):
+            alpha, phi = 10.0 ** rng.uniform(-6, 2, 2), 10.0 ** rng.uniform(-2, 9, 2)
+            g = build_group(alpha, (0.5, 0.5), phi)
+            tau = mimicking.asymptotic_alpha(g).exact_inverse
+            c, _ = mimicking._optimum(g.alpha, g.beta, g.phi)
+            exact = support.inverse_beta_exact(g.alpha, g.beta, g.phi)
+            assert exact_rel(c, exact) <= 1e-12
+            assert exact_rel([tau], [sum(exact) / 2]) <= 1e-12
 
     def test_penalized_utility_matches_dense_trace(self):
         rng = np.random.default_rng(35)
@@ -83,66 +110,38 @@ class TestStructuredOperator:
             market = sampling.random_market(rng, int(rng.integers(2, 9)))
             g = sampling.random_group(rng, int(rng.integers(2, 40)))
             w = support.unit_sum_columns(rng, market.k, g.n)
-            _, a_phi = dense(mimicking.mimicking_matrix(g), g.beta)
+            _, a_phi = dense(g)
             dense_value = float(
                 g.beta @ (w.T @ market.mu) - 0.5 * np.sum(a_phi * (w.T @ market.sigma @ w))
             )
             got = mimicking.penalized_utility(market, g, w)
             assert abs(got - dense_value) <= 1e-12 * max(1.0, abs(dense_value))
 
-    def test_certificate_sign_matches_eigenvalues(self):
-        # phi < 0 lies outside the valid domain and is the only way to make
-        # a_phi indefinite; alpha + phi > 0 keeps the diagonal positive, where
-        # the certificate is exact
-        rng = np.random.default_rng(36)
-        indefinite = 0
-        for _ in range(2000):
-            n = int(rng.integers(2, 12))
-            alpha = rng.uniform(0.1, 20, n)
-            beta = rng.dirichlet(np.ones(n))
-            phi = alpha * np.maximum(rng.uniform(-1, 1, n) * rng.uniform(0, 3), -0.95)
-            a = oracle.entrywise_mimicking_matrix(alpha, beta, phi)
-            positive = np.min(np.linalg.eigvalsh((a + a.T) / 2)) > 0
-            group = SimpleNamespace(alpha=alpha, beta=beta, phi=phi)
-            if positive:
-                mm = mimicking.mimicking_matrix(group)
-                assert mm.delta > 0
-                assert np.min(np.linalg.eigvalsh(dense(mm, beta)[1])) > 0
-            else:
-                indefinite += 1
-                with pytest.raises(errors.NumericalBreakdown):
-                    mimicking.mimicking_matrix(group)
-        assert indefinite >= 100
-
-    def test_single_group_arrays_are_read_only(self, base_group):
-        mm = mimicking.mimicking_matrix(base_group)
-        for arr in (mm.d, mm.u, mm.d_inv_beta, mm.d_inv_u):
+    def test_single_group_arrays_are_read_only(self, textbook_ctx, base_group):
+        solution = mimicking.solve(textbook_ctx, base_group)
+        for arr in (solution.w_star.weights, solution.fund_weights):
             assert not arr.flags.writeable
 
     def test_stack_rows_match_single_groups(self, textbook_ctx):
-        # one group is a stack of one: every field of a stack row equals the
-        # group alone bit for bit, and solve reads tau = beta'c through the
-        # same reduction as the study
+        # one group is a stack of one: c and tau of a stack row equal the
+        # group alone bit for bit, and solve reads tau through the same
+        # reduction as the study
         rng = np.random.default_rng(37)
         for _ in range(50):
             m, n = int(rng.integers(1, 8)), int(rng.integers(2, 200))
             alpha = rng.uniform(0.1, 20, (m, n))
             beta = rng.dirichlet(np.ones(n), m)
             phi = rng.uniform(0, 20, (m, n))
-            stack, c, tau = mimicking._optimum(alpha, beta, phi)
-            assert isinstance(stack, mimicking.MimickingMatrix)
+            stack = mimicking._optimum(alpha, beta, phi)
             for i in range(m):
                 group = build_group(alpha[i], beta[i], phi[i])
-                single = mimicking.mimicking_matrix(group)
-                for name in mimicking.MimickingMatrix._fields:
-                    got, want = getattr(stack, name)[i], getattr(single, name)
-                    assert got.shape == want.shape, name
-                    assert got.tobytes() == want.tobytes(), name
-                assert mimicking.solve(textbook_ctx, group).alpha_star_f == 1.0 / tau[i].item()
+                single = mimicking._optimum(group.alpha, group.beta, group.phi)
                 # a stack row does not depend on the other rows
-                one = mimicking._woodbury(alpha[i : i + 1], beta[i : i + 1], phi[i : i + 1])
-                for name in mimicking.MimickingMatrix._fields:
-                    assert getattr(one, name)[0].tobytes() == getattr(stack, name)[i].tobytes()
+                one = mimicking._optimum(alpha[i : i + 1], beta[i : i + 1], phi[i : i + 1])
+                for got, want, alone in zip(stack, single, one):
+                    assert got[i].shape == want.shape
+                    assert got[i].tobytes() == want.tobytes() == alone[0].tobytes()
+                assert mimicking.solve(textbook_ctx, group).alpha_star_f == 1.0 / stack[1][i].item()
 
 
 class TestSolve:
@@ -210,25 +209,33 @@ class TestSolve:
         )
 
     def test_rounding_failures_are_numerical(self, textbook_ctx):
-        # two valid groups: delta cancels to -256 although a_phi is positive
-        # definite, and a column of W sums to 1 + 3.5e-10; neither is an
-        # input error
-        cancelled = build_group(
-            (1.3863072561283194e-4, 25.442767887553956), (0.5, 0.5),
-            (0.5369271349060832, 2419877411.616322),
-        )
-        a = oracle.entrywise_mimicking_matrix(cancelled.alpha, cancelled.beta, cancelled.phi)
-        assert np.min(np.linalg.eigvalsh((a + a.T) / 2)) > 0
-        for call in (mimicking.mimicking_matrix, mimicking.asymptotic_alpha):
-            with pytest.raises(errors.NumericalBreakdown):
-                call(cancelled)
+        # two valid groups: alpha + phi overflows, and a column of W sums to
+        # 1 + 3.5e-10; neither is an input error
+        overflow = build_group((1e308, 1e308), (0.5, 0.5), (1e308, 1e308))
+        with pytest.raises(errors.NumericalBreakdown, match="out of floating-point range"):
+            mimicking.asymptotic_alpha(overflow)
         off_sum = build_group(
             (6.39188298965864e-6, 2.036259105597082e-6), (0.5, 0.5),
             (526555.6052483491, 1048.9066279687663),
         )
-        for group in (cancelled, off_sum):
+        for group in (overflow, off_sum):
             with pytest.raises(errors.NumericalBreakdown):
                 mimicking.solve(textbook_ctx, group)
+
+    def test_preferences_over_13_decades_solve_exactly(self, textbook_market, textbook_ctx):
+        # a_phi has eigenvalues 6.36 and 6.05e8, and the sums in a rank-two
+        # (Woodbury) inverse of it cancel to the sign; W is checked exactly
+        g = build_group(
+            (1.3863072561283194e-4, 25.442767887553956), (0.5, 0.5),
+            (0.5369271349060832, 2419877411.616322),
+        )
+        w = mimicking.solve(textbook_ctx, g).w_star.weights
+        gmvp, tilt, _ = support.frontier_exact(
+            textbook_market.mu.tolist(), textbook_market.sigma.tolist()
+        )
+        c = support.inverse_beta_exact(g.alpha, g.beta, g.phi)
+        exact = np.array([[x + ci * t for ci in c] for x, t in zip(gmvp, tilt)], dtype=object)
+        assert float(np.max(np.abs(w - exact)) / np.max(np.abs(exact))) <= 1e-12
 
     def test_first_order_conditions_at_large_n(self):
         # 10^5 investors: a dense a_phi would take 80 GB, so passing shows
@@ -362,7 +369,7 @@ class TestEqualWealthMatrix:
             n = int(rng.integers(2, 11))
             g = sampling.random_group(rng, n, uniform_wealth=True)
             scaled = support.equal_wealth_matrix(g.alpha, g.phi)
-            general, _ = dense(mimicking.mimicking_matrix(g), g.beta)
+            general, _ = dense(g)
             np.testing.assert_allclose(scaled, n * n * general, rtol=1e-12, atol=1e-13)
             scaled_sym = (scaled + scaled.T) / 2
             ones = np.ones(n)
@@ -375,7 +382,6 @@ class TestEqualWealthMatrix:
 class TestAsymptoticAlpha:
     def test_textbook_values(self, base_group):
         got = mimicking.asymptotic_alpha(base_group)
-        assert mimicking.mimicking_matrix(base_group).s_bb == pytest.approx(6 / 35, rel=1e-14)
         assert got.upper == pytest.approx(6.0, rel=1e-14)
         assert got.classical == pytest.approx(8 / 3, rel=1e-14)
         assert got.classical <= 1.0 / got.exact_inverse <= got.upper

@@ -176,6 +176,15 @@ class TestStudyConfig:
             StudyConfig(alpha1=10**400)
         assert StudyConfig(alpha1=10**20).alpha1 == 10**20
 
+    def test_rejected_value_is_shown_truncated(self):
+        deep = 2.0
+        for _ in range(900):
+            deep = [deep]
+        for bad in ({"alpha1": 10**400}, {"phi_set": (deep,)}, {"a_set": ("x" * 500,)}):
+            with pytest.raises(errors.ConstraintViolated, match="must hold finite numbers") as info:
+                StudyConfig(**bad)
+            assert len(str(info.value)) <= 80
+
     def test_point_cap_is_checked_before_allocating(self):
         tracemalloc.start()
         try:
