@@ -76,6 +76,18 @@ def _manifest(command: str, config: dict, input_paths: list) -> dict:
     }
 
 
+def _dumps(document: dict) -> str:
+    """``document`` as indented strict JSON text, ending in a newline.
+
+    RFC 8259 has no ``NaN`` or ``Infinity``, so a non-finite number in an
+    output is a numerical failure (exit 3), not a token written out.
+    """
+    try:
+        return json.dumps(document, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise errors.NumericalBreakdown(f"output holds a non-finite number: {exc}") from None
+
+
 def _parse_json(text: str, where: str):
     try:
         return json.loads(text)
@@ -193,7 +205,7 @@ def _cmd_solve(args) -> int:
             "fund_variance": base_point.variance,
         },
     }
-    text = json.dumps(report, indent=2) + "\n"
+    text = _dumps(report)
     if args.output:
         _write({args.output: text})
         _log(f"wrote {args.output}")
@@ -274,7 +286,7 @@ def _cmd_study(args) -> int:
         value = getattr(config, field.name)
         echo[field.name] = list(value) if isinstance(value, tuple) else value
     manifest = _manifest("study", echo, [args.config] if args.config else [])
-    sidecar = json.dumps(manifest, indent=2) + "\n"
+    sidecar = _dumps(manifest)
     try:
         os.makedirs(args.output_dir, exist_ok=True)
     except OSError as exc:
@@ -302,7 +314,7 @@ def _cmd_estimate(args) -> int:
         "mu": market.mu.tolist(),
         "sigma": market.sigma.tolist(),
     }
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    sys.stdout.write(_dumps(report))
     return EXIT_OK
 
 

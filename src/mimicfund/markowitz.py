@@ -51,7 +51,10 @@ def context(market: MarketModel) -> MarkowitzContext:
 
     With the market's Cholesky factor ``L`` (``sigma = L L'``), ``y1 = L^-1 1``
     and ``ym = L^-1 mu`` give ``1' sigma^-1 1 = y1'y1``, ``mu_gmv = y1'ym / y1'y1``
-    and ``slope = |ym - mu_gmv y1|^2``, a sum of squares.  Nothing scales
+    and ``slope = |ym - mu_gmv y1|^2``, a sum of squares.  The tilt is
+    re-centred by its mean, so ``1'tilt`` is at the rounding of the tilt's
+    own entries and the columns of a weight matrix ``gmvp + c_i tilt`` sum
+    to 1 even for a large ``c_i``.  Nothing scales
     faster than ``sigma^-1``: a power-of-4 scale of ``(mu, sigma)`` keeps the
     weights' bits while every intermediate stays in the normal float range,
     and a result that is not finite raises :class:`errors.NumericalBreakdown`.
@@ -71,6 +74,7 @@ def context(market: MarketModel) -> MarkowitzContext:
         gmvp = si_one / si_one.sum()
         si_mu = l_inv.T @ ym
         tilt = si_mu - si_mu.sum() * gmvp
+        tilt -= tilt.sum() / market.k
         v_gmv = 1.0 / c0
     if not (np.isfinite(tilt).all() and all(map(math.isfinite, (mu_gmv, v_gmv, slope)))):
         raise errors.NumericalBreakdown("frontier constants are not finite at this market's scale")
@@ -96,9 +100,12 @@ def _classical_tau(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Penalty-free fund scalar ``tau_cl = beta' (1 / alpha)`` along the last axis.
 
     One group ``(n,)`` or a stack ``(..., n)``; the result keeps a trailing
-    axis of length 1, like every per-group value.
+    axis of length 1, like every per-group value.  Computed without
+    floating-point warnings: a subnormal ``alpha`` gives an infinite
+    ``tau_cl``, which the callers check.
     """
-    return _dot(beta, 1.0 / alpha)
+    with np.errstate(all="ignore"):
+        return _dot(beta, 1.0 / alpha)
 
 
 def _optimal_utility(ctx: MarkowitzContext, tau, beta_alpha):
@@ -122,7 +129,16 @@ def fund_aggregate(
     The fund is the frontier portfolio at ``tau_cl = beta' (1 / alpha)``,
     the beta-weighted average of the individual optima; its risk aversion
     ``1 / tau_cl`` is the weighted harmonic mean of the individual ones.
+    A ``tau_cl``, weights or point that is not finite (a tiny ``alpha``
+    puts ``1 / alpha`` or ``tau_cl^2 slope`` beyond the float range)
+    raises :class:`errors.NumericalBreakdown`.
     """
     tau_cl = _classical_tau(group.alpha, group.beta).item()
-    weights, point = frontier(ctx, tau_cl)
+    with np.errstate(all="ignore"):
+        weights, point = frontier(ctx, tau_cl)
+    scalars = (tau_cl, point.mean, point.variance)
+    if not (np.isfinite(weights).all() and all(map(math.isfinite, scalars))):
+        raise errors.NumericalBreakdown(
+            f"classical fund at tau_cl = {tau_cl!r} is out of floating-point range"
+        )
     return weights, 1.0 / tau_cl, point

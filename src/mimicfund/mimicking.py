@@ -103,19 +103,25 @@ def solve(ctx: MarkowitzContext, group: InvestorGroup) -> MimickingSolution:
     """Closed-form solution of the penalized group problem.
 
     Column ``i`` of the optimum is ``gmvp + c_i * tilt`` where
-    ``c = a_phi^-1 beta``; the fund aggregate is the frontier portfolio at
-    inverse risk aversion ``tau = beta' c`` (:func:`markowitz.frontier`),
-    which equals ``w_star @ beta``.  The achieved utility depends on ``tau``
-    alone (:func:`markowitz._optimal_utility`), so no product with ``sigma``
-    is formed.  The freshly built ``W`` is frozen and handed to
-    :class:`PortfolioMatrix`, which keeps it without a copy.  A ``tau``
-    that is not finite and positive, or a ``W`` that fails the checks of
-    :class:`PortfolioMatrix`, comes from the limits of floating point and
-    raises :class:`errors.NumericalBreakdown`.
+    ``c = a_phi^-1 beta``, so ``W = [gmvp tilt] [1'; c']`` is one rank-two
+    product of the ``k x 2`` frontier basis with the ``2 x n`` frontier
+    coordinates, a single BLAS call.  The fund aggregate is the frontier
+    portfolio at inverse risk aversion ``tau = beta' c``
+    (:func:`markowitz.frontier`), which equals ``w_star @ beta``.  The
+    achieved utility depends on ``tau`` alone
+    (:func:`markowitz._optimal_utility`), so no product with ``sigma`` is
+    formed.  The freshly built ``W`` is frozen and handed to
+    :class:`PortfolioMatrix`, which checks it in one pass and keeps it
+    without a copy.  A ``tau`` that is not finite and positive, or a ``W``
+    that fails the checks of :class:`PortfolioMatrix`, comes from the
+    limits of floating point and raises :class:`errors.NumericalBreakdown`.
     """
     c, tau = _solved(group)
-    w = np.multiply.outer(ctx.tilt, c)
-    w += ctx.gmvp[:, None]
+    coords = np.empty((2, c.shape[0]))
+    coords[0] = 1.0
+    coords[1] = c
+    with np.errstate(all="ignore"):  # an overflow is a non-finite entry, rejected below
+        w = np.array((ctx.gmvp, ctx.tilt)).T @ coords
     w.setflags(write=False)
     try:
         w_star = PortfolioMatrix(w)

@@ -230,10 +230,17 @@ class PortfolioMatrix:
     """A ``k x n`` matrix whose column ``i`` is investor ``i``'s weights.
 
     Every column must sum to 1 within ``COLUMN_SUM_TOL``, and every entry
-    must be finite; both are checked on every construction.  A read-only,
-    C-contiguous float64 2-D array that owns its data is kept as it is: its
-    owner has frozen it and hands it over.  Every other input is copied, so
-    the caller's array stays writeable and unshared.
+    must be finite; both are checked on every construction, in one pass
+    over the matrix.  A column with a non-finite entry never has a finite
+    sum, so the column sums alone decide acceptance; only a rejected
+    matrix is scanned for a non-finite entry, which raises
+    :class:`errors.NonFiniteValue` before the sum is blamed.  A sum of
+    finite entries that comes out NaN (partial sums of ``1e308`` entries
+    overflowing to ``inf`` and ``-inf``) is rejected, no numpy warning
+    escapes, and a matrix without columns has none to reject.  A
+    read-only, C-contiguous float64 2-D array that owns its data is kept
+    as it is: its owner has frozen it and hands it over.  Every other
+    input is copied, so the caller's array stays writeable and unshared.
     """
 
     weights: np.ndarray
@@ -242,11 +249,12 @@ class PortfolioMatrix:
         weights = self.weights
         if not _frozen_matrix(weights):
             weights = _as_matrix(weights, "weights")
-        _require_finite(weights, "weights")
-        sums = weights.sum(axis=0)
-        off = np.max(np.abs(sums - 1.0))
-        if off > COLUMN_SUM_TOL:
-            bad = int(np.argmax(np.abs(sums - 1.0)))
+        with np.errstate(all="ignore"):
+            sums = weights.sum(axis=0)
+            off = np.abs(sums - 1.0)
+        if not off.max(initial=0.0) <= COLUMN_SUM_TOL:  # also catches NaN
+            _require_finite(weights, "weights")
+            bad = int(np.argmax(off))
             raise errors.ConstraintViolated(
                 f"column {bad} sums to {float(sums[bad])!r}, violating the unit-sum constraint"
             )

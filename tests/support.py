@@ -156,6 +156,13 @@ def inverse_beta_exact(alpha, beta, phi):
     return _solve_exact(a_phi, [beta])[0]
 
 
+def optimum_exact(mu, sigma, alpha, beta, phi):
+    """The optimal ``W``, rows of ``gmvp_j + c_i tilt_j``, in exact rational arithmetic."""
+    gmvp, tilt, _ = frontier_exact(mu, sigma)
+    c = inverse_beta_exact(alpha, beta, phi)
+    return [[x + ci * t for ci in c] for x, t in zip(gmvp, tilt)]
+
+
 def split_mimicking(alpha, beta, phi):
     """Dense ``a_phi = diag(alpha beta) + (I - beta 1') diag(phi beta) (I - 1 beta')``.
 

@@ -36,6 +36,16 @@ def assert_validation_error(result):
     assert "Traceback" not in result.stderr
 
 
+def assert_exact_weights(config, weights):
+    # the solved weights within 1e-12 of the largest exact rational entry
+    keys = ("mu", "sigma", "alpha", "beta", "phi")
+    exact = support.optimum_exact(*(config[key] for key in keys))
+    scale = max(abs(e) for row in exact for e in row)
+    for row, exact_row in zip(weights, exact):
+        for got, want in zip(row, exact_row):
+            assert abs(Fraction(got) - want) <= 1e-12 * scale
+
+
 TEXTBOOK_CONFIG = {
     "mu": [0.07, 0.14],
     "sigma": [[0.0144, 0.0048], [0.0048, 0.04]],
@@ -259,9 +269,12 @@ class TestSolve:
             # alpha + phi overflows to inf
             ((1e308, 1e308), (1e308, 1e308),
              "error: fund scalar tau is nan; the sums over alpha + phi are out of floating-point"),
-            # a column of W sums to 1 + 3.5e-10
-            ((6.39188298965864e-6, 2.036259105597082e-6), (526555.6052483491, 1048.9066279687663),
-             "violating the unit-sum constraint"),
+            # a subnormal alpha: 1 / alpha, and so the classical fund, is infinite
+            ((1e-320, 1.0), (3.0, 3.0),
+             "error: classical fund at tau_cl = inf is out of floating-point range"),
+            # alpha = 1e-308: only the classical fund's variance is infinite
+            ((1e-308, 1.0), (3.0, 3.0),
+             "error: classical fund at tau_cl = 5e+307 is out of floating-point range"),
         ],
     )
     def test_rounding_failure_of_a_valid_group_exits_3(self, tmp_path, alpha, phi, message):
@@ -273,6 +286,20 @@ class TestSolve:
         assert result.stdout == ""
         assert message in result.stderr and "np.float64" not in result.stderr
         assert "Warning" not in result.stderr and "Traceback" not in result.stderr
+
+    def test_large_frontier_coordinates_solve(self, tmp_path):
+        # c is about 2.4e5, so a 1'tilt of 1.3e-15 would put a column sum
+        # 3.5e-10 off 1; the re-centred tilt keeps both sums at 1
+        cfg = tmp_path / "config.json"
+        config = {
+            **TEXTBOOK_CONFIG,
+            "alpha": [6.39188298965864e-6, 2.036259105597082e-6],
+            "phi": [526555.6052483491, 1048.9066279687663],
+        }
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        result = run_cli("solve", "--config", str(cfg))
+        assert result.returncode == 0
+        assert_exact_weights(config, json.loads(result.stdout)["mimicking"]["weights"])
 
     def test_preferences_over_13_decades_solve(self, tmp_path):
         # eigvalsh(a_phi) is (6.36, 6.05e8); the dense KKT oracle is itself
@@ -287,14 +314,7 @@ class TestSolve:
         cfg.write_text(json.dumps(config), encoding="utf-8")
         result = run_cli("solve", "--config", str(cfg))
         assert result.returncode == 0
-        weights = json.loads(result.stdout)["mimicking"]["weights"]
-        gmvp, tilt, _ = support.frontier_exact(config["mu"], config["sigma"])
-        c = support.inverse_beta_exact(config["alpha"], config["beta"], config["phi"])
-        exact = [[x + ci * t for ci in c] for x, t in zip(gmvp, tilt)]
-        scale = max(abs(e) for row in exact for e in row)
-        for row, exact_row in zip(weights, exact):
-            for got, want in zip(row, exact_row):
-                assert abs(Fraction(got) - want) <= 1e-12 * scale
+        assert_exact_weights(config, json.loads(result.stdout)["mimicking"]["weights"])
 
     def test_failed_covariance_solve_exits_3(self, solve_config, monkeypatch, capsys):
         # no known market reaches it after a successful Cholesky; inject it
@@ -311,6 +331,18 @@ class TestSolve:
         assert code == 3
         assert "error: covariance solve failed: Singular matrix" in err
         assert "Traceback" not in err
+
+    def test_non_finite_report_value_exits_3(self, solve_config, monkeypatch, capsys):
+        # every known path to a non-finite output is checked before the
+        # report; inject one to reach the strict-JSON backstop
+        from mimicfund import cli, markowitz
+
+        monkeypatch.setattr(markowitz, "_optimal_utility", lambda *args: float("inf"))
+        code = cli.main(["solve", "--config", str(solve_config)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "error: output holds a non-finite number" in captured.err
 
     def test_annualize_without_returns_exits_1(self, solve_config):
         result = run_cli("solve", "--config", str(solve_config), "--annualize", "12")

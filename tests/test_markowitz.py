@@ -104,6 +104,23 @@ class TestContext:
             return
         assert np.array_equal(weights, reference)
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), j=st.integers(-500, 500))
+    def test_solve_is_free_of_the_preference_scale(self, seed, j):
+        # (alpha, phi, sigma) -> (4^j alpha, 4^j phi, 4^-j sigma) scales tilt
+        # by 4^j and c by 4^-j, each exactly, so W keeps its bits; a failure
+        # must be typed as numerical, never as invalid input
+        market, group = sampling.random_instance(np.random.default_rng(seed), 10, 10)
+        reference = mimicking.solve(markowitz.context(market), group).w_star.weights
+        scale = 4.0**j
+        scaled_market = build_market(market.mu, market.sigma / scale)
+        scaled_group = build_group(scale * group.alpha, group.beta, scale * group.phi)
+        try:
+            weights = mimicking.solve(markowitz.context(scaled_market), scaled_group).w_star.weights
+        except errors.NumericalError:
+            return
+        assert np.array_equal(weights, reference)
+
 
 class TestIndividualWeights:
     def test_textbook_alpha_two(self, textbook_market, textbook_ctx):

@@ -16,6 +16,14 @@ def dense(group):
     return a, (a + a.T) / 2.0
 
 
+def exact_weights(market, group):
+    """The optimal ``W`` in exact rational arithmetic, as an object array."""
+    exact = support.optimum_exact(
+        market.mu.tolist(), market.sigma.tolist(), group.alpha, group.beta, group.phi
+    )
+    return np.array(exact, dtype=object)
+
+
 class TestMimickingMatrix:
     def test_textbook_matrix(self, base_group):
         a, a_phi = dense(base_group)
@@ -209,18 +217,23 @@ class TestSolve:
         )
 
     def test_rounding_failures_are_numerical(self, textbook_ctx):
-        # two valid groups: alpha + phi overflows, and a column of W sums to
-        # 1 + 3.5e-10; neither is an input error
+        # a valid group whose alpha + phi overflows: not an input error
         overflow = build_group((1e308, 1e308), (0.5, 0.5), (1e308, 1e308))
         with pytest.raises(errors.NumericalBreakdown, match="out of floating-point range"):
             mimicking.asymptotic_alpha(overflow)
-        off_sum = build_group(
+        with pytest.raises(errors.NumericalBreakdown):
+            mimicking.solve(textbook_ctx, overflow)
+
+    def test_large_frontier_coordinates_keep_unit_column_sums(self, textbook_market, textbook_ctx):
+        # c is about 2.4e5, so a 1'tilt of 1.3e-15 would put a column sum
+        # 3.5e-10 off 1; the re-centred tilt sums to 0 exactly
+        g = build_group(
             (6.39188298965864e-6, 2.036259105597082e-6), (0.5, 0.5),
             (526555.6052483491, 1048.9066279687663),
         )
-        for group in (overflow, off_sum):
-            with pytest.raises(errors.NumericalBreakdown):
-                mimicking.solve(textbook_ctx, group)
+        w = mimicking.solve(textbook_ctx, g).w_star.weights
+        exact = exact_weights(textbook_market, g)
+        assert float(np.max(np.abs(w - exact)) / np.max(np.abs(exact))) <= 1e-12
 
     def test_preferences_over_13_decades_solve_exactly(self, textbook_market, textbook_ctx):
         # a_phi has eigenvalues 6.36 and 6.05e8, and the sums in a rank-two
@@ -230,11 +243,7 @@ class TestSolve:
             (0.5369271349060832, 2419877411.616322),
         )
         w = mimicking.solve(textbook_ctx, g).w_star.weights
-        gmvp, tilt, _ = support.frontier_exact(
-            textbook_market.mu.tolist(), textbook_market.sigma.tolist()
-        )
-        c = support.inverse_beta_exact(g.alpha, g.beta, g.phi)
-        exact = np.array([[x + ci * t for ci in c] for x, t in zip(gmvp, tilt)], dtype=object)
+        exact = exact_weights(textbook_market, g)
         assert float(np.max(np.abs(w - exact)) / np.max(np.abs(exact))) <= 1e-12
 
     def test_first_order_conditions_at_large_n(self):

@@ -1,12 +1,14 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
+import support
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimicfund import build_group, build_market, errors, mimicking, moments, oracle
-from mimicfund.model import PortfolioMatrix
+from mimicfund.model import COLUMN_SUM_TOL, PortfolioMatrix
 
 
 class TestMarketModel:
@@ -131,6 +133,8 @@ class TestPortfolioMatrix:
     def test_unit_columns_accepted(self):
         w = PortfolioMatrix(((0.5, 1.5), (0.5, -0.5)))
         assert (w.k, w.n) == (2, 2)
+        # a matrix without columns has none off its sum
+        assert PortfolioMatrix(np.zeros((2, 0))).n == 0
 
     def test_bad_column_sum_rejected(self):
         with pytest.raises(errors.ConstraintViolated):
@@ -187,6 +191,62 @@ class TestPortfolioMatrix:
         non_finite.setflags(write=False)
         with pytest.raises(errors.NonFiniteValue):
             PortfolioMatrix(non_finite)
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_overflowing_column_sum_rejected_without_a_warning(self, order):
+        # numpy sums an F-ordered column pairwise, (1e308 + 1e308) + ... +
+        # (-1e308 + -1e308) = inf + -inf = nan, and a C-ordered one row by
+        # row, to inf; both sums are rejected and neither leaks a warning
+        arr = np.zeros((8, 2), order=order)
+        arr[:, 0] = [1e308] * 4 + [-1e308] * 4
+        arr[0, 1] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.ConstraintViolated, match="violating the unit-sum"):
+                PortfolioMatrix(arr)
+
+    def test_one_pass_rejects_what_two_passes_rejected(self):
+        # reference: a finiteness scan, then the column sums, which lets a
+        # NaN column sum through
+        def two_passes(arr):
+            if not np.all(np.isfinite(arr)):
+                return errors.NonFiniteValue
+            with np.errstate(all="ignore"):
+                sums = arr.sum(axis=0)
+            if np.max(np.abs(sums - 1.0)) > COLUMN_SUM_TOL:
+                return errors.ConstraintViolated
+            return None
+
+        def one_pass(arr):
+            try:
+                PortfolioMatrix(arr)
+            except (errors.NonFiniteValue, errors.ConstraintViolated) as exc:
+                return type(exc)
+            return None
+
+        rng = np.random.default_rng(16)
+        outcomes = set()
+        for _ in range(2000):
+            k, n = (int(size) for size in rng.integers(1, 20, 2))
+            arr = support.unit_sum_columns(rng, k, n)
+            # half the matrices get non-finite entries, half get entries of
+            # 1e308, whose column sums can overflow or, pairwise, come out NaN
+            hits = int(rng.integers(0, 2)) * int(rng.integers(0, 3))
+            rows, cols = rng.integers(0, k, hits), rng.integers(0, n, hits)
+            arr[rows, cols] = rng.choice([np.inf, -np.inf, np.nan], hits)
+            huge = int(rng.integers(0, 2)) * int(rng.integers(0, 2 * k))
+            rows, cols = rng.integers(0, k, huge), rng.integers(0, n, huge)
+            arr[rows, cols] = rng.choice([1e308, -1e308], huge)
+            arr = np.asarray(arr, order=rng.choice(["C", "F"]))
+            outcome = two_passes(arr)
+            with np.errstate(all="ignore"):
+                if outcome is None and np.isnan(arr.sum(axis=0)).any():
+                    outcome = "nan sum"
+            outcomes.add(outcome)
+            want = errors.ConstraintViolated if outcome == "nan sum" else outcome
+            assert one_pass(arr) is want
+        # every outcome occurs, the NaN column sum that two passes accepted too
+        assert outcomes == {None, errors.NonFiniteValue, errors.ConstraintViolated, "nan sum"}
 
 
 def test_array_holding_types_compare_and_hash_by_identity(textbook_market, textbook_ctx, base_group):
