@@ -111,12 +111,15 @@ def _group_faults(alpha: np.ndarray, beta: np.ndarray, phi: np.ndarray) -> list:
     a boolean array of shape ``(..., 1)`` (``(1,)`` for one group) that
     marks where the rule fails, ``error`` the exception type, and
     ``message`` its text, formatted with the entry of ``detail`` at the
-    failing point unless ``detail`` is None.
+    failing point unless ``detail`` is None.  A wealth-share sum beyond
+    the float range is ``inf``, which fails the unit-sum rule without a
+    numpy warning.
     """
     n = alpha.shape[-1]
     every = functools.partial(np.logical_and.reduce, axis=-1, keepdims=True)
     some = functools.partial(np.logical_or.reduce, axis=-1, keepdims=True)
-    total = _sum(beta)
+    with np.errstate(over="ignore"):
+        total = _sum(beta)
     return [
         (~every(np.isfinite(alpha)), errors.NonFiniteValue,
          "alpha contains a non-finite entry", None),
@@ -156,7 +159,9 @@ class MarketModel:
     """Return moments of ``k >= 2`` risky assets.
 
     ``mu`` is the vector of per-period expected returns (decimal fractions);
-    ``sigma`` is the symmetric positive-definite covariance matrix.
+    ``sigma`` is the symmetric positive-definite covariance matrix; an
+    asymmetry beyond the float range is ``inf`` and fails the symmetry
+    check without a numpy warning.
     ``cholesky`` is its lower-triangular factor ``L`` with ``sigma = L L'``,
     computed once by the positive-definiteness check; it is not a
     constructor argument.
@@ -180,7 +185,9 @@ class MarketModel:
         if mu.shape[0] < 2:
             raise errors.TooFewAssets(f"need at least 2 assets, got {mu.shape[0]}")
         scale = np.max(np.abs(sigma))
-        if np.max(np.abs(sigma - sigma.T)) > SYMMETRY_RTOL * scale:
+        with np.errstate(over="ignore"):
+            asymmetry = np.max(np.abs(sigma - sigma.T))
+        if asymmetry > SYMMETRY_RTOL * scale:
             raise errors.NotSymmetric("sigma is not symmetric")
         try:
             cholesky = np.linalg.cholesky(sigma)

@@ -4,6 +4,8 @@ Each test prints one PASS/FAIL line (visible with ``pytest -v -s``).  The
 criteria and their tolerances are fixed; see README for the checklist.
 """
 
+import json
+import os
 import subprocess
 import sys
 import time
@@ -308,4 +310,41 @@ def test_criterion_9_determinism(tmp_path):
     assert first_run.returncode == 0
     assert first_run.stdout == second_run.stdout
 
-    report("9 determinism", True, "study CSVs and verify reports byte-identical")
+    # with the timestamp pinned, the manifests and solve's report are byte-identical too
+    pinned = {**os.environ, "SOURCE_DATE_EPOCH": "0"}
+    manifests = []
+    for name in ("three", "four"):
+        out = tmp_path / name
+        result = subprocess.run(
+            [sys.executable, "-m", "mimicfund", "study", "--output-dir", str(out)],
+            capture_output=True,
+            env=pinned,
+        )
+        assert result.returncode == 0
+        manifests.append(
+            (out / "figure1.manifest.json").read_bytes()
+            + (out / "figure2.manifest.json").read_bytes()
+        )
+    assert manifests[0] == manifests[1]
+
+    config = tmp_path / "solve.json"
+    config.write_text(
+        json.dumps({
+            "mu": [0.07, 0.14],
+            "sigma": [[0.0144, 0.0048], [0.0048, 0.04]],
+            "alpha": [2.0, 4.0],
+            "beta": [0.5, 0.5],
+            "phi": [3.0, 3.0],
+        }),
+        encoding="utf-8",
+    )
+    solve_args = [sys.executable, "-m", "mimicfund", "solve", "--config", str(config)]
+    first_solve = subprocess.run(solve_args, capture_output=True, env=pinned)
+    second_solve = subprocess.run(solve_args, capture_output=True, env=pinned)
+    assert first_solve.returncode == 0
+    assert first_solve.stdout == second_solve.stdout
+
+    report(
+        "9 determinism", True,
+        "study CSVs and manifests, verify reports and solve reports byte-identical",
+    )

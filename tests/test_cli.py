@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ from fractions import Fraction
 
 import pytest
 import support
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 
 def run_cli(*args, cwd=None, env=None):
@@ -679,6 +683,95 @@ class TestEstimate:
         assert result.returncode == 1
         assert "Traceback" not in result.stderr
         assert "not UTF-8" in result.stderr
+
+
+def test_version():
+    result = run_cli("--version")
+    assert result.returncode == 0
+    assert result.stdout == "mimicfund 0.1.0\n"
+
+
+# entries a config may hold in place of a number: extremes of the float
+# range, an integer beyond it, non-finite values and non-numbers
+ODD_ENTRIES = st.one_of(
+    st.sampled_from([
+        0.0, -1.0, 5e-324, 1e-320, 1e-308, 1e308, -1e308, 10**400,
+        math.nan, math.inf, -math.inf, True, False, "1", None,
+    ]),
+    st.floats(),
+)
+ENTRIES = st.one_of(st.floats(-10, 10), ODD_ENTRIES)
+# a bare entry or lists nested a few levels deep
+NESTED = st.recursive(ENTRIES, lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in the report")
+
+
+@pytest.fixture(scope="module")
+def fuzz_config(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "config.json"
+
+
+@st.composite
+def solve_configs(draw):
+    n = draw(st.integers(1, 4))
+    # valid entries, from everyday values to the ends of the float range
+    positive = st.one_of(st.floats(1e-3, 1e3), st.floats(0, exclude_min=True, allow_infinity=False))
+    shares = st.just([1 / n] * n)
+    non_negative = st.one_of(st.floats(0, 1e3), st.floats(0, allow_infinity=False))
+    clean = draw(st.booleans())
+
+    def value(valid, vector=None):
+        # n valid entries, n entries with odd ones mixed in, or any shape
+        if vector is None:
+            vector = st.lists(valid, min_size=n, max_size=n)
+        if clean:
+            return draw(vector)
+        odd = st.lists(st.one_of(valid, ODD_ENTRIES), min_size=n, max_size=n)
+        return draw(st.one_of(vector, odd, NESTED))
+
+    config = {
+        "alpha": value(positive),
+        "beta": value(positive, shares),
+        "phi": value(non_negative),
+    }
+    if draw(st.booleans()):
+        config.update(mu=TEXTBOOK_CONFIG["mu"], sigma=TEXTBOOK_CONFIG["sigma"])
+        return config
+    k = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=k, max_size=k), min_size=k, max_size=k))
+    symmetric = [[rows[min(i, j)][max(i, j)] for j in range(k)] for i in range(k)]
+    config["mu"] = draw(st.one_of(st.lists(ENTRIES, min_size=k, max_size=k), NESTED))
+    config["sigma"] = draw(st.one_of(st.just(symmetric), st.just(rows), NESTED))
+    return config
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(config=solve_configs())
+# the wealth-share sum overflows to inf
+@example(config={**TEXTBOOK_CONFIG, "alpha": [0.5, 0.5], "beta": [1e308, 1e308], "phi": [0, 0]})
+# sigma - sigma.T overflows to inf
+@example(config={**TEXTBOOK_CONFIG, "mu": [0, 0], "sigma": [[1, 1e308], [-1e308, 1]]})
+# 1 / alpha, and so the classical fund, is infinite
+@example(config={**TEXTBOOK_CONFIG, "alpha": [1e-320, 1]})
+def test_solve_keeps_the_exit_code_contract(fuzz_config, config):
+    # any config ends in a documented exit code, without a traceback or
+    # warning, and a successful report is strict JSON
+    from mimicfund import cli
+
+    fuzz_config.write_text(json.dumps(config), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["solve", "--config", str(fuzz_config)])
+    assert code in {0, 1, 2, 3, 4}
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_cli_import_defers_command_modules():

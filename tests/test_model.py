@@ -29,6 +29,11 @@ class TestMarketModel:
         with pytest.raises(errors.NotSymmetric):
             build_market((0.0, 0.0), ((1.0, 0.2), (0.3, 1.0)))
 
+    def test_overflowing_asymmetry_rejected(self):
+        # sigma - sigma.T overflows to inf: typed, with no numpy warning
+        with pytest.raises(errors.NotSymmetric):
+            build_market((0.0, 0.0), ((1.0, 1e308), (-1e308, 1.0)))
+
     def test_dimension_mismatch(self):
         with pytest.raises(errors.DimensionMismatch):
             build_market((0.1, 0.2, 0.3), np.eye(2))
@@ -73,6 +78,11 @@ class TestInvestorGroup:
     def test_beta_must_sum_to_one(self):
         with pytest.raises(errors.BetaNotNormalized):
             build_group((2.0, 4.0), (0.6, 0.6), (3.0, 3.0))
+
+    def test_overflowing_beta_sum_rejected(self):
+        # the wealth-share sum overflows to inf: typed, with no numpy warning
+        with pytest.raises(errors.BetaNotNormalized, match="got inf"):
+            build_group((0.5, 0.5), (1e308, 1e308), (0.0, 0.0))
 
     @pytest.mark.parametrize("alpha", [(0.0, 4.0), (-1.0, 4.0)])
     def test_non_positive_alpha_rejected(self, alpha):
