@@ -91,7 +91,7 @@ def _dumps(document: dict) -> str:
 def _parse_json(text: str, where: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer beyond the digit limit
         raise errors.ParseError(f"{where}: invalid JSON: {exc}") from exc
     except RecursionError:
         raise errors.ParseError(f"{where}: invalid JSON: nested too deeply") from None
@@ -270,16 +270,11 @@ def _cmd_verify(args) -> int:
 def _cmd_study(args) -> int:
     from .study import StudyConfig, run_sweeps
 
-    # the grid keys are the fields of StudyConfig; those with tuple defaults take JSON arrays
+    # the grid keys are the fields of StudyConfig other than market
     grid = [field for field in dataclasses.fields(StudyConfig) if field.name != "market"]
     raw = _config("study", args.config, ["mu", "sigma"] + [field.name for field in grid])
     kwargs = {"market": build_market(raw.pop("mu"), raw.pop("sigma"))} if "mu" in raw else {}
-    arrays = [field.name for field in grid if isinstance(field.default, tuple)]
-    for key, value in raw.items():
-        if key in arrays and not isinstance(value, list):
-            raise errors.ValidationError(f"study config key {key} must be a JSON array")
-        kwargs[key] = tuple(value) if key in arrays else value
-    config = StudyConfig(**kwargs)
+    config = StudyConfig(**kwargs, **raw)
     figure1, figure2 = run_sweeps(config)
     echo = {"mu": config.market.mu.tolist(), "sigma": config.market.sigma.tolist()}
     for field in grid:

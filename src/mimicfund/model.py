@@ -1,7 +1,9 @@
 """Validated domain types shared by all solvers.
 
 Construction is total: every constructor either returns a value satisfying
-all invariants or raises a typed :mod:`mimicfund.errors` exception.  All
+all invariants or raises a typed :mod:`mimicfund.errors` exception.  Every
+number from outside, here and in the study and moments modules, passes
+:func:`_as_array` or, for an integer, :func:`_as_count`.  All
 values are immutable after construction (frozen dataclasses over read-only
 arrays), so they are safe to share across threads.  Types that hold arrays
 compare and hash by identity (``eq=False``), since an array comparison has
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import reprlib
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -28,35 +31,39 @@ COLUMN_SUM_TOL = 1e-10
 
 # Entries that np.array(..., dtype=float) converts although they are not numbers.
 _NOT_NUMBERS = (str, bytes, bool, np.bool_)
+_SHAPES = {0: "a number", 1: "a 1-D vector", 2: "a 2-D matrix"}
 
 
-def _as_float_array(x, name: str) -> np.ndarray:
+def _as_array(x, name: str, ndim: int) -> np.ndarray:
+    """``x`` as a new float array of ``ndim`` (0, 1 or 2) dimensions.
+
+    Non-numbers, strings and booleans among them, raise :class:`errors.ParseError`
+    and another shape :class:`errors.DimensionMismatch`; a rejected value is
+    shown through ``reprlib.repr``, so the message stays short.
+    """
     try:
         arr = np.array(x, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise errors.ParseError(f"{name} is not an array of numbers: {exc}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise errors.ParseError(f"{name} is not an array of numbers: {reprlib.repr(x)}") from None
     if not (isinstance(x, np.ndarray) and x.dtype.kind in "iuf"):
         # look at each distinct entry type once, not at each entry; ravel, not
         # .flat, whose iterator stops at 32 dimensions where arrays reach 64
         entries = np.array(x, dtype=object).ravel()
         if any(issubclass(kind, _NOT_NUMBERS) for kind in set(map(type, entries))):
             bad = next(value for value in entries if isinstance(value, _NOT_NUMBERS))
-            raise errors.ParseError(f"{name} is not an array of numbers: it holds {bad!r}")
+            raise errors.ParseError(
+                f"{name} is not an array of numbers: it holds {reprlib.repr(bad)}"
+            )
+    if arr.ndim != ndim:
+        raise errors.DimensionMismatch(f"{name} must be {_SHAPES[ndim]}, got shape {arr.shape}")
     return arr
 
 
-def _as_vector(x, name: str) -> np.ndarray:
-    arr = _as_float_array(x, name)
-    if arr.ndim != 1:
-        raise errors.DimensionMismatch(f"{name} must be a 1-D vector, got shape {arr.shape}")
-    return arr
-
-
-def _as_matrix(x, name: str) -> np.ndarray:
-    arr = _as_float_array(x, name)
-    if arr.ndim != 2:
-        raise errors.DimensionMismatch(f"{name} must be a 2-D matrix, got shape {arr.shape}")
-    return arr
+def _as_count(x, name: str, low: int) -> int:
+    """``x`` as an ``int`` of at least ``low``; a bool or a float is not a count."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < low:
+        raise errors.ConstraintViolated(f"{name} must be an integer >= {low}, got {reprlib.repr(x)}")
+    return int(x)
 
 
 def _frozen_matrix(x) -> bool:
@@ -172,8 +179,8 @@ class MarketModel:
     cholesky: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mu = _as_vector(self.mu, "mu")
-        sigma = _as_matrix(self.sigma, "sigma")
+        mu = _as_array(self.mu, "mu", 1)
+        sigma = _as_array(self.sigma, "sigma", 2)
         if sigma.shape[0] != sigma.shape[1]:
             raise errors.DimensionMismatch(f"sigma must be square, got shape {sigma.shape}")
         if sigma.shape[0] != mu.shape[0]:
@@ -215,9 +222,9 @@ class InvestorGroup:
     phi: np.ndarray
 
     def __post_init__(self):
-        alpha = _as_vector(self.alpha, "alpha")
-        beta = _as_vector(self.beta, "beta")
-        phi = _as_vector(self.phi, "phi")
+        alpha = _as_array(self.alpha, "alpha", 1)
+        beta = _as_array(self.beta, "beta", 1)
+        phi = _as_array(self.phi, "phi", 1)
         if not (alpha.shape == beta.shape == phi.shape):
             raise errors.DimensionMismatch(
                 f"alpha, beta, phi must have equal lengths, got "
@@ -255,7 +262,7 @@ class PortfolioMatrix:
     def __post_init__(self):
         weights = self.weights
         if not _frozen_matrix(weights):
-            weights = _as_matrix(weights, "weights")
+            weights = _as_array(weights, "weights", 2)
         with np.errstate(all="ignore"):
             sums = weights.sum(axis=0)
             off = np.abs(sums - 1.0)

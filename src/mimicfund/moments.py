@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import reprlib
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -17,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import errors
-from .model import MarketModel, build_market
+from .model import MarketModel, _as_array, _as_count, build_market
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,16 +27,19 @@ class ReturnSample:
 
     Requires ``T >= k + 2`` (sample covariance is only generically positive
     definite for T > k; one extra row of margin) and finite entries.
+    ``returns`` passes :func:`model._as_array`; ``asset_names`` must be a
+    tuple or a list, since a string would be split into its characters.
     """
 
     returns: np.ndarray
     asset_names: tuple[str, ...]
 
     def __post_init__(self):
-        arr = np.array(self.returns, dtype=float)
-        if arr.ndim != 2:
-            raise errors.DimensionMismatch(f"returns must be 2-D, got shape {arr.shape}")
-        names = tuple(str(s) for s in self.asset_names)
+        arr = _as_array(self.returns, "returns", 2)
+        names = self.asset_names
+        if not isinstance(names, (tuple, list)):
+            raise errors.ParseError(f"asset_names must be a tuple or a list, got {reprlib.repr(names)}")
+        names = tuple(str(s) for s in names)
         if len(names) != arr.shape[1]:
             raise errors.DimensionMismatch(
                 f"{len(names)} asset names for {arr.shape[1]} return columns"
@@ -151,17 +155,16 @@ def estimate(sample: ReturnSample, periods_per_year: Optional[int] = None) -> Ma
 
     Means are column averages, the covariance uses the unbiased ``T - 1``
     divisor; with ``periods_per_year = P`` both moments are scaled by ``P``
-    (i.i.d. convention).  The result passes full market validation, so
-    degenerate data surfaces as :class:`errors.NotPositiveDefinite`.
+    (i.i.d. convention); ``P`` passes :func:`model._as_count` and
+    :func:`model._as_array`.  The result passes full market validation, so
+    degenerate data surfaces as :class:`errors.NotPositiveDefinite` and an
+    overflowing moment as :class:`errors.NonFiniteValue`, with no warning.
     """
-    mu = sample.returns.mean(axis=0)
-    sigma = np.cov(sample.returns, rowvar=False, ddof=1)
-    sigma = np.atleast_2d(sigma)
+    scale = 1.0
     if periods_per_year is not None:
-        if not isinstance(periods_per_year, (int, np.integer)) or periods_per_year < 1:
-            raise errors.ConstraintViolated(
-                f"periods_per_year must be a positive integer, got {periods_per_year!r}"
-            )
-        mu = mu * periods_per_year
-        sigma = sigma * periods_per_year
+        count = _as_count(periods_per_year, "periods_per_year", 1)
+        scale = _as_array(count, "periods_per_year", 0)
+    with np.errstate(all="ignore"):  # a non-finite moment fails the market's check
+        mu = sample.returns.mean(axis=0) * scale
+        sigma = np.atleast_2d(np.cov(sample.returns, rowvar=False, ddof=1)) * scale
     return build_market(mu, sigma)

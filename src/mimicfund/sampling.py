@@ -25,12 +25,11 @@ def random_group(
     rng: np.random.Generator,
     n: int,
     alpha_low: float = ALPHA_LOW,
-    alpha_high: float = ALPHA_HIGH,
     phi_high: float = PHI_HIGH,
     uniform_wealth: bool = False,
 ) -> InvestorGroup:
     """Random group with uniform draws for preferences and simplex wealth."""
-    alpha = rng.uniform(alpha_low, alpha_high, n)
+    alpha = rng.uniform(alpha_low, ALPHA_HIGH, n)
     phi = rng.uniform(0.0, phi_high, n)
     beta = np.full(n, 1.0 / n) if uniform_wealth else rng.dirichlet(np.ones(n))
     return build_group(alpha, beta, phi)

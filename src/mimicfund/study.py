@@ -44,7 +44,6 @@ anything is allocated.
 from __future__ import annotations
 
 import itertools
-import math
 import reprlib
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -76,21 +75,6 @@ MAX_POINTS = 1_000_000
 _GAIN_CLAMP = 1e-13
 
 
-def _require_reals(name: str, values) -> None:
-    for value in values:
-        real = not isinstance(value, bool) and isinstance(
-            value, (int, float, np.integer, np.floating)
-        )
-        try:
-            finite = real and math.isfinite(value)
-        except OverflowError:  # an integer beyond the float range
-            finite = False
-        if not finite:
-            raise errors.ConstraintViolated(
-                f"{name} must hold finite numbers, got {reprlib.repr(value)}"
-            )
-
-
 @dataclass(frozen=True)
 class StudyConfig:
     """Grid specification; defaults reproduce the standard configuration.
@@ -99,6 +83,10 @@ class StudyConfig:
     the series of the phi-sweep.  ``phi_ratio`` scales the second investor's
     mimicking coefficient relative to the first (1.0 keeps them equal, the
     default and the only configuration in the default output).
+
+    ``market`` must be a :class:`MarketModel`; the other fields pass
+    :func:`model._as_array` and must be finite, and ``grid_points`` passes
+    :func:`model._as_count` too.  The 1-D fields are stored as tuples of the values given.
     """
 
     market: MarketModel = DEFAULT_MARKET
@@ -111,39 +99,42 @@ class StudyConfig:
     phi_ratio: float = 1.0
 
     def __post_init__(self):
-        grid_points = self.grid_points
-        if isinstance(grid_points, bool) or not isinstance(grid_points, (int, np.integer)):
+        if not isinstance(self.market, MarketModel):
             raise errors.ConstraintViolated(
-                f"grid_points must be an integer, got {self.grid_points!r}"
+                f"market must be a MarketModel, got {reprlib.repr(self.market)}"
             )
-        for name in ("alpha1", "phi_ratio"):
-            _require_reals(name, (getattr(self, name),))
-        for name in ("phi_set", "a_set", "a_range", "phi_range"):
-            _require_reals(name, getattr(self, name))
-        for name in ("a_range", "phi_range"):
-            if len(getattr(self, name)) != 2:
+        grid_points = model._as_count(self.grid_points, "grid_points", 2)
+        # a count beyond the float range, like one of estimate, is not a number
+        model._as_array(grid_points, "grid_points", 0)
+        arrays = {}
+        for name, ndim in (("alpha1", 0), ("phi_ratio", 0), ("phi_set", 1),
+                           ("a_set", 1), ("a_range", 1), ("phi_range", 1)):
+            value = getattr(self, name)
+            arrays[name] = model._as_array(value, name, ndim)
+            model._require_finite(arrays[name], name)
+            if ndim:
+                object.__setattr__(self, name, tuple(value))
+        alpha1, phi_ratio, phi_set, a_set, a_range, phi_range = arrays.values()
+        for name, pair in (("a_range", a_range), ("phi_range", phi_range)):
+            if pair.shape != (2,):
                 raise errors.ConstraintViolated(f"{name} must be a pair lo, hi")
-        if self.alpha1 <= 0:
-            raise errors.NonPositiveAlpha(f"alpha1 must be > 0, got {self.alpha1!r}")
-        if self.grid_points < 2:
-            raise errors.ConstraintViolated(
-                f"grid_points must be >= 2, got {self.grid_points!r}"
-            )
-        for name, (lo, hi) in (("a_range", self.a_range), ("phi_range", self.phi_range)):
+            lo, hi = pair.tolist()
             if not lo < hi:
                 raise errors.ConstraintViolated(f"{name} must be a nonempty interval, got {lo!r}..{hi!r}")
-        if self.a_range[0] < 1.0 or any(a < 1.0 for a in self.a_set):
+        if alpha1 <= 0:
+            raise errors.NonPositiveAlpha(f"alpha1 must be > 0, got {alpha1.item()!r}")
+        if a_range[0] < 1.0 or (a_set < 1.0).any():
             raise errors.ConstraintViolated("risk-aversion ratios must satisfy a >= 1")
-        if self.phi_range[0] < 0.0 or any(p < 0.0 for p in self.phi_set):
+        if phi_range[0] < 0.0 or (phi_set < 0.0).any():
             raise errors.ConstraintViolated("mimicking strengths must satisfy phi >= 0")
-        if not self.phi_set or not self.a_set:
+        if not phi_set.size or not a_set.size:
             raise errors.ConstraintViolated("phi_set and a_set must be nonempty")
-        if self.phi_ratio < 0:
-            raise errors.ConstraintViolated(f"phi_ratio must be >= 0, got {self.phi_ratio!r}")
-        points = (len(self.phi_set) + len(self.a_set)) * int(grid_points)
+        if phi_ratio < 0:
+            raise errors.ConstraintViolated(f"phi_ratio must be >= 0, got {phi_ratio.item()!r}")
+        points = (phi_set.size + a_set.size) * grid_points
         if points > MAX_POINTS:
             raise errors.ConstraintViolated(
-                f"the study has {points} points (series times grid_points); "
+                f"the study has {reprlib.repr(points)} points (series times grid_points); "
                 f"at most {MAX_POINTS} are allowed"
             )
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -38,6 +39,13 @@ def assert_validation_error(result):
     assert result.returncode == 1
     assert "error:" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def assert_one_short_error_line(out, err):
+    # nothing on stdout, one "error:" line on stderr, short whatever the input
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 300
 
 
 def assert_exact_weights(config, weights):
@@ -348,6 +356,15 @@ class TestSolve:
         assert captured.out == ""
         assert "error: output holds a non-finite number" in captured.err
 
+    def test_integer_beyond_the_digit_limit_exits_1(self, tmp_path):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, on it
+        path = tmp_path / "config.json"
+        path.write_text('{"alpha": [%s, 1]}' % ("1" * 5000), encoding="utf-8")
+        result = run_cli("solve", "--config", str(path))
+        assert result.returncode == 1
+        assert_one_short_error_line(result.stdout, result.stderr)
+        assert "invalid JSON" in result.stderr
+
     def test_annualize_without_returns_exits_1(self, solve_config):
         result = run_cli("solve", "--config", str(solve_config), "--annualize", "12")
         assert_validation_error(result)
@@ -559,7 +576,7 @@ class TestStudy:
         cfg.write_text(json.dumps({"phi_set": 3}), encoding="utf-8")
         result = run_cli("study", "--config", str(cfg), "--output-dir", str(tmp_path / "s"))
         assert_validation_error(result)
-        assert "study config key phi_set must be a JSON array" in result.stderr
+        assert "phi_set must be a 1-D vector" in result.stderr
 
     def test_non_utf8_config_exits_1(self, tmp_path):
         cfg = tmp_path / "study.json"
@@ -676,6 +693,16 @@ class TestEstimate:
         result = run_cli("estimate", "--returns", str(tmp_path / "missing.csv"))
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("command", ["estimate", "solve"])
+    def test_annualize_beyond_the_float_range_exits_1(self, command, returns_csv, solve_config):
+        config = ["--config", str(solve_config)] if command == "solve" else []
+        result = run_cli(
+            command, *config, "--returns", str(returns_csv), "--annualize", str(10**400)
+        )
+        assert result.returncode == 1
+        assert_one_short_error_line(result.stdout, result.stderr)
+        assert "periods_per_year is not an array of numbers" in result.stderr
+
     def test_non_utf8_file_exits_1(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_bytes(b"A,B\n\xff\xfe,1\n")
@@ -740,12 +767,19 @@ def solve_configs(draw):
     if draw(st.booleans()):
         config.update(mu=TEXTBOOK_CONFIG["mu"], sigma=TEXTBOOK_CONFIG["sigma"])
         return config
+    config.update(draw_market(draw))
+    return config
+
+
+def draw_market(draw):
+    """mu and sigma of 1 to 3 assets, with odd entries mixed in, or any shape."""
     k = draw(st.integers(1, 3))
     rows = draw(st.lists(st.lists(ENTRIES, min_size=k, max_size=k), min_size=k, max_size=k))
     symmetric = [[rows[min(i, j)][max(i, j)] for j in range(k)] for i in range(k)]
-    config["mu"] = draw(st.one_of(st.lists(ENTRIES, min_size=k, max_size=k), NESTED))
-    config["sigma"] = draw(st.one_of(st.just(symmetric), st.just(rows), NESTED))
-    return config
+    return {
+        "mu": draw(st.one_of(st.lists(ENTRIES, min_size=k, max_size=k), NESTED)),
+        "sigma": draw(st.one_of(st.just(symmetric), st.just(rows), NESTED)),
+    }
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -756,6 +790,10 @@ def solve_configs(draw):
 @example(config={**TEXTBOOK_CONFIG, "mu": [0, 0], "sigma": [[1, 1e308], [-1e308, 1]]})
 # 1 / alpha, and so the classical fund, is infinite
 @example(config={**TEXTBOOK_CONFIG, "alpha": [1e-320, 1]})
+# numpy's message would quote the whole string
+@example(config={**TEXTBOOK_CONFIG, "alpha": ["x" * 10**5, 1]})
+# deeper than numpy 1.x allows an array to be, within numpy 2.x's limit
+@example(config={**TEXTBOOK_CONFIG, "alpha": json.loads(nested(40))})
 def test_solve_keeps_the_exit_code_contract(fuzz_config, config):
     # any config ends in a documented exit code, without a traceback or
     # warning, and a successful report is strict JSON
@@ -770,8 +808,58 @@ def test_solve_keeps_the_exit_code_contract(fuzz_config, config):
     if code == 0:
         json.loads(out.getvalue(), parse_constant=_reject_constant)
     else:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert_one_short_error_line(out.getvalue(), err.getvalue())
+
+
+@st.composite
+def study_configs(draw):
+    # each grid key is absent, valid or odd; grid_points is small or odd
+    valid = {
+        "alpha1": st.floats(0.1, 10),
+        "phi_ratio": st.floats(0, 2),
+        "phi_set": st.lists(st.floats(0, 10), min_size=1, max_size=3),
+        "a_set": st.lists(st.floats(1, 10), min_size=1, max_size=3),
+        "a_range": st.tuples(st.floats(1, 5), st.floats(5, 10)).map(list),
+        "phi_range": st.tuples(st.floats(0, 2), st.floats(2, 5)).map(list),
+    }
+    config = {}
+    for key, strategy in valid.items():
+        if draw(st.booleans()):
+            config[key] = draw(st.one_of(strategy, st.lists(ENTRIES, max_size=3), NESTED))
+    config["grid_points"] = draw(st.one_of(st.integers(2, 5), ODD_ENTRIES))
+    if draw(st.booleans()):
+        config.update(draw_market(draw))
+    return config
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(config=study_configs())
+# a number where the study takes an array
+@example(config={"phi_set": 3})
+# numpy's message would quote the whole string
+@example(config={"mu": ["x" * 10**5, 0.14], "sigma": TEXTBOOK_CONFIG["sigma"]})
+# deeper than numpy 1.x allows an array to be, within numpy 2.x's limit
+@example(config={"phi_set": json.loads(nested(40))})
+# the utilities overflow: exit 3
+@example(config={"mu": [0.07, 0.14], "sigma": TINY_SIGMA, "alpha1": 1e-6})
+def test_study_keeps_the_exit_code_contract(fuzz_config, config):
+    # any study config ends in a documented exit code, without a traceback
+    # or warning, and a failed run writes no figure file
+    from mimicfund import cli
+
+    out_dir = fuzz_config.parent / "study"
+    shutil.rmtree(out_dir, ignore_errors=True)
+    fuzz_config.write_text(json.dumps(config), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["study", "--config", str(fuzz_config), "--output-dir", str(out_dir)])
+    assert code in {0, 1, 3}
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert (out_dir / "figure1.csv").exists() and (out_dir / "figure2.csv").exists()
+    else:
+        assert_one_short_error_line(out.getvalue(), err.getvalue())
+        assert not list(out_dir.glob("figure*"))
 
 
 def test_cli_import_defers_command_modules():

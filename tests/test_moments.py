@@ -144,6 +144,24 @@ class TestLoadtxtFastPath:
         assert outcome(lambda p: load_by_cells(monkeypatch, p), path) == expected
 
 
+class TestReturnSample:
+    def test_non_numeric_returns_rejected(self):
+        # np.array(..., dtype=float) would fail untyped on text and convert
+        # booleans and numeric strings
+        for returns in ("abc", [[True, False]] * 6, [["0.1", "0.2"]] * 6):
+            with pytest.raises(errors.ParseError, match="returns is not an array of numbers"):
+                ReturnSample(returns=returns, asset_names=("A", "B"))
+        with pytest.raises(errors.DimensionMismatch, match="returns must be a 2-D matrix"):
+            ReturnSample(returns=[0.1, 0.2], asset_names=("A", "B"))
+
+    def test_asset_names_must_be_a_tuple_or_list(self):
+        returns = np.zeros((6, 2))
+        for names in (5, "AB"):
+            with pytest.raises(errors.ParseError, match="asset_names must be a tuple or a list"):
+                ReturnSample(returns=returns, asset_names=names)
+        assert ReturnSample(returns=returns, asset_names=["A", "B"]).asset_names == ("A", "B")
+
+
 class TestEstimate:
     def test_unbiased_divisor_by_hand(self):
         # column A: {0, 2r, 0, 2r}: mean r, squared deviations all r^2,
@@ -216,6 +234,19 @@ class TestEstimate:
             estimate(sample, periods_per_year=0)
         with pytest.raises(errors.ConstraintViolated):
             estimate(sample, periods_per_year=2.5)
+        with pytest.raises(errors.ConstraintViolated):
+            estimate(sample, periods_per_year=True)
+        with pytest.raises(errors.ParseError, match="periods_per_year is not an array of numbers"):
+            estimate(sample, periods_per_year=10**400)
+
+    def test_overflowing_moments_rejected_without_a_warning(self):
+        # 1e200 returns overflow the covariance; 10**300 periods overflow
+        # the annualized mean of returns near 1e10
+        base = np.column_stack([np.linspace(-1.0, 1.0, 10), np.linspace(1.0, 2.0, 10)])
+        for returns, periods in ((base * 1e200, None), (base * 1e10, 10**300)):
+            sample = ReturnSample(returns=returns, asset_names=("A", "B"))
+            with pytest.raises(errors.NonFiniteValue):
+                estimate(sample, periods_per_year=periods)
 
     def test_output_is_a_validated_market(self, returns_csv):
         market = estimate(load_csv(returns_csv))

@@ -159,20 +159,34 @@ class TestStudyConfig:
             StudyConfig(alpha1=0.0)
 
     def test_non_numeric_fields_rejected(self):
-        for bad in (
-            {"grid_points": 3.5},
-            {"grid_points": True},
-            {"alpha1": "x"},
-            {"phi_ratio": float("nan")},
-            {"a_set": ("x",)},
-            {"a_range": (1.0,)},
+        for bad, error in (
+            ({"grid_points": 3.5}, errors.ConstraintViolated),
+            ({"grid_points": True}, errors.ConstraintViolated),
+            ({"alpha1": "x"}, errors.ParseError),
+            ({"phi_ratio": float("nan")}, errors.NonFiniteValue),
+            ({"a_set": ("x",)}, errors.ParseError),
+            ({"a_range": (1.0,)}, errors.ConstraintViolated),
         ):
-            with pytest.raises(errors.ConstraintViolated):
+            with pytest.raises(error):
                 StudyConfig(**bad)
 
+    def test_malformed_fields_raise_typed_errors(self):
+        for bad, error in (
+            ({"a_set": 5}, errors.DimensionMismatch),
+            ({"phi_set": None}, errors.DimensionMismatch),
+            ({"a_range": 3.0}, errors.DimensionMismatch),
+            ({"market": "x"}, errors.ConstraintViolated),
+            ({"alpha1": "x"}, errors.ParseError),
+            ({"phi_ratio": float("nan")}, errors.NonFiniteValue),
+            ({"alpha1": 10**400}, errors.ParseError),
+            # its point count would have more digits than str() may print
+            ({"grid_points": int("9" * 4300)}, errors.ParseError),
+        ):
+            with pytest.raises(error):
+                StudyConfig(**bad)
 
     def test_integer_beyond_the_float_range_rejected(self):
-        with pytest.raises(errors.ConstraintViolated, match="alpha1 must hold finite numbers"):
+        with pytest.raises(errors.ParseError, match="alpha1 is not an array of numbers"):
             StudyConfig(alpha1=10**400)
         assert StudyConfig(alpha1=10**20).alpha1 == 10**20
 
@@ -181,7 +195,7 @@ class TestStudyConfig:
         for _ in range(900):
             deep = [deep]
         for bad in ({"alpha1": 10**400}, {"phi_set": (deep,)}, {"a_set": ("x" * 500,)}):
-            with pytest.raises(errors.ConstraintViolated, match="must hold finite numbers") as info:
+            with pytest.raises(errors.ParseError, match="is not an array of numbers") as info:
                 StudyConfig(**bad)
             assert len(str(info.value)) <= 80
 
