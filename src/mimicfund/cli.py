@@ -15,6 +15,7 @@ import errno
 import hashlib
 import json
 import os
+import reprlib
 import sys
 
 import numpy as np
@@ -326,9 +327,9 @@ def _int_at_least(low: int):
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+            raise argparse.ArgumentTypeError(f"invalid integer {reprlib.repr(text)}") from None
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {reprlib.repr(value)}")
         return value
 
     return parse
@@ -345,7 +346,9 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve one market/group instance")
     solve.add_argument("--config", help="JSON file with alpha, beta, phi (and optionally mu, sigma)")
     solve.add_argument("--returns", help="CSV return history to estimate the market from")
-    solve.add_argument("--annualize", type=int, help="periods per year for moment annualization")
+    solve.add_argument(
+        "--annualize", type=_int_at_least(1), help="periods per year for moment annualization"
+    )
     solve.add_argument("--mu", help="JSON vector of expected returns")
     solve.add_argument("--sigma", help="JSON matrix of return covariances")
     solve.add_argument("--output", help="write the JSON report here instead of stdout")
@@ -371,7 +374,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="print sample moments of a CSV return history")
     est.add_argument("--returns", required=True, help="CSV return history")
-    est.add_argument("--annualize", type=int, help="periods per year for moment annualization")
+    est.add_argument(
+        "--annualize", type=_int_at_least(1), help="periods per year for moment annualization"
+    )
     est.set_defaults(handler=_cmd_estimate)
     return parser
 

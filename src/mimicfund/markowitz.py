@@ -15,7 +15,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .model import InvestorGroup, MarketModel, _dot
+from .model import InvestorGroup, MarketModel
+
+
+def _sum(x: np.ndarray) -> np.ndarray:
+    """Sum along the last (investor) axis, kept with length 1.
+
+    numpy's summation order depends on the memory layout.  Where the last
+    axis is contiguous (one group, a C-ordered stack) numpy sums each group
+    pairwise, in blocks of eight; where it is strided (an investor-major
+    stack, the transpose of a C-ordered ``(n, groups)`` array) it adds the
+    ``n`` investor rows in turn.  The two orders differ for ``n >= 8`` and
+    agree for ``n < 8``, so for the study's ``n = 2`` both compute
+    ``x0 + x1``.
+    """
+    return np.add.reduce(x, axis=-1, keepdims=True)
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``_sum(x * y)``, the one inner product of a group or a stack of groups."""
+    return _sum(x * y)
 
 
 @dataclass(frozen=True)

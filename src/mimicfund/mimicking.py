@@ -31,8 +31,8 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from . import errors, markowitz
-from .markowitz import FrontierPoint, MarkowitzContext
-from .model import InvestorGroup, MarketModel, PortfolioMatrix, _dot, _sum
+from .markowitz import FrontierPoint, MarkowitzContext, _dot, _sum
+from .model import InvestorGroup, MarketModel, PortfolioMatrix
 
 
 def _optimum(alpha: np.ndarray, beta: np.ndarray, phi: np.ndarray) -> tuple:

@@ -7,16 +7,14 @@ number from outside, here and in the study and moments modules, passes
 values are immutable after construction (frozen dataclasses over read-only
 arrays), so they are safe to share across threads.  Types that hold arrays
 compare and hash by identity (``eq=False``), since an array comparison has
-no single truth value.
+no single truth value.  Each type checks the one value it holds; the
+study's grid of groups is checked as a grid, by :class:`study.StudyConfig`.
 """
 
 from __future__ import annotations
 
-import functools
-import operator
 import reprlib
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -90,77 +88,6 @@ def _freeze(obj, **fields) -> None:
         object.__setattr__(obj, key, arr)
 
 
-def _sum(x: np.ndarray) -> np.ndarray:
-    """Sum along the last (investor) axis, kept with length 1.
-
-    numpy's summation order depends on the memory layout.  Where the last
-    axis is contiguous (one group, a C-ordered stack) numpy sums each group
-    pairwise, in blocks of eight; where it is strided (an investor-major
-    stack, the transpose of a C-ordered ``(n, groups)`` array) it adds the
-    ``n`` investor rows in turn.  The two orders differ for ``n >= 8`` and
-    agree for ``n < 8``, so for the study's ``n = 2`` both compute
-    ``x0 + x1``.
-    """
-    return np.add.reduce(x, axis=-1, keepdims=True)
-
-
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``_sum(x * y)``, the one inner product of a group or a stack of groups."""
-    return _sum(x * y)
-
-
-def _group_faults(alpha: np.ndarray, beta: np.ndarray, phi: np.ndarray) -> list:
-    """The rules of :class:`InvestorGroup` along the last axis, in check order.
-
-    ``alpha``, ``beta`` and ``phi`` are one group (``n`` entries each) or a
-    stack of groups of equal shape ``(..., n)``; one group is a stack of
-    one.  Each rule is a fault ``(bad, error, message, detail)``: ``bad`` is
-    a boolean array of shape ``(..., 1)`` (``(1,)`` for one group) that
-    marks where the rule fails, ``error`` the exception type, and
-    ``message`` its text, formatted with the entry of ``detail`` at the
-    failing point unless ``detail`` is None.  A wealth-share sum beyond
-    the float range is ``inf``, which fails the unit-sum rule without a
-    numpy warning.
-    """
-    n = alpha.shape[-1]
-    every = functools.partial(np.logical_and.reduce, axis=-1, keepdims=True)
-    some = functools.partial(np.logical_or.reduce, axis=-1, keepdims=True)
-    with np.errstate(over="ignore"):
-        total = _sum(beta)
-    return [
-        (~every(np.isfinite(alpha)), errors.NonFiniteValue,
-         "alpha contains a non-finite entry", None),
-        (~every(np.isfinite(beta)), errors.NonFiniteValue,
-         "beta contains a non-finite entry", None),
-        (~every(np.isfinite(phi)), errors.NonFiniteValue,
-         "phi contains a non-finite entry", None),
-        (np.full(total.shape, n < 2), errors.TooFewInvestors,
-         f"need at least 2 investors, got {n}", None),
-        (some(alpha <= 0), errors.NonPositiveAlpha, "every alpha must be > 0", None),
-        (some(beta <= 0), errors.NonPositiveBeta, "every beta must be > 0", None),
-        (abs(total - 1.0) > BETA_SUM_TOL, errors.BetaNotNormalized,
-         "beta must sum to 1, got {!r}", total),
-        (some(phi < 0), errors.NegativePhi, "every phi must be >= 0", None),
-    ]
-
-
-def _raise_first_fault(faults: list, prefix: Callable[[tuple], str] = lambda _: "") -> None:
-    """Raise the first broken rule of the first failing point, if any.
-
-    ``faults`` are laid out as in :func:`_group_faults`, each ``bad`` of
-    shape ``(..., 1)``.  Points are taken in C order of the leading axes;
-    ``prefix(index)`` starts the message with the name of the point.
-    """
-    failing = functools.reduce(operator.or_, (fault[0] for fault in faults))
-    if not failing.any():
-        return
-    index = np.unravel_index(np.argmax(failing), failing.shape)
-    for bad, error, message, detail in faults:
-        if bad[index]:
-            text = message if detail is None else message.format(detail[index].item())
-            raise error(prefix(index) + text)
-
-
 @dataclass(frozen=True, eq=False)
 class MarketModel:
     """Return moments of ``k >= 2`` risky assets.
@@ -214,7 +141,11 @@ class InvestorGroup:
 
     ``alpha``: positive risk aversions.  ``beta``: positive wealth shares
     summing to one.  ``phi``: non-negative mimicking coefficients (zero
-    recovers the classical, penalty-free case).
+    recovers the classical, penalty-free case).  The first broken rule
+    raises, in this order: finite ``alpha``, ``beta``, ``phi``; ``n >= 2``;
+    ``alpha > 0``; ``beta > 0``; ``sum beta = 1`` within ``BETA_SUM_TOL``
+    (a sum beyond the float range is ``inf``, without a numpy warning);
+    ``phi >= 0``.
     """
 
     alpha: np.ndarray
@@ -230,7 +161,21 @@ class InvestorGroup:
                 f"alpha, beta, phi must have equal lengths, got "
                 f"{alpha.shape[0]}, {beta.shape[0]}, {phi.shape[0]}"
             )
-        _raise_first_fault(_group_faults(alpha, beta, phi))
+        _require_finite(alpha, "alpha")
+        _require_finite(beta, "beta")
+        _require_finite(phi, "phi")
+        if alpha.shape[0] < 2:
+            raise errors.TooFewInvestors(f"need at least 2 investors, got {alpha.shape[0]}")
+        if (alpha <= 0).any():
+            raise errors.NonPositiveAlpha("every alpha must be > 0")
+        if (beta <= 0).any():
+            raise errors.NonPositiveBeta("every beta must be > 0")
+        with np.errstate(over="ignore"):
+            total = beta.sum().item()
+        if abs(total - 1.0) > BETA_SUM_TOL:
+            raise errors.BetaNotNormalized(f"beta must sum to 1, got {total!r}")
+        if (phi < 0).any():
+            raise errors.NegativePhi("every phi must be >= 0")
         _freeze(self, alpha=alpha, beta=beta, phi=phi)
 
     @property

@@ -36,9 +36,10 @@ transposes of C-ordered ``(n, points)`` arrays, written in place without
 temporaries.  A sum over investors then adds ``n`` whole rows, where a
 C-ordered ``(points, n)`` stack would run numpy's inner loop once per
 point; with ``n = 2`` both layouts add the same two terms, so the bits
-are those of each group alone (see :func:`model._sum`).  A study has at
-most :data:`MAX_POINTS` points, checked by :class:`StudyConfig` before
-anything is allocated.
+are those of each group alone (see :func:`markowitz._sum`).  A study has at
+most :data:`MAX_POINTS` points, and every one of them is a valid group;
+:class:`StudyConfig` checks both from its fields, before anything is
+allocated.
 """
 
 from __future__ import annotations
@@ -87,6 +88,12 @@ class StudyConfig:
     ``market`` must be a :class:`MarketModel`; the other fields pass
     :func:`model._as_array` and must be finite, and ``grid_points`` passes
     :func:`model._as_count` too.  The 1-D fields are stored as tuples of the values given.
+
+    These checks make every grid point ``alpha = (alpha1, a alpha1)``,
+    ``phi = (phi_1, phi_1 phi_ratio)`` a valid group.  Rounding is
+    monotone, so ``alpha1`` times the largest ``a`` and ``phi_ratio`` times
+    the largest ``phi`` bound the products; either beyond the float range
+    raises :class:`errors.NonFiniteValue`.
     """
 
     market: MarketModel = DEFAULT_MARKET
@@ -137,6 +144,15 @@ class StudyConfig:
                 f"the study has {reprlib.repr(points)} points (series times grid_points); "
                 f"at most {MAX_POINTS} are allowed"
             )
+        # as Python floats an overflow is inf, without a numpy warning
+        for name, scale, label, top in (
+            ("alpha1", alpha1.item(), "a", max(a_range[1], a_set.max()).item()),
+            ("phi_ratio", phi_ratio.item(), "phi", max(phi_range[1], phi_set.max()).item()),
+        ):
+            if not np.isfinite(scale * top):
+                raise errors.NonFiniteValue(
+                    f"{name} {scale!r} times the largest {label} {top!r} is beyond the float range"
+                )
 
 
 class SweepRecord(NamedTuple):
@@ -172,13 +188,14 @@ def _frontier_gains(
 
     Returns ``(delta_omega, delta_eu, faults)``; the values have shape
     ``(..., 1)``, like every per-group value of :func:`mimicking._optimum`.
-    The faults, laid out as in :func:`model._group_faults`, are the checks
-    of the optimum (a finite ``delta_omega``) and of the utilities (a
-    positive optimum, no gain below rounding noise, a finite ``delta_eu``);
-    the values are meaningless where a check fails.  The inputs are assumed
-    to be valid groups.
+    The faults are the checks of the optimum (a finite ``delta_omega``) and
+    of the utilities (a positive optimum, no gain below rounding noise, a
+    finite ``delta_eu``), in check order.  Each is ``(bad, error, message,
+    value)``: ``bad`` marks where the check fails, with the values' shape,
+    and ``error(message.format(value))`` is raised at a failing point; the
+    values are meaningless there.  The inputs are assumed to be valid groups.
     """
-    dot = model._dot
+    dot = markowitz._dot
     with np.errstate(all="ignore"):
         c, tau = mimicking._optimum(alpha, beta, phi)
         tau_cl = markowitz._classical_tau(alpha, beta)
@@ -203,12 +220,27 @@ def _frontier_gains(
     return d_omega, d_eu, faults
 
 
+def _raise_first_fault(faults: list, prefix=lambda point: "") -> None:
+    """Raise the first failing check of the first failing point, if any.
+
+    ``faults`` are laid out as in :func:`_frontier_gains`.  Points are taken
+    in C order, and ``prefix(point)``, given the point's flat index, starts
+    the message with the name of the point.
+    """
+    failing = np.logical_or.reduce([bad.ravel() for bad, *_ in faults])
+    if failing.any():
+        point = int(np.argmax(failing))
+        for bad, error, message, value in faults:
+            if bad.ravel()[point]:
+                raise error(prefix(point) + message.format(value.ravel()[point].item()))
+
+
 def run_sweeps(config: StudyConfig) -> tuple[SweepTable, SweepTable]:
     """Run both default sweeps; output ordering is series then coordinate.
 
-    All points of both tables form one stack of groups, checked and
-    evaluated together; a failure names the first failing point in output
-    order.
+    All points of both tables form one stack of groups, evaluated together;
+    :class:`StudyConfig` has made each a valid group.  A failed check of the
+    results names the first failing point in output order.
     """
     ctx = markowitz.context(config.market)
     g = config.grid_points
@@ -229,16 +261,12 @@ def run_sweeps(config: StudyConfig) -> tuple[SweepTable, SweepTable]:
         labels += [label] * g
     alpha[0] = config.alpha1
     beta[...] = np.asarray(STUDY_BETA, dtype=float)[:, None]
-    with np.errstate(over="ignore"):  # an overflow is reported as a non-finite entry
-        a *= config.alpha1
-        np.multiply(phi1, config.phi_ratio, out=phi[1])
+    a *= config.alpha1
+    np.multiply(phi1, config.phi_ratio, out=phi[1])
     alpha, beta, phi = alpha.T, beta.T, phi.T
 
     d_omega, d_eu, faults = _frontier_gains(ctx, alpha, beta, phi)
-    model._raise_first_fault(
-        model._group_faults(alpha, beta, phi) + faults,
-        prefix=lambda i: f"series {labels[i[0]]}, coordinate {coords[i[0]]:g}: ",
-    )
+    _raise_first_fault(faults, lambda i: f"series {labels[i]}, coordinate {coords[i]:g}: ")
     # tuple.__new__ skips the named tuple's Python-level constructor
     columns = zip(labels, coords.tolist(), d_omega.ravel().tolist(), d_eu.ravel().tolist())
     records = tuple(map(tuple.__new__, itertools.repeat(SweepRecord), columns))

@@ -718,6 +718,31 @@ def test_version():
     assert result.stdout == "mimicfund 0.1.0\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--count"],
+        ["verify", "--max-k"],
+        ["verify", "--max-n"],
+        ["verify", "--seed"],
+        ["solve", "--annualize"],
+        ["estimate", "--returns", "r.csv", "--annualize"],
+    ],
+    ids=["count", "max-k", "max-n", "seed", "solve-annualize", "estimate-annualize"],
+)
+@pytest.mark.parametrize("text", ["x" * 1000, "-" + "9" * 4000], ids=["non-integer", "negative"])
+def test_malformed_integer_flag_is_shown_truncated(argv, text, capsys):
+    # the usage error quotes the rejected text or value, truncated
+    from mimicfund import cli
+
+    with pytest.raises(SystemExit) as caught:
+        cli.main([*argv, text])
+    assert caught.value.code == 1
+    lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(lines) == 1 and len(lines[0]) < 300
+    assert f"argument {argv[-1]}:" in lines[0]
+
+
 # entries a config may hold in place of a number: extremes of the float
 # range, an integer beyond it, non-finite values and non-numbers
 ODD_ENTRIES = st.one_of(
@@ -814,9 +839,11 @@ def test_solve_keeps_the_exit_code_contract(fuzz_config, config):
 @st.composite
 def study_configs(draw):
     # each grid key is absent, valid or odd; grid_points is small or odd
+    # alpha1 and phi_ratio also reach the ends of the float range, where the
+    # utilities overflow (exit 3) or the grid does (exit 1)
     valid = {
-        "alpha1": st.floats(0.1, 10),
-        "phi_ratio": st.floats(0, 2),
+        "alpha1": st.one_of(st.floats(0.1, 10), st.floats(1e-8, 1e-5), st.floats(1e300, 1e308)),
+        "phi_ratio": st.one_of(st.floats(0, 2), st.floats(1e300, 1e308)),
         "phi_set": st.lists(st.floats(0, 10), min_size=1, max_size=3),
         "a_set": st.lists(st.floats(1, 10), min_size=1, max_size=3),
         "a_range": st.tuples(st.floats(1, 5), st.floats(5, 10)).map(list),
@@ -827,8 +854,12 @@ def study_configs(draw):
         if draw(st.booleans()):
             config[key] = draw(st.one_of(strategy, st.lists(ENTRIES, max_size=3), NESTED))
     config["grid_points"] = draw(st.one_of(st.integers(2, 5), ODD_ENTRIES))
-    if draw(st.booleans()):
+    # the default market, a drawn one, or the tiny-covariance one
+    market = draw(st.sampled_from(["default", "drawn", "tiny"]))
+    if market == "drawn":
         config.update(draw_market(draw))
+    elif market == "tiny":
+        config.update(mu=TEXTBOOK_CONFIG["mu"], sigma=TINY_SIGMA)
     return config
 
 
@@ -842,6 +873,8 @@ def study_configs(draw):
 @example(config={"phi_set": json.loads(nested(40))})
 # the utilities overflow: exit 3
 @example(config={"mu": [0.07, 0.14], "sigma": TINY_SIGMA, "alpha1": 1e-6})
+# the grid's phi_2 = phi_1 phi_ratio overflows: exit 1 before the run
+@example(config={"phi_ratio": 1e308})
 def test_study_keeps_the_exit_code_contract(fuzz_config, config):
     # any study config ends in a documented exit code, without a traceback
     # or warning, and a failed run writes no figure file

@@ -84,6 +84,11 @@ class TestInvestorGroup:
         with pytest.raises(errors.BetaNotNormalized, match="got inf"):
             build_group((0.5, 0.5), (1e308, 1e308), (0.0, 0.0))
 
+    def test_opposite_infinite_shares_rejected_without_a_warning(self):
+        # finiteness is checked before the sum, which would be inf - inf = nan
+        with pytest.raises(errors.NonFiniteValue, match="beta contains"):
+            build_group((2.0, 4.0), (np.inf, -np.inf), (3.0, 3.0))
+
     @pytest.mark.parametrize("alpha", [(0.0, 4.0), (-1.0, 4.0)])
     def test_non_positive_alpha_rejected(self, alpha):
         with pytest.raises(errors.NonPositiveAlpha):
@@ -114,6 +119,23 @@ class TestInvestorGroup:
     def test_single_investor_rejected(self):
         with pytest.raises(errors.TooFewInvestors):
             build_group((2.0,), (1.0,), (3.0,))
+
+    @pytest.mark.parametrize(
+        "alpha, beta, phi, error, message",
+        [
+            ((np.nan, 4.0), (-0.5, 1.5), (3.0, 3.0), errors.NonFiniteValue, "alpha contains"),
+            ((2.0, -4.0), (np.inf, 0.5), (3.0, -1.0), errors.NonFiniteValue, "beta contains"),
+            ((0.0, 4.0), (-0.5, 1.5), (np.nan, 3.0), errors.NonFiniteValue, "phi contains"),
+            ((-2.0,), (1.0,), (3.0,), errors.TooFewInvestors, "got 1"),
+            ((0.0, 4.0), (0.0, 0.6), (3.0, -1.0), errors.NonPositiveAlpha, "alpha"),
+            ((2.0, 4.0), (-0.5, 0.6), (3.0, -1.0), errors.NonPositiveBeta, "beta"),
+            ((2.0, 4.0), (0.6, 0.6), (3.0, -1.0), errors.BetaNotNormalized, "got 1.2"),
+        ],
+    )
+    def test_first_broken_rule_in_documented_order_raises(self, alpha, beta, phi, error, message):
+        # finite alpha, beta, phi; n >= 2; alpha > 0; beta > 0; sum beta = 1; phi >= 0
+        with pytest.raises(error, match=message):
+            build_group(alpha, beta, phi)
 
     def test_revalidation_is_idempotent(self, base_group):
         again = build_group(base_group.alpha, base_group.beta, base_group.phi)

@@ -4,9 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import support
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mimicfund import (
-    build_group, build_market, errors, markowitz, mimicking, model, oracle, sampling,
+    build_group, build_market, errors, markowitz, mimicking, oracle, sampling,
 )
 from mimicfund.study import (
     DEFAULT_MARKET,
@@ -15,8 +17,13 @@ from mimicfund.study import (
     StudyConfig,
     SweepRecord,
     _frontier_gains,
+    _raise_first_fault,
     run_sweeps,
 )
+
+
+# near the top of the float range (1.798e308)
+HUGE = 1.7e308
 
 
 def study_group(a, phi, alpha1=2.0):
@@ -31,7 +38,7 @@ def delta_omega(ctx, group):
 def delta_eu(market, group):
     """The study's relative utility gain of one group, with every check of a grid point."""
     _, d_eu, faults = _frontier_gains(markowitz.context(market), group.alpha, group.beta, group.phi)
-    model._raise_first_fault(faults)
+    _raise_first_fault(faults)
     return d_eu.item()
 
 
@@ -215,6 +222,38 @@ class TestStudyConfig:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"phi_ratio": 1e308}, {"alpha1": 1e300, "a_set": (1e10,)}],
+        ids=["phi_ratio", "alpha1"],
+    )
+    def test_overflowing_grid_is_rejected_by_the_config(self, fields):
+        # phi_2 = phi_1 phi_ratio or alpha_2 = a alpha1 leaves the float range
+        # at some point; the constructor names the field
+        name = next(iter(fields))
+        with pytest.raises(errors.NonFiniteValue, match=f"^{name} .* beyond the float range"):
+            StudyConfig(grid_points=3, **fields)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        alpha1=st.one_of(st.floats(0.1, 10), st.floats(0, HUGE, exclude_min=True)),
+        phi_ratio=st.one_of(st.floats(0, 2), st.floats(0, 1e308)),
+        phi_set=st.lists(st.floats(0, HUGE), min_size=1, max_size=3),
+        a_set=st.lists(st.floats(1, HUGE), min_size=1, max_size=3),
+        a_range=st.lists(st.floats(1, HUGE), min_size=2, max_size=2, unique=True).map(sorted),
+        phi_range=st.lists(st.floats(0, HUGE), min_size=2, max_size=2, unique=True).map(sorted),
+        grid_points=st.integers(2, 5),
+    )
+    def test_every_point_of_a_config_is_a_valid_group(self, **fields):
+        # what lets run_sweeps skip the group rules: a config that constructs
+        # makes a valid group of every point, with no overflow on the way
+        try:
+            config = StudyConfig(**fields)
+        except errors.NonFiniteValue:
+            return
+        for phi1, a in sweep_inputs(config):
+            config_group(config, phi1, a)
 
 
 class TestDeltaOmega:
@@ -424,12 +463,6 @@ class TestRunSweeps:
             else:
                 assert abs(Fraction(record.delta_eu) - d_eu) <= Fraction(1, 10**12) * abs(d_eu)
             assert abs(Fraction(record.delta_omega) - d_omega) <= Fraction(1, 10**14)
-
-    def test_overflowing_penalty_names_the_point(self):
-        # phi_2 = phi_1 * 1e308 overflows on the first point of the first series
-        config = StudyConfig(phi_ratio=1e308, grid_points=3)
-        with pytest.raises(errors.NonFiniteValue, match=r"^series phi=3, coordinate 1: phi contains"):
-            run_sweeps(config)
 
     def test_non_positive_optimum_names_the_first_failing_point(self):
         # a riskier market turns the optimum negative part-way along phi = 3
