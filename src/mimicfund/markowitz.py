@@ -108,11 +108,16 @@ def frontier(ctx: MarkowitzContext, t: float) -> tuple[np.ndarray, FrontierPoint
     """Frontier portfolio ``gmvp + t * tilt`` at inverse risk aversion ``t``.
 
     Returns the weights and their mean ``mu_gmv + t * slope`` and variance
-    ``v_gmv + t^2 * slope``.
+    ``v_gmv + t^2 * slope``.  Both funds are this portfolio, so this is their
+    one finiteness check: weights, mean or variance beyond the float range
+    raise :class:`errors.NumericalBreakdown`, without a numpy warning.
     """
-    weights = ctx.gmvp + t * ctx.tilt
-    point = FrontierPoint(mean=ctx.mu_gmv + t * ctx.slope, variance=ctx.v_gmv + t * t * ctx.slope)
-    return weights, point
+    with np.errstate(all="ignore"):
+        weights = ctx.gmvp + t * ctx.tilt
+        mean, variance = ctx.mu_gmv + t * ctx.slope, ctx.v_gmv + t * t * ctx.slope
+    if not (np.isfinite(weights).all() and math.isfinite(mean) and math.isfinite(variance)):
+        raise errors.NumericalBreakdown(f"frontier fund at t = {t!r} is out of floating-point range")
+    return weights, FrontierPoint(mean=mean, variance=variance)
 
 
 def _classical_tau(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -148,16 +153,10 @@ def fund_aggregate(
     The fund is the frontier portfolio at ``tau_cl = beta' (1 / alpha)``,
     the beta-weighted average of the individual optima; its risk aversion
     ``1 / tau_cl`` is the weighted harmonic mean of the individual ones.
-    A ``tau_cl``, weights or point that is not finite (a tiny ``alpha``
-    puts ``1 / alpha`` or ``tau_cl^2 slope`` beyond the float range)
-    raises :class:`errors.NumericalBreakdown`.
+    :func:`frontier` checks the weights and point (a tiny ``alpha`` puts
+    ``1 / alpha`` or ``tau_cl^2 slope`` beyond the float range); the risk
+    aversion overflows only if that mean rounds to the largest float.
     """
     tau_cl = _classical_tau(group.alpha, group.beta).item()
-    with np.errstate(all="ignore"):
-        weights, point = frontier(ctx, tau_cl)
-    scalars = (tau_cl, point.mean, point.variance)
-    if not (np.isfinite(weights).all() and all(map(math.isfinite, scalars))):
-        raise errors.NumericalBreakdown(
-            f"classical fund at tau_cl = {tau_cl!r} is out of floating-point range"
-        )
+    weights, point = frontier(ctx, tau_cl)
     return weights, 1.0 / tau_cl, point

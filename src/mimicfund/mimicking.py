@@ -25,6 +25,7 @@ bit for bit; no ``n x n`` array is formed.  :func:`solve` costs O(n k) for
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -75,7 +76,7 @@ def _solved(group: InvestorGroup) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class MimickingSolution:
-    """Closed-form optimum of the penalized group problem.
+    """Closed-form optimum of the penalized group problem; every number in it is finite.
 
     ``w_star``        per-investor optimal weights, one column each
     ``fund_weights``  wealth-weighted aggregate ``w_star @ beta = gmvp + tilt / alpha_star_f``
@@ -112,9 +113,10 @@ def solve(ctx: MarkowitzContext, group: InvestorGroup) -> MimickingSolution:
     (:func:`markowitz._optimal_utility`), so no product with ``sigma`` is
     formed.  The freshly built ``W`` is frozen and handed to
     :class:`PortfolioMatrix`, which checks it in one pass and keeps it
-    without a copy.  A ``tau`` that is not finite and positive, or a ``W``
-    that fails the checks of :class:`PortfolioMatrix`, comes from the
-    limits of floating point and raises :class:`errors.NumericalBreakdown`.
+    without a copy.  Every number returned is finite: a ``tau`` that is not
+    finite and positive, a ``W`` that fails :class:`PortfolioMatrix`, a fund
+    that fails :func:`markowitz.frontier`, or an ``alpha_star_f`` or
+    ``eu_star`` beyond the float range raises :class:`errors.NumericalBreakdown`.
     """
     c, tau = _solved(group)
     coords = np.empty((2, c.shape[0]))
@@ -129,14 +131,15 @@ def solve(ctx: MarkowitzContext, group: InvestorGroup) -> MimickingSolution:
         raise errors.NumericalBreakdown(f"optimal weights fail their checks: {exc}") from exc
     fund_weights, point = markowitz.frontier(ctx, tau)
     fund_weights.setflags(write=False)
-    beta_alpha = _dot(group.beta, group.alpha).item()
-    return MimickingSolution(
-        w_star=w_star,
-        fund_weights=fund_weights,
-        alpha_star_f=1.0 / tau,
-        point=point,
-        eu_star=markowitz._optimal_utility(ctx, tau, beta_alpha),
-    )
+    alpha_star_f = 1.0 / tau
+    eu_star = markowitz._optimal_utility(ctx, tau, _dot(group.beta, group.alpha).item())
+    if not (math.isfinite(alpha_star_f) and math.isfinite(eu_star)):
+        raise errors.NumericalBreakdown(
+            f"fund risk aversion {alpha_star_f!r} or utility {eu_star!r} at the optimum "
+            "is out of floating-point range"
+        )
+    return MimickingSolution(w_star=w_star, fund_weights=fund_weights,
+                             alpha_star_f=alpha_star_f, point=point, eu_star=eu_star)
 
 
 def penalized_utility(

@@ -39,7 +39,7 @@ point; with ``n = 2`` both layouts add the same two terms, so the bits
 are those of each group alone (see :func:`markowitz._sum`).  A study has at
 most :data:`MAX_POINTS` points, and every one of them is a valid group;
 :class:`StudyConfig` checks both from its fields, before anything is
-allocated.
+allocated; :func:`_check_gains` makes every number in the tables finite.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ MAX_POINTS = 1_000_000
 
 # Numerator clamp for delta_eu, relative to max(1, |eu*|): c* and c_cl
 # coincide up to rounding when phi = 0 or preferences are equal, so tiny
-# gains of either sign are noise.
+# gains are noise.  A gain is never negative (see _check_gains).
 _GAIN_CLAMP = 1e-13
 
 
@@ -184,16 +184,12 @@ class SweepTable:
 def _frontier_gains(
     ctx: MarkowitzContext, alpha: np.ndarray, beta: np.ndarray, phi: np.ndarray
 ) -> tuple:
-    """``delta_omega`` and ``delta_eu`` of one group or a stack ``(..., n)``.
+    """``(delta_omega, delta_eu, eu_star)`` of one group or a stack ``(..., n)``.
 
-    Returns ``(delta_omega, delta_eu, faults)``; the values have shape
-    ``(..., 1)``, like every per-group value of :func:`mimicking._optimum`.
-    The faults are the checks of the optimum (a finite ``delta_omega``) and
-    of the utilities (a positive optimum, no gain below rounding noise, a
-    finite ``delta_eu``), in check order.  Each is ``(bad, error, message,
-    value)``: ``bad`` marks where the check fails, with the values' shape,
-    and ``error(message.format(value))`` is raised at a failing point; the
-    values are meaningless there.  The inputs are assumed to be valid groups.
+    Each has shape ``(..., 1)``, like every per-group value of
+    :func:`mimicking._optimum`, and ``eu_star`` is the utility at the
+    optimum.  Nothing is checked here; :func:`_check_gains` checks the
+    results.  The inputs are assumed to be valid groups.
     """
     dot = markowitz._dot
     with np.errstate(all="ignore"):
@@ -203,36 +199,36 @@ def _frontier_gains(
         e = 1.0 / alpha - c
         spread = e - dot(beta, e)
         gain = 0.5 * ctx.slope * (dot(alpha * beta, e * e) + dot(phi * beta, spread * spread))
-        noise = _GAIN_CLAMP * np.maximum(1.0, abs(eu_star))
-        d_eu = np.where(abs(gain) <= noise, 0.0, gain) / eu_star
+        d_eu = np.where(gain <= _GAIN_CLAMP * np.maximum(1.0, abs(eu_star)), 0.0, gain) / eu_star
         g0, t0 = ctx.gmvp[0], ctx.tilt[0]
         d_omega = (g0 + tau * t0) - (g0 + tau_cl * t0)
-        faults = [
-            (~np.isfinite(d_omega), errors.NumericalBreakdown,
-             "delta_omega is {!r}; the fund weights are not finite", d_omega),
-            (eu_star <= 0, errors.NonPositiveOptimum,
-             "penalized utility at the optimum is {!r}; relative gains are undefined", eu_star),
-            (gain < -noise, errors.NumericalBreakdown,
-             "utility gain {!r} is negative; optimality is violated", gain),
-            (~np.isfinite(d_eu), errors.NumericalBreakdown,
-             "delta_eu is {!r}; the utilities are not finite", d_eu),
-        ]
-    return d_omega, d_eu, faults
+    return d_omega, d_eu, eu_star
 
 
-def _raise_first_fault(faults: list, prefix=lambda point: "") -> None:
-    """Raise the first failing check of the first failing point, if any.
+def _check_gains(d_omega, d_eu, eu_star, name=lambda point: "") -> None:
+    """Raise at the first point, in C order, whose results fail a check.
 
-    ``faults`` are laid out as in :func:`_frontier_gains`.  Points are taken
-    in C order, and ``prefix(point)``, given the point's flat index, starts
-    the message with the name of the point.
+    The checks, in order: a finite ``delta_omega``, a positive ``eu_star``
+    and a finite ``delta_eu``; ``name(point)``, given the flat index, starts
+    the message.  A gain is never negative (``slope`` is a sum of squares,
+    the quadratic form a sum of positive terms), so it needs no check.
     """
-    failing = np.logical_or.reduce([bad.ravel() for bad, *_ in faults])
-    if failing.any():
-        point = int(np.argmax(failing))
-        for bad, error, message, value in faults:
-            if bad.ravel()[point]:
-                raise error(prefix(point) + message.format(value.ravel()[point].item()))
+    with np.errstate(invalid="ignore"):  # a NaN comparison warns on some numpy versions
+        failing = ~np.isfinite(d_omega) | (eu_star <= 0) | ~np.isfinite(d_eu)
+    if not failing.any():
+        return
+    point = int(np.argmax(failing))
+    d_omega, d_eu, eu_star = (x.ravel()[point].item() for x in (d_omega, d_eu, eu_star))
+    where = name(point)
+    if not np.isfinite(d_omega):
+        raise errors.NumericalBreakdown(
+            f"{where}delta_omega is {d_omega!r}; the fund weights are not finite"
+        )
+    if eu_star <= 0:
+        raise errors.NonPositiveOptimum(
+            f"{where}penalized utility at the optimum is {eu_star!r}; relative gains are undefined"
+        )
+    raise errors.NumericalBreakdown(f"{where}delta_eu is {d_eu!r}; the utilities are not finite")
 
 
 def run_sweeps(config: StudyConfig) -> tuple[SweepTable, SweepTable]:
@@ -265,8 +261,8 @@ def run_sweeps(config: StudyConfig) -> tuple[SweepTable, SweepTable]:
     np.multiply(phi1, config.phi_ratio, out=phi[1])
     alpha, beta, phi = alpha.T, beta.T, phi.T
 
-    d_omega, d_eu, faults = _frontier_gains(ctx, alpha, beta, phi)
-    _raise_first_fault(faults, lambda i: f"series {labels[i]}, coordinate {coords[i]:g}: ")
+    d_omega, d_eu, eu_star = _frontier_gains(ctx, alpha, beta, phi)
+    _check_gains(d_omega, d_eu, eu_star, lambda i: f"series {labels[i]}, coordinate {coords[i]:g}: ")
     # tuple.__new__ skips the named tuple's Python-level constructor
     columns = zip(labels, coords.tolist(), d_omega.ravel().tolist(), d_eu.ravel().tolist())
     records = tuple(map(tuple.__new__, itertools.repeat(SweepRecord), columns))

@@ -71,6 +71,10 @@ TEXTBOOK_CONFIG = {
 # bottom of the normal float range
 TINY_SIGMA = [[1.44e-302, 4.8e-303], [4.8e-303, 4e-302]]
 
+# a valid market whose frontier constants are finite but on which a fund's
+# variance or the utility at the optimum can leave the float range
+HUGE_SIGMA = {"mu": [0.0, 1.0], "sigma": [[1e300, 0.0], [0.0, 1e300]]}
+
 
 @pytest.fixture
 def solve_config(tmp_path):
@@ -283,10 +287,10 @@ class TestSolve:
              "error: fund scalar tau is nan; the sums over alpha + phi are out of floating-point"),
             # a subnormal alpha: 1 / alpha, and so the classical fund, is infinite
             ((1e-320, 1.0), (3.0, 3.0),
-             "error: classical fund at tau_cl = inf is out of floating-point range"),
+             "error: frontier fund at t = inf is out of floating-point range"),
             # alpha = 1e-308: only the classical fund's variance is infinite
             ((1e-308, 1.0), (3.0, 3.0),
-             "error: classical fund at tau_cl = 5e+307 is out of floating-point range"),
+             "error: frontier fund at t = 5e+307 is out of floating-point range"),
         ],
     )
     def test_rounding_failure_of_a_valid_group_exits_3(self, tmp_path, alpha, phi, message):
@@ -297,6 +301,31 @@ class TestSolve:
         assert result.returncode == 3
         assert result.stdout == ""
         assert message in result.stderr and "np.float64" not in result.stderr
+        assert "Warning" not in result.stderr and "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            # tau^2 slope overflows: the fund's variance is infinite
+            ({**HUGE_SIGMA, "alpha": [1e-306, 1e-306], "phi": [0, 0]},
+             "error: frontier fund at t = 1e+306 is out of floating-point range"),
+            # v_gmv beta'alpha overflows: the utility is -inf
+            ({**HUGE_SIGMA, "alpha": [1e10, 1e10], "phi": [1, 1]},
+             "error: fund risk aversion 10000000000.0 or utility -inf at the optimum"),
+            # tau = 2^-1024 is subnormal, and 1 / tau overflows
+            ({"alpha": [sys.float_info.max] * 2, "phi": [0, 0]},
+             "error: fund risk aversion inf or utility"),
+        ],
+        ids=["fund-variance", "utility", "risk-aversion"],
+    )
+    def test_out_of_range_fund_or_utility_exits_3(self, tmp_path, overrides, message):
+        # the solver names the value, before the report's strict-JSON backstop
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**TEXTBOOK_CONFIG, **overrides}), encoding="utf-8")
+        result = run_cli("solve", "--config", str(cfg))
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert message in result.stderr and "non-finite number" not in result.stderr
         assert "Warning" not in result.stderr and "Traceback" not in result.stderr
 
     def test_large_frontier_coordinates_solve(self, tmp_path):
@@ -349,7 +378,13 @@ class TestSolve:
         # report; inject one to reach the strict-JSON backstop
         from mimicfund import cli, markowitz
 
-        monkeypatch.setattr(markowitz, "_optimal_utility", lambda *args: float("inf"))
+        fund_aggregate = markowitz.fund_aggregate
+
+        def infinite_alpha_f(ctx, group):
+            weights, _, point = fund_aggregate(ctx, group)
+            return weights, float("inf"), point
+
+        monkeypatch.setattr(markowitz, "fund_aggregate", infinite_alpha_f)
         code = cli.main(["solve", "--config", str(solve_config)])
         captured = capsys.readouterr()
         assert code == 3
@@ -644,26 +679,6 @@ class TestStudy:
         assert result.returncode == 3
         assert "Traceback" not in result.stderr
         assert "error: series phi=3, coordinate 1.09: delta_eu is inf" in result.stderr
-        assert not (out / "figure1.csv").exists()
-
-    def test_negative_gain_exits_3(self, tmp_path, monkeypatch, capsys):
-        # no known input reaches it; a negative slope makes every gain negative
-        from mimicfund import cli, markowitz
-
-        true_context = markowitz.context
-
-        def flipped(market):
-            ctx = true_context(market)
-            return dataclasses.replace(ctx, slope=-ctx.slope)
-
-        monkeypatch.setattr(markowitz, "context", flipped)
-        out = tmp_path / "study"
-        code = cli.main(["study", "--output-dir", str(out)])
-        err = capsys.readouterr().err
-        assert code == 3
-        assert "error: series phi=3, coordinate 1.09: utility gain" in err
-        assert "is negative; optimality is violated" in err
-        assert "Traceback" not in err
         assert not (out / "figure1.csv").exists()
 
     def test_overflowing_slope_exits_3(self, tmp_path):

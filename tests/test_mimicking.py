@@ -1,13 +1,31 @@
+import re
+import sys
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 import support
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mimicfund import build_group, build_market, errors, markowitz, mimicking, oracle, sampling
 from mimicfund.model import PortfolioMatrix
 
 TEXTBOOK_A = np.array([[1.75, -0.75], [-0.75, 2.75]])
+
+# a valid market on which tau^2 slope, or v_gmv beta'alpha, leaves the float range
+HUGE_SIGMA = {"mu": [0.0, 1.0], "sigma": [[1e300, 0.0], [0.0, 1e300]]}
+# alpha = 1e-306: W is finite, the fund's variance tau^2 slope is not
+TINY_ALPHA = {**HUGE_SIGMA, "alpha": [1e-306, 1e-306], "beta": [0.5, 0.5], "phi": [0.0, 0.0]}
+# alpha = 1e10: the fund is finite, the utility's v_gmv beta'alpha is not
+LARGE_ALPHA = {**HUGE_SIGMA, "alpha": [1e10, 1e10], "beta": [0.5, 0.5], "phi": [1.0, 1.0]}
+# alpha at the largest float: tau = 2^-1024 is subnormal, and 1 / tau overflows
+LARGEST_ALPHA = {
+    "mu": [0.07, 0.14], "sigma": [[0.0144, 0.0048], [0.0048, 0.04]],
+    "alpha": [sys.float_info.max] * 2, "beta": [0.5, 0.5], "phi": [0.0, 0.0],
+}
 
 
 def dense(group):
@@ -224,6 +242,20 @@ class TestSolve:
         with pytest.raises(errors.NumericalBreakdown):
             mimicking.solve(textbook_ctx, overflow)
 
+    @pytest.mark.parametrize(
+        "instance, message",
+        [(TINY_ALPHA, "frontier fund at t = 1e+306 is out of floating-point range"),
+         (LARGE_ALPHA, "utility -inf at the optimum is out of floating-point range"),
+         (LARGEST_ALPHA, "fund risk aversion inf or utility")],
+        ids=["fund-variance", "utility", "risk-aversion"],
+    )
+    def test_out_of_range_fund_or_utility_is_numerical(self, instance, message):
+        market = build_market(instance["mu"], instance["sigma"])
+        group = build_group(instance["alpha"], instance["beta"], instance["phi"])
+        with pytest.raises(errors.NumericalBreakdown) as caught:
+            mimicking.solve(markowitz.context(market), group)
+        assert message in str(caught.value)
+
     def test_large_frontier_coordinates_keep_unit_column_sums(self, textbook_market, textbook_ctx):
         # c is about 2.4e5, so a 1'tilt of 1.3e-15 would put a column sum
         # 3.5e-10 off 1; the re-centred tilt sums to 0 exactly
@@ -285,6 +317,45 @@ class TestSolve:
         assert support.mimicking_foc_residuals(
             market.mu, market.sigma, g.alpha, g.beta, g.phi, w
         )[0] > 1e-10
+
+
+@st.composite
+def scaled_instances(draw):
+    """A random instance with (mu, sigma), alpha and phi each scaled by a power of 4."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    market, group = sampling.random_instance(rng, 5, 5)
+    market_scale, alpha_scale, phi_scale = (4.0 ** draw(st.integers(-500, 500)) for _ in range(3))
+    return {
+        "mu": market.mu * market_scale,
+        "sigma": market.sigma * market_scale,
+        "alpha": group.alpha * alpha_scale,
+        "beta": group.beta,
+        "phi": group.phi * phi_scale if draw(st.booleans()) else np.zeros(group.n),
+    }
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(instance=scaled_instances())
+@example(instance=TINY_ALPHA)
+@example(instance=LARGE_ALPHA)
+@example(instance=LARGEST_ALPHA)
+def test_solve_returns_finite_numbers_or_raises(instance):
+    # a solution holds only finite numbers; a result beyond the float range
+    # is a NumericalBreakdown, never an inf in the solution or a warning
+    try:
+        market = build_market(instance["mu"], instance["sigma"])
+        group = build_group(instance["alpha"], instance["beta"], instance["phi"])
+    except errors.ValidationError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            s = mimicking.solve(markowitz.context(market), group)
+        except errors.NumericalBreakdown:
+            return
+    values = (s.w_star.weights, s.fund_weights, s.alpha_star_f, s.point.mean, s.point.variance,
+              s.eu_star)
+    assert all(np.isfinite(v).all() for v in values)
 
 
 class TestPenalizedUtility:
@@ -444,3 +515,23 @@ class TestAsymptoticAlpha:
             got = mimicking.asymptotic_alpha(g)
             assert 1.0 / got.exact_inverse == mimicking.solve(ctx, g).alpha_star_f
             assert got.classical == markowitz.fund_aggregate(ctx, g)[1]
+
+
+def test_readme_library_example():
+    # README's "Library example" block runs as written, and the values its
+    # comments quote are the ones it computes
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    ctx, group, solution = namespace["ctx"], namespace["group"], namespace["solution"]
+    quoted = re.search(r"alpha_star_f +# ([\d.]+)\.\.\. \(classical aggregation gives ([\d.]+)\)", block)
+    mimicking_alpha, classical_alpha = map(float, quoted.groups())
+    assert solution.alpha_star_f == pytest.approx(mimicking_alpha, abs=1e-4)
+    assert markowitz.fund_aggregate(ctx, group)[1] == pytest.approx(classical_alpha, abs=1e-4)
+    expected = ctx.gmvp + ctx.tilt / solution.alpha_star_f
+    np.testing.assert_allclose(solution.fund_weights, expected, rtol=1e-14)
+    market = namespace["market"]
+    assert mimicking.penalized_utility(market, group, solution.w_star) == pytest.approx(
+        solution.eu_star, rel=1e-14
+    )

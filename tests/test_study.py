@@ -16,8 +16,8 @@ from mimicfund.study import (
     STUDY_BETA,
     StudyConfig,
     SweepRecord,
+    _check_gains,
     _frontier_gains,
-    _raise_first_fault,
     run_sweeps,
 )
 
@@ -37,9 +37,9 @@ def delta_omega(ctx, group):
 
 def delta_eu(market, group):
     """The study's relative utility gain of one group, with every check of a grid point."""
-    _, d_eu, faults = _frontier_gains(markowitz.context(market), group.alpha, group.beta, group.phi)
-    _raise_first_fault(faults)
-    return d_eu.item()
+    gains = _frontier_gains(markowitz.context(market), group.alpha, group.beta, group.phi)
+    _check_gains(*gains)
+    return gains[1].item()
 
 
 def per_group_gains(market, group):
@@ -434,6 +434,38 @@ class TestRunSweeps:
             records = figure1.records + figure2.records
             assert np.array([r.delta_omega for r in records]).tobytes() == d_omega.ravel().tobytes()
             assert np.array([r.delta_eu for r in records]).tobytes() == d_eu.ravel().tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        j=st.integers(-500, 500),
+        alpha1=st.floats(1e-3, 10),
+        phi_ratio=st.floats(0, 10),
+        phi_set=st.lists(st.floats(0, 1e3), min_size=1, max_size=3),
+        a_set=st.lists(st.floats(1, 100), min_size=1, max_size=3),
+        a_range=st.lists(st.floats(1, 100), min_size=2, max_size=2, unique=True).map(sorted),
+        phi_range=st.lists(st.floats(0, 1e3), min_size=2, max_size=2, unique=True).map(sorted),
+        grid_points=st.integers(2, 5),
+    )
+    def test_gain_is_never_negative(self, seed, j, **fields):
+        # what lets the study go without a negative-gain check: wherever
+        # delta_eu is finite and the optimum positive, delta_eu >= 0; the
+        # market is scaled by 4^j, with positive means so most optima are
+        market = sampling.random_market(np.random.default_rng(seed), 2)
+        try:
+            scaled = build_market(4.0**j * abs(market.mu), 4.0**j * market.sigma)
+            config = StudyConfig(market=scaled, **fields)
+            ctx = markowitz.context(scaled)
+        except (errors.ValidationError, errors.NumericalBreakdown):
+            return
+        points = sweep_inputs(config)
+        alpha = np.array([(config.alpha1, a * config.alpha1) for _, a in points])
+        phi = np.array([(p, p * config.phi_ratio) for p, _ in points])
+        beta = np.broadcast_to(STUDY_BETA, alpha.shape)
+        _, d_eu, eu_star = _frontier_gains(ctx, alpha, beta, phi)
+        with np.errstate(invalid="ignore"):
+            reported = np.isfinite(d_eu) & (eu_star > 0)
+        assert (d_eu[reported] >= 0).all()
 
     def test_records_match_per_group_definition(self):
         for config in random_configs():
