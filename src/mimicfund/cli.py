@@ -12,7 +12,6 @@ import contextlib
 import dataclasses
 import datetime
 import errno
-import hashlib
 import json
 import os
 import reprlib
@@ -22,10 +21,10 @@ import numpy as np
 
 from . import __version__, errors, markowitz, mimicking
 from .model import MarketModel, build_group, build_market
-from .moments import estimate, load_csv
+from .moments import estimate, load_csv, parse_csv, read_input
 
 # oracle, sampling and study are imported by the commands that use them, so
-# that solve and estimate do not pay for them at start-up.
+# that solve and estimate skip them at start-up.  perfbench's tracer wraps cli.load_csv.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -58,20 +57,12 @@ def _timestamp() -> str:
     return moment.isoformat(timespec="seconds")
 
 
-def _digest(path: str) -> str:
-    try:
-        with open(path, "rb") as handle:
-            return hashlib.sha256(handle.read()).hexdigest()
-    except OSError as exc:
-        raise errors.IoError(f"cannot read {path}: {exc}") from exc
-
-
-def _manifest(command: str, config: dict, input_paths: list) -> dict:
-    """Audit block accompanying every output: what ran, on what, when."""
+def _manifest(command: str, config: dict, inputs: dict) -> dict:
+    """Audit block of every output: what ran, on what (``inputs``: path to sha256), when."""
     return {
         "command": command,
         "config": config,
-        "inputs": {path: _digest(path) for path in input_paths},
+        "inputs": inputs,
         "version": __version__,
         "timestamp": _timestamp(),
     }
@@ -98,17 +89,11 @@ def _parse_json(text: str, where: str):
         raise errors.ParseError(f"{where}: invalid JSON: nested too deeply") from None
 
 
-def _config(command: str, path, keys) -> dict:
-    """``command``'s JSON config object: keys from ``keys``, mu and sigma together."""
+def _config(command: str, path, keys) -> tuple[dict, dict]:
+    """``command``'s JSON config (``keys`` only, mu with sigma) and ``{path: its sha256}``."""
     if path is None:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise errors.IoError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise errors.ParseError(f"{path}: not UTF-8 text: {exc}") from None
+        return {}, {}
+    text, digest = read_input(path)
     config = _parse_json(text, path)
     if not isinstance(config, dict):
         raise errors.ParseError(f"{path}: expected a JSON object at top level")
@@ -117,7 +102,7 @@ def _config(command: str, path, keys) -> dict:
         raise errors.ValidationError(f"unknown {command} config keys: {', '.join(sorted(unknown))}")
     if ("mu" in config) != ("sigma" in config):
         raise errors.ValidationError(f"{command} config must give mu and sigma together")
-    return config
+    return config, {path: digest}
 
 
 def _write(files: dict) -> None:
@@ -144,53 +129,45 @@ def _write(files: dict) -> None:
         raise errors.IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _resolve_market(args, config: dict) -> MarketModel:
+def _resolve_market(args, config: dict, inputs: dict) -> MarketModel:
+    """The market from exactly one source; a ``--returns`` file's digest goes into ``inputs``."""
+    sources = [name for name, given in (
+        ("--returns", args.returns is not None),
+        ("--mu/--sigma", args.mu is not None or args.sigma is not None),
+        ("config mu/sigma", "mu" in config),
+    ) if given]
+    if len(sources) != 1:
+        raise errors.ValidationError(
+            f"market sources given: {' and '.join(sources) or 'none'}; use exactly one of "
+            "--returns, --mu/--sigma, or mu/sigma keys in the config file"
+        )
     if args.returns is not None:
-        sample = load_csv(args.returns)
-        return estimate(sample, args.annualize)
-    if args.mu is not None or args.sigma is not None:
-        if args.mu is None or args.sigma is None:
-            raise errors.ValidationError("--mu and --sigma must be given together")
-        return build_market(_parse_json(args.mu, "--mu"), _parse_json(args.sigma, "--sigma"))
+        text, inputs[args.returns] = read_input(args.returns)
+        return estimate(parse_csv(args.returns, text), args.annualize)
     if "mu" in config:
         return build_market(config["mu"], config["sigma"])
-    raise errors.ValidationError(
-        "no market given: use --returns, --mu/--sigma, or mu/sigma keys in the config file"
-    )
-
-
-def _resolve_group(config: dict):
-    missing = [key for key in ("alpha", "beta", "phi") if key not in config]
-    if missing:
-        raise errors.ValidationError(f"config file lacks group keys: {', '.join(missing)}")
-    return build_group(config["alpha"], config["beta"], config["phi"])
+    if args.mu is None or args.sigma is None:
+        raise errors.ValidationError("--mu and --sigma must be given together")
+    return build_market(_parse_json(args.mu, "--mu"), _parse_json(args.sigma, "--sigma"))
 
 
 def _cmd_solve(args) -> int:
-    config = _config("solve", args.config, ("alpha", "beta", "phi", "mu", "sigma"))
+    config, inputs = _config("solve", args.config, ("alpha", "beta", "phi", "mu", "sigma"))
     if args.annualize is not None and args.returns is None:
         raise errors.ValidationError("--annualize applies only to a market estimated from --returns")
-    input_paths = [p for p in (args.config, args.returns) if p]
-    market = _resolve_market(args, config)
-    group = _resolve_group(config)
+    market = _resolve_market(args, config, inputs)
+    missing = [key for key in ("alpha", "beta", "phi") if key not in config]
+    if missing:
+        raise errors.ValidationError(f"config file lacks group keys: {', '.join(missing)}")
+    group = build_group(config["alpha"], config["beta"], config["phi"])
     ctx = markowitz.context(market)
     solution = mimicking.solve(ctx, group)
     base_weights, alpha_f, base_point = markowitz.fund_aggregate(ctx, group)
 
-    manifest = _manifest(
-        command="solve",
-        config={
-            "mu": market.mu.tolist(),
-            "sigma": market.sigma.tolist(),
-            "alpha": group.alpha.tolist(),
-            "beta": group.beta.tolist(),
-            "phi": group.phi.tolist(),
-            "annualize": args.annualize,
-        },
-        input_paths=input_paths,
-    )
+    # the config's digest records the group; the market may come from no file
+    echo = {"mu": market.mu.tolist(), "sigma": market.sigma.tolist(), "annualize": args.annualize}
     report = {
-        "manifest": manifest,
+        "manifest": _manifest("solve", echo, inputs),
         "mimicking": {
             "weights": solution.w_star.weights.tolist(),
             "fund_weights": solution.fund_weights.tolist(),
@@ -213,8 +190,7 @@ def _cmd_solve(args) -> int:
     else:
         sys.stdout.write(text)
     _log(
-        f"fund risk aversion: mimicking {solution.alpha_star_f:.6g} "
-        f"vs classical {alpha_f:.6g}; "
+        f"fund risk aversion: mimicking {solution.alpha_star_f:.6g} vs classical {alpha_f:.6g}; "
         f"first-asset weight shift {solution.fund_weights[0] - base_weights[0]:.6g}"
     )
     return EXIT_OK
@@ -273,7 +249,7 @@ def _cmd_study(args) -> int:
 
     # the grid keys are the fields of StudyConfig other than market
     grid = [field for field in dataclasses.fields(StudyConfig) if field.name != "market"]
-    raw = _config("study", args.config, ["mu", "sigma"] + [field.name for field in grid])
+    raw, inputs = _config("study", args.config, ["mu", "sigma"] + [field.name for field in grid])
     kwargs = {"market": build_market(raw.pop("mu"), raw.pop("sigma"))} if "mu" in raw else {}
     config = StudyConfig(**kwargs, **raw)
     figure1, figure2 = run_sweeps(config)
@@ -281,7 +257,7 @@ def _cmd_study(args) -> int:
     for field in grid:
         value = getattr(config, field.name)
         echo[field.name] = list(value) if isinstance(value, tuple) else value
-    manifest = _manifest("study", echo, [args.config] if args.config else [])
+    manifest = _manifest("study", echo, inputs)
     sidecar = _dumps(manifest)
     try:
         os.makedirs(args.output_dir, exist_ok=True)
@@ -300,11 +276,11 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    sample = load_csv(args.returns)
+    text, digest = read_input(args.returns)
+    sample = parse_csv(args.returns, text)
     market = estimate(sample, args.annualize)
-    manifest = _manifest("estimate", {"annualize": args.annualize}, [args.returns])
     report = {
-        "manifest": manifest,
+        "manifest": _manifest("estimate", {"annualize": args.annualize}, {args.returns: digest}),
         "asset_names": list(sample.asset_names),
         "observations": sample.t,
         "mu": market.mu.tolist(),

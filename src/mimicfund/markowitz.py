@@ -132,6 +132,16 @@ def _classical_tau(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
         return _dot(beta, 1.0 / alpha)
 
 
+def _classical_scalar(group: InvestorGroup) -> float:
+    """One group's ``tau_cl`` as a float whose inverse, the risk aversion, is finite."""
+    tau_cl = _classical_tau(group.alpha, group.beta).item()
+    if not math.isfinite(1.0 / tau_cl):  # an alpha at the largest float gives 2^-1024
+        raise errors.NumericalBreakdown(
+            f"classical fund scalar tau_cl is {tau_cl!r}; 1/tau_cl overflows"
+        )
+    return tau_cl
+
+
 def _optimal_utility(ctx: MarkowitzContext, tau, beta_alpha):
     """Group utility at its optimum: ``mu_gmv + (slope tau - v_gmv beta'alpha) / 2``.
 
@@ -153,10 +163,10 @@ def fund_aggregate(
     The fund is the frontier portfolio at ``tau_cl = beta' (1 / alpha)``,
     the beta-weighted average of the individual optima; its risk aversion
     ``1 / tau_cl`` is the weighted harmonic mean of the individual ones.
-    :func:`frontier` checks the weights and point (a tiny ``alpha`` puts
-    ``1 / alpha`` or ``tau_cl^2 slope`` beyond the float range); the risk
-    aversion overflows only if that mean rounds to the largest float.
+    :func:`_classical_scalar` checks the risk aversion and :func:`frontier`
+    the weights and point (a tiny ``alpha`` puts ``1 / alpha`` or
+    ``tau_cl^2 slope`` beyond the float range).
     """
-    tau_cl = _classical_tau(group.alpha, group.beta).item()
+    tau_cl = _classical_scalar(group)
     weights, point = frontier(ctx, tau_cl)
     return weights, 1.0 / tau_cl, point

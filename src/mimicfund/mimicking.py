@@ -64,10 +64,11 @@ def _optimum(alpha: np.ndarray, beta: np.ndarray, phi: np.ndarray) -> tuple:
 
 
 def _solved(group: InvestorGroup) -> tuple:
-    """:func:`_optimum` of one group, ``tau`` as a float, checked finite and positive."""
+    """:func:`_optimum` of one group, ``tau`` as a float: finite, positive, finite inverse."""
     c, tau = _optimum(group.alpha, group.beta, group.phi)
     tau = tau.item()
-    if not (np.isfinite(tau) and tau > 0):
+    # alpha + phi near the largest float rounds tau to 2^-1024, whose inverse overflows
+    if not (math.isfinite(tau) and tau > 0 and math.isfinite(1.0 / tau)):
         raise errors.NumericalBreakdown(
             f"fund scalar tau is {tau!r}; the sums over alpha + phi are out of floating-point range"
         )
@@ -113,10 +114,10 @@ def solve(ctx: MarkowitzContext, group: InvestorGroup) -> MimickingSolution:
     (:func:`markowitz._optimal_utility`), so no product with ``sigma`` is
     formed.  The freshly built ``W`` is frozen and handed to
     :class:`PortfolioMatrix`, which checks it in one pass and keeps it
-    without a copy.  Every number returned is finite: a ``tau`` that is not
-    finite and positive, a ``W`` that fails :class:`PortfolioMatrix`, a fund
-    that fails :func:`markowitz.frontier`, or an ``alpha_star_f`` or
-    ``eu_star`` beyond the float range raises :class:`errors.NumericalBreakdown`.
+    without a copy.  Every number returned is finite: a ``tau`` that fails
+    :func:`_solved`, a ``W`` that fails :class:`PortfolioMatrix`, a fund
+    that fails :func:`markowitz.frontier`, or an ``eu_star`` beyond the
+    float range raises :class:`errors.NumericalBreakdown`.
     """
     c, tau = _solved(group)
     coords = np.empty((2, c.shape[0]))
@@ -131,15 +132,13 @@ def solve(ctx: MarkowitzContext, group: InvestorGroup) -> MimickingSolution:
         raise errors.NumericalBreakdown(f"optimal weights fail their checks: {exc}") from exc
     fund_weights, point = markowitz.frontier(ctx, tau)
     fund_weights.setflags(write=False)
-    alpha_star_f = 1.0 / tau
     eu_star = markowitz._optimal_utility(ctx, tau, _dot(group.beta, group.alpha).item())
-    if not (math.isfinite(alpha_star_f) and math.isfinite(eu_star)):
+    if not math.isfinite(eu_star):
         raise errors.NumericalBreakdown(
-            f"fund risk aversion {alpha_star_f!r} or utility {eu_star!r} at the optimum "
-            "is out of floating-point range"
+            f"utility {eu_star!r} at the optimum is out of floating-point range"
         )
     return MimickingSolution(w_star=w_star, fund_weights=fund_weights,
-                             alpha_star_f=alpha_star_f, point=point, eu_star=eu_star)
+                             alpha_star_f=1.0 / tau, point=point, eu_star=eu_star)
 
 
 def penalized_utility(
@@ -179,11 +178,11 @@ def asymptotic_alpha(group: InvestorGroup) -> AsymptoticAlpha:
 
     All three cost O(n), with no ``n x n`` matrix.  Under equal preferences
     (``alpha_i = a``, ``phi_i = p``) ``exact_inverse`` is ``1/a`` for every
-    ``n`` and wealth.  A ``tau`` that is not finite and positive raises
-    :class:`errors.NumericalBreakdown`, as in :func:`solve`.
+    ``n`` and wealth.  A ``tau`` or ``tau_cl`` out of range raises
+    :class:`errors.NumericalBreakdown`, as in :func:`solve` and :func:`markowitz.fund_aggregate`.
     """
     _, tau = _solved(group)
     beta = group.beta
     upper = float(beta @ group.alpha + beta @ group.phi)
-    classical = 1.0 / markowitz._classical_tau(group.alpha, beta).item()
+    classical = 1.0 / markowitz._classical_scalar(group)
     return AsymptoticAlpha(upper=upper, classical=classical, exact_inverse=tau)

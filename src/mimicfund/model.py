@@ -37,12 +37,14 @@ def _as_array(x, name: str, ndim: int) -> np.ndarray:
 
     Non-numbers, strings and booleans among them, raise :class:`errors.ParseError`
     and another shape :class:`errors.DimensionMismatch`; a rejected value is
-    shown through ``reprlib.repr``, so the message stays short.
+    shown through ``reprlib.repr``, cut to 100 characters since it abridges
+    each list but not their nesting, so the message stays short.
     """
     try:
         arr = np.array(x, dtype=float)
     except (TypeError, ValueError, OverflowError):
-        raise errors.ParseError(f"{name} is not an array of numbers: {reprlib.repr(x)}") from None
+        shown = reprlib.repr(x)[:100]
+        raise errors.ParseError(f"{name} is not an array of numbers: {shown}") from None
     if not (isinstance(x, np.ndarray) and x.dtype.kind in "iuf"):
         # look at each distinct entry type once, not at each entry; ravel, not
         # .flat, whose iterator stops at 32 dimensions where arrays reach 64
@@ -58,9 +60,12 @@ def _as_array(x, name: str, ndim: int) -> np.ndarray:
 
 
 def _as_count(x, name: str, low: int) -> int:
-    """``x`` as an ``int`` of at least ``low``; a bool or a float is not a count."""
+    """``x`` as an ``int >= low`` within the float range; a bool or a float is not a count."""
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < low:
-        raise errors.ConstraintViolated(f"{name} must be an integer >= {low}, got {reprlib.repr(x)}")
+        raise errors.ConstraintViolated(
+            f"{name} must be an integer >= {low}, got {reprlib.repr(x)[:100]}"
+        )
+    _as_array(x, name, 0)
     return int(x)
 
 

@@ -1,4 +1,4 @@
-"""CSV ingestion of return histories and sample-moment estimation.
+"""Input files, CSV ingestion of return histories and sample-moment estimation.
 
 File format: UTF-8, comma-separated, first row is the asset-name header,
 each following row holds one period's simple returns as decimal fractions,
@@ -8,6 +8,7 @@ in chronological order.  Decimal point is '.', no thousands separators.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import math
 import reprlib
@@ -18,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import errors
-from .model import MarketModel, _as_array, _as_count, build_market
+from .model import MarketModel, _as_array, _as_count, _freeze, build_market
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,9 +54,7 @@ class ReturnSample:
             raise errors.TooFewObservations(
                 f"need at least k + 2 = {arr.shape[1] + 2} observations, got {arr.shape[0]}"
             )
-        arr.setflags(write=False)
-        object.__setattr__(self, "returns", arr)
-        object.__setattr__(self, "asset_names", names)
+        _freeze(self, returns=arr, asset_names=names)
 
     @property
     def t(self) -> int:
@@ -68,23 +67,37 @@ class ReturnSample:
         return self.returns.shape[1]
 
 
-def load_csv(path) -> ReturnSample:
-    """Parse a return-history CSV into a validated :class:`ReturnSample`.
+def read_input(path) -> tuple[str, str]:
+    """The UTF-8 text of an input file and the sha256 of the very bytes it decodes.
 
-    Parse failures name the offending row (1-based physical line, header is
-    row 1) and column.  The data rows are parsed by one ``np.loadtxt`` call;
-    a file it does not read as exactly the rows the per-cell parser would
-    goes to that parser, which then decides the value or the error.
+    The one reader of the package's input files, the CLI's configs included.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            body = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
+        return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
     except OSError as exc:
         raise errors.IoError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise errors.ParseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def load_csv(path) -> ReturnSample:
+    """:func:`parse_csv` of the return-history CSV at ``path``, read by :func:`read_input`."""
+    return parse_csv(path, read_input(path)[0])
+
+
+def parse_csv(path, text: str) -> ReturnSample:
+    """Parse ``text``, the return-history CSV read from ``path``, into a :class:`ReturnSample`.
+
+    Parse failures name ``path``, the offending row (1-based physical line,
+    header is row 1) and column.  One ``np.loadtxt`` call parses the data
+    rows; a file it does not read as exactly the rows the per-cell parser
+    would goes to that parser, which then decides the value or the error.
+    """
+    stream = io.StringIO(text, newline="")
+    header = next(csv.reader(stream), None)
+    body = stream.read()
     if header is None:
         raise errors.ParseError(f"{path}: file is empty")
     header = [cell.strip() for cell in header]
@@ -155,15 +168,13 @@ def estimate(sample: ReturnSample, periods_per_year: Optional[int] = None) -> Ma
 
     Means are column averages, the covariance uses the unbiased ``T - 1``
     divisor; with ``periods_per_year = P`` both moments are scaled by ``P``
-    (i.i.d. convention); ``P`` passes :func:`model._as_count` and
-    :func:`model._as_array`.  The result passes full market validation, so
-    degenerate data surfaces as :class:`errors.NotPositiveDefinite` and an
-    overflowing moment as :class:`errors.NonFiniteValue`, with no warning.
+    (i.i.d. convention); ``P`` passes :func:`model._as_count`.  The result
+    passes full market validation, so degenerate data surfaces as
+    :class:`errors.NotPositiveDefinite` and an overflowing moment as
+    :class:`errors.NonFiniteValue`, with no warning.
     """
-    scale = 1.0
-    if periods_per_year is not None:
-        count = _as_count(periods_per_year, "periods_per_year", 1)
-        scale = _as_array(count, "periods_per_year", 0)
+    scale = (1.0 if periods_per_year is None
+             else float(_as_count(periods_per_year, "periods_per_year", 1)))
     with np.errstate(all="ignore"):  # a non-finite moment fails the market's check
         mu = sample.returns.mean(axis=0) * scale
         sigma = np.atleast_2d(np.cov(sample.returns, rowvar=False, ddof=1)) * scale

@@ -85,9 +85,9 @@ class StudyConfig:
     mimicking coefficient relative to the first (1.0 keeps them equal, the
     default and the only configuration in the default output).
 
-    ``market`` must be a :class:`MarketModel`; the other fields pass
-    :func:`model._as_array` and must be finite, and ``grid_points`` passes
-    :func:`model._as_count` too.  The 1-D fields are stored as tuples of the values given.
+    ``market`` must be a :class:`MarketModel`, ``grid_points`` passes
+    :func:`model._as_count`, and the other fields pass :func:`model._as_array`
+    and must be finite.  The 1-D fields are stored as tuples of the values given.
 
     These checks make every grid point ``alpha = (alpha1, a alpha1)``,
     ``phi = (phi_1, phi_1 phi_ratio)`` a valid group.  Rounding is
@@ -111,8 +111,6 @@ class StudyConfig:
                 f"market must be a MarketModel, got {reprlib.repr(self.market)}"
             )
         grid_points = model._as_count(self.grid_points, "grid_points", 2)
-        # a count beyond the float range, like one of estimate, is not a number
-        model._as_array(grid_points, "grid_points", 0)
         arrays = {}
         for name, ndim in (("alpha1", 0), ("phi_ratio", 0), ("phi_set", 1),
                            ("a_set", 1), ("a_range", 1), ("phi_range", 1)):

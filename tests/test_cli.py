@@ -1,6 +1,9 @@
+import builtins
+import collections
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -83,6 +86,15 @@ def solve_config(tmp_path):
     return path
 
 
+@pytest.fixture
+def group_config(tmp_path):
+    """A solve config without a market, to pair with --returns or --mu/--sigma."""
+    path = tmp_path / "group.json"
+    group = {key: TEXTBOOK_CONFIG[key] for key in ("alpha", "beta", "phi")}
+    path.write_text(json.dumps(group), encoding="utf-8")
+    return path
+
+
 class TestSolve:
     def test_textbook_instance(self, solve_config):
         result = run_cli("solve", "--config", str(solve_config))
@@ -119,11 +131,11 @@ class TestSolve:
         assert result.returncode == 1
         assert "beta" in result.stderr
 
-    def test_degenerate_returns_exit_1(self, tmp_path, solve_config):
+    def test_degenerate_returns_exit_1(self, tmp_path, group_config):
         csv = tmp_path / "flat.csv"
         csv.write_text("A,B\n" + "0.01,0.02\n" * 12, encoding="utf-8")
         result = run_cli(
-            "solve", "--config", str(solve_config), "--returns", str(csv)
+            "solve", "--config", str(group_config), "--returns", str(csv)
         )
         assert result.returncode == 1
         assert "positive definite" in result.stderr
@@ -167,6 +179,34 @@ class TestSolve:
         assert result.returncode == 1
         assert "market" in result.stderr
 
+    @pytest.mark.parametrize("returns", [False, True], ids=["no-csv", "csv"])
+    @pytest.mark.parametrize("flags", [None, "valid", "malformed"], ids=["no-flags", "flags", "bad-flags"])
+    @pytest.mark.parametrize("in_config", [False, True], ids=["group-only", "config-market"])
+    def test_market_from_exactly_one_source(
+        self, returns, flags, in_config, returns_csv, solve_config, group_config, capsys
+    ):
+        # every other source is an error, not ignored unvalidated
+        from mimicfund import cli
+
+        argv = ["solve", "--config", str(solve_config if in_config else group_config)]
+        if returns:
+            argv += ["--returns", str(returns_csv)]
+        if flags == "valid":
+            argv += ["--mu", json.dumps(TEXTBOOK_CONFIG["mu"])]
+            argv += ["--sigma", json.dumps(TEXTBOOK_CONFIG["sigma"])]
+        elif flags == "malformed":
+            argv += ["--mu", "not json", "--sigma", "{"]
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        sources = returns + (flags is not None) + in_config
+        if sources == 1 and flags != "malformed":
+            assert code == 0
+            assert list(json.loads(out)["manifest"]["config"]) == ["mu", "sigma", "annualize"]
+        else:
+            assert code == 1
+            assert_one_short_error_line(out, err)
+            assert sources == 1 or "error: market sources given: " in err
+
     @pytest.mark.parametrize("present", ["mu", "sigma"])
     def test_half_market_in_config_exits_1(self, tmp_path, present):
         config = {key: TEXTBOOK_CONFIG[key] for key in ("alpha", "beta", "phi", present)}
@@ -177,7 +217,7 @@ class TestSolve:
         assert "solve config must give mu and sigma together" in result.stderr
 
     def test_half_market_in_config_exits_1_under_returns(self, tmp_path, returns_csv):
-        # the config is checked as a whole, even where --returns would replace its market
+        # half a market in the config is reported as such, not as a second source
         config = {key: TEXTBOOK_CONFIG[key] for key in ("alpha", "beta", "phi", "mu")}
         path = tmp_path / "half.json"
         path.write_text(json.dumps(config), encoding="utf-8")
@@ -192,9 +232,9 @@ class TestSolve:
         assert_validation_error(result)
         assert "not UTF-8" in result.stderr
 
-    def test_missing_returns_file_exits_2(self, solve_config, tmp_path):
+    def test_missing_returns_file_exits_2(self, group_config, tmp_path):
         result = run_cli(
-            "solve", "--config", str(solve_config), "--returns", str(tmp_path / "nope.csv")
+            "solve", "--config", str(group_config), "--returns", str(tmp_path / "nope.csv")
         )
         assert result.returncode == 2
 
@@ -311,10 +351,10 @@ class TestSolve:
              "error: frontier fund at t = 1e+306 is out of floating-point range"),
             # v_gmv beta'alpha overflows: the utility is -inf
             ({**HUGE_SIGMA, "alpha": [1e10, 1e10], "phi": [1, 1]},
-             "error: fund risk aversion 10000000000.0 or utility -inf at the optimum"),
+             "error: utility -inf at the optimum is out of floating-point range"),
             # tau = 2^-1024 is subnormal, and 1 / tau overflows
             ({"alpha": [sys.float_info.max] * 2, "phi": [0, 0]},
-             "error: fund risk aversion inf or utility"),
+             "error: fund scalar tau is 5.562684646268003e-309; the sums over alpha + phi"),
         ],
         ids=["fund-variance", "utility", "risk-aversion"],
     )
@@ -694,6 +734,53 @@ class TestStudy:
         assert not out.exists() or not any(out.iterdir())
 
 
+class TestInputFiles:
+    @pytest.mark.parametrize("command", ["solve", "study", "estimate"])
+    def test_each_file_is_read_once_and_digested_as_parsed(
+        self, command, tmp_path, returns_csv, group_config, monkeypatch, capsys
+    ):
+        # the spy renames a new file over each input right after its first
+        # open, so a second read would see other bytes than the parse did
+        from mimicfund import cli
+
+        study = tmp_path / "study.json"
+        study.write_text(json.dumps({"grid_points": 3}), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        argv, paths = {
+            "solve": (["--config", str(group_config), "--returns", str(returns_csv)],
+                      [group_config, returns_csv]),
+            "study": (["--config", str(study), "--output-dir", str(out_dir)], [study]),
+            "estimate": (["--returns", str(returns_csv)], [returns_csv]),
+        }[command]
+        parsed = {str(path): path.read_bytes() for path in paths}
+        opened = collections.Counter()
+        real_open = builtins.open
+
+        def spy(file, *args, **kwargs):
+            handle = real_open(file, *args, **kwargs)
+            if isinstance(file, (str, os.PathLike)) and os.fspath(file) in parsed:
+                name = os.fspath(file)
+                opened[name] += 1
+                with real_open(name + ".new", "wb") as other:
+                    other.write(b"rewritten after the first open\n")
+                os.replace(name + ".new", name)
+            return handle
+
+        monkeypatch.setattr(builtins, "open", spy)
+        code = cli.main([command, *argv])
+        monkeypatch.undo()
+        out = capsys.readouterr().out
+        assert code == 0
+        assert opened == dict.fromkeys(parsed, 1)
+        if command == "study":
+            manifest = json.loads((out_dir / "figure1.manifest.json").read_text(encoding="utf-8"))
+        else:
+            manifest = json.loads(out)["manifest"]
+        assert manifest["inputs"] == {
+            name: hashlib.sha256(data).hexdigest() for name, data in parsed.items()
+        }
+
+
 class TestEstimate:
     def test_prints_moments(self, returns_csv):
         result = run_cli("estimate", "--returns", str(returns_csv))
@@ -709,8 +796,8 @@ class TestEstimate:
         assert result.returncode == 2
 
     @pytest.mark.parametrize("command", ["estimate", "solve"])
-    def test_annualize_beyond_the_float_range_exits_1(self, command, returns_csv, solve_config):
-        config = ["--config", str(solve_config)] if command == "solve" else []
+    def test_annualize_beyond_the_float_range_exits_1(self, command, returns_csv, group_config):
+        config = ["--config", str(group_config)] if command == "solve" else []
         result = run_cli(
             command, *config, "--returns", str(returns_csv), "--annualize", str(10**400)
         )
@@ -781,8 +868,19 @@ def fuzz_config(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "config.json"
 
 
+@pytest.fixture(scope="module")
+def fuzz_returns(tmp_path_factory):
+    """A small fixed return history of two assets."""
+    path = tmp_path_factory.mktemp("fuzz") / "returns.csv"
+    rows = ["0.01,0.02", "-0.02,0.01", "0.03,-0.01", "0.00,0.04", "0.02,0.00", "-0.01,0.03"]
+    path.write_text("\n".join(["A,B", *rows]) + "\n", encoding="utf-8")
+    return path
+
+
 @st.composite
 def solve_configs(draw):
+    """``(config, flags, returns)``: a config, ``--mu/--sigma`` flags, and whether
+    ``--returns`` is given; the market is in none, one or several of them."""
     n = draw(st.integers(1, 4))
     # valid entries, from everyday values to the ends of the float range
     positive = st.one_of(st.floats(1e-3, 1e3), st.floats(0, exclude_min=True, allow_infinity=False))
@@ -804,11 +902,17 @@ def solve_configs(draw):
         "beta": value(positive, shares),
         "phi": value(non_negative),
     }
-    if draw(st.booleans()):
+    market = draw(st.sampled_from(["textbook", "drawn", "none"]))
+    if market == "textbook":
         config.update(mu=TEXTBOOK_CONFIG["mu"], sigma=TEXTBOOK_CONFIG["sigma"])
-        return config
-    config.update(draw_market(draw))
-    return config
+    elif market == "drawn":
+        config.update(draw_market(draw))
+    flags = []
+    if draw(st.booleans()):
+        drawn = TEXTBOOK_CONFIG if draw(st.booleans()) else draw_market(draw)
+        # "=" keeps argparse from reading a value such as -1e-05 as an option
+        flags = [f"--mu={json.dumps(drawn['mu'])}", f"--sigma={json.dumps(drawn['sigma'])}"]
+    return config, flags, draw(st.booleans())
 
 
 def draw_market(draw):
@@ -823,30 +927,39 @@ def draw_market(draw):
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(config=solve_configs())
+@given(case=solve_configs())
 # the wealth-share sum overflows to inf
-@example(config={**TEXTBOOK_CONFIG, "alpha": [0.5, 0.5], "beta": [1e308, 1e308], "phi": [0, 0]})
+@example(case=({**TEXTBOOK_CONFIG, "alpha": [0.5, 0.5], "beta": [1e308, 1e308], "phi": [0, 0]},
+               [], False))
 # sigma - sigma.T overflows to inf
-@example(config={**TEXTBOOK_CONFIG, "mu": [0, 0], "sigma": [[1, 1e308], [-1e308, 1]]})
+@example(case=({**TEXTBOOK_CONFIG, "mu": [0, 0], "sigma": [[1, 1e308], [-1e308, 1]]}, [], False))
 # 1 / alpha, and so the classical fund, is infinite
-@example(config={**TEXTBOOK_CONFIG, "alpha": [1e-320, 1]})
+@example(case=({**TEXTBOOK_CONFIG, "alpha": [1e-320, 1]}, [], False))
 # numpy's message would quote the whole string
-@example(config={**TEXTBOOK_CONFIG, "alpha": ["x" * 10**5, 1]})
+@example(case=({**TEXTBOOK_CONFIG, "alpha": ["x" * 10**5, 1]}, [], False))
 # deeper than numpy 1.x allows an array to be, within numpy 2.x's limit
-@example(config={**TEXTBOOK_CONFIG, "alpha": json.loads(nested(40))})
-def test_solve_keeps_the_exit_code_contract(fuzz_config, config):
-    # any config ends in a documented exit code, without a traceback or
-    # warning, and a successful report is strict JSON
+@example(case=({**TEXTBOOK_CONFIG, "alpha": json.loads(nested(40))}, [], False))
+# three market sources, one of them malformed
+@example(case=(TEXTBOOK_CONFIG, ["--mu", "not json", "--sigma", "{"], True))
+def test_solve_keeps_the_exit_code_contract(fuzz_config, fuzz_returns, case):
+    # any config and market sources end in a documented exit code, without
+    # a traceback or warning, and a successful report is strict JSON from
+    # exactly one market source
     from mimicfund import cli
 
+    config, flags, returns = case
     fuzz_config.write_text(json.dumps(config), encoding="utf-8")
+    argv = ["solve", "--config", str(fuzz_config), *flags]
+    if returns:
+        argv += ["--returns", str(fuzz_returns)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["solve", "--config", str(fuzz_config)])
+        code = cli.main(argv)
     assert code in {0, 1, 2, 3, 4}
     assert "Traceback" not in err.getvalue()
     if code == 0:
         json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert ("mu" in config) + bool(flags) + returns == 1
     else:
         assert_one_short_error_line(out.getvalue(), err.getvalue())
 

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -217,6 +218,12 @@ class TestFundAggregate:
                 for a, b in zip(group.alpha, group.beta)
             )
             assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_largest_alpha_is_numerical(self, textbook_ctx):
+        # tau_cl rounds to 2^-1024, so alpha_f = 1 / tau_cl would be inf
+        group = build_group((sys.float_info.max,) * 2, (0.5, 0.5), (0.0, 0.0))
+        with pytest.raises(errors.NumericalBreakdown, match="1/tau_cl overflows"):
+            markowitz.fund_aggregate(textbook_ctx, group)
 
     def test_dominant_investor_limit(self, textbook_ctx):
         eps = 1e-9

@@ -246,7 +246,7 @@ class TestSolve:
         "instance, message",
         [(TINY_ALPHA, "frontier fund at t = 1e+306 is out of floating-point range"),
          (LARGE_ALPHA, "utility -inf at the optimum is out of floating-point range"),
-         (LARGEST_ALPHA, "fund risk aversion inf or utility")],
+         (LARGEST_ALPHA, "fund scalar tau is 5.562684646268003e-309; the sums over alpha + phi")],
         ids=["fund-variance", "utility", "risk-aversion"],
     )
     def test_out_of_range_fund_or_utility_is_numerical(self, instance, message):
@@ -467,6 +467,12 @@ class TestAsymptoticAlpha:
         assert got.classical <= 1.0 / got.exact_inverse <= got.upper
         # 1 / alpha_star_f with criterion 8's frozen alpha_star_f = 17/6
         assert got.exact_inverse == pytest.approx(6 / 17, rel=1e-14)
+
+    def test_largest_alpha_is_numerical(self):
+        # tau and tau_cl round to 2^-1024; neither risk aversion may come out inf
+        group = build_group(LARGEST_ALPHA["alpha"], LARGEST_ALPHA["beta"], LARGEST_ALPHA["phi"])
+        with pytest.raises(errors.NumericalBreakdown, match="fund scalar tau is 5.56"):
+            mimicking.asymptotic_alpha(group)
 
     def test_zero_penalty_collapses_to_classical(self):
         g = build_group((2.0, 5.0, 9.0), (0.2, 0.3, 0.5), (0.0, 0.0, 0.0))

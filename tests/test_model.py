@@ -58,6 +58,15 @@ class TestMarketModel:
         with pytest.raises(errors.ParseError):
             build_market((0.1, 0.1), ((1.0, 0.0), (0.0,)))
 
+    def test_rejected_nested_value_is_shown_short(self):
+        # reprlib abridges each list but not the nesting: 6 x 6 integers of
+        # 40 shown digits each would make an error line of about 1.5 kB
+        huge = [[10**400] * 6] * 6
+        for bad in (lambda: build_market((0.1, 0.1), huge), lambda: build_group(huge, 1, 0)):
+            with pytest.raises(errors.ParseError) as caught:
+                bad()
+            assert len(str(caught.value)) < 150
+
     def test_values_are_immutable(self, textbook_market):
         with pytest.raises(ValueError):
             textbook_market.mu[0] = 1.0
