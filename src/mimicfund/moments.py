@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import errors
-from .model import MarketModel, _as_array, _as_count, _freeze, build_market
+from .model import MarketModel, _as_array, _as_count, _freeze, _frozen_matrix, build_market
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,15 +28,19 @@ class ReturnSample:
 
     Requires ``T >= k + 2`` (sample covariance is only generically positive
     definite for T > k; one extra row of margin) and finite entries.
-    ``returns`` passes :func:`model._as_array`; ``asset_names`` must be a
-    tuple or a list, since a string would be split into its characters.
+    ``returns`` passes :func:`model._as_array`, except that a read-only,
+    C-contiguous float64 matrix owning its data is kept without a copy;
+    ``asset_names`` must be a tuple or a list, since a string would be split
+    into its characters.
     """
 
     returns: np.ndarray
     asset_names: tuple[str, ...]
 
     def __post_init__(self):
-        arr = _as_array(self.returns, "returns", 2)
+        arr = self.returns
+        if not _frozen_matrix(arr):
+            arr = _as_array(arr, "returns", 2)
         names = self.asset_names
         if not isinstance(names, (tuple, list)):
             raise errors.ParseError(f"asset_names must be a tuple or a list, got {reprlib.repr(names)}")
@@ -88,16 +92,26 @@ def load_csv(path) -> ReturnSample:
 
 
 def parse_csv(path, text: str) -> ReturnSample:
-    """Parse ``text``, the return-history CSV read from ``path``, into a :class:`ReturnSample`.
+    r"""Parse ``text``, the return-history CSV read from ``path``, into a :class:`ReturnSample`.
 
     Parse failures name ``path``, the offending row (1-based physical line,
     header is row 1) and column.  One ``np.loadtxt`` call parses the data
     rows; a file it does not read as exactly the rows the per-cell parser
     would goes to that parser, which then decides the value or the error.
+    The header is the first line split at commas; ``csv`` reads it only
+    when it holds a quote or a ``\r`` before its line ending.  Besides
+    ``text``, a parse holds the body after the header, one list of the
+    body's lines and the array; the ``io.StringIO`` copies ``csv`` reads,
+    at up to four bytes a character, are made only on those two detours.
     """
-    stream = io.StringIO(text, newline="")
-    header = next(csv.reader(stream), None)
-    body = stream.read()
+    head, _, body = text.partition("\n")
+    head = head.removesuffix("\r")
+    if '"' in head or "\r" in head:  # csv decides where a quoted or \r-ended header ends
+        stream = io.StringIO(text, newline="")
+        header = next(csv.reader(stream), None)
+        body = stream.read()
+    else:
+        header = head.split(",") if text else None
     if header is None:
         raise errors.ParseError(f"{path}: file is empty")
     header = [cell.strip() for cell in header]
@@ -111,27 +125,31 @@ def parse_csv(path, text: str) -> ReturnSample:
 
 
 def _loadtxt(body: str, k: int) -> Optional[np.ndarray]:
-    r"""The data rows parsed by ``np.loadtxt``, or None to leave them to ``float``.
+    r"""The data rows parsed by ``np.loadtxt``, frozen, or None to leave them to ``float``.
 
-    The rows are kept only where they are exactly what the per-cell parser
-    reads:
+    ``body`` is split at ``\n`` only, and the rows are kept only where they
+    are exactly what the per-cell parser reads:
 
-    * ``np.loadtxt`` ends lines only at ``\n`` and skips blank ones, while
-      ``str.splitlines`` ends them also at every other line ending ``csv``
-      knows, so equal counts mean one row per physical line;
+    * ``np.loadtxt`` takes each line as one row, drops a final ``\r`` as
+      ``csv`` does, fails on any other ``\r`` (where ``csv`` would end a row)
+      and skips an empty line, so one row per line means the same rows;
     * with no quote and no comment character it fails on a quoted cell, a
       ``#`` or an empty cell, and parses a plain decimal to the value
       ``float`` gives;
     * a non-finite value is left to ``float`` for its error message.
     """
+    lines = body.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the empty rest after a final \n is no line
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            returns = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None)
+            returns = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
     except ValueError:
         return None
-    if returns.shape != (len(body.splitlines()), k) or not np.isfinite(returns).all():
+    if returns.shape != (len(lines), k) or not np.isfinite(returns).all():
         return None
+    returns.setflags(write=False)
     return returns
 
 

@@ -3,15 +3,18 @@ import collections
 import contextlib
 import csv
 import dataclasses
+import gc
 import hashlib
 import io
 import json
 import math
 import os
+import runpy
 import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import support
@@ -1041,3 +1044,41 @@ def test_cli_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_process_entry_freezes_the_import_graph():
+    # python -m mimicfund freezes what the imports made before main runs and
+    # leaves collection on; a plain interpreter's freeze count is 0
+    probe = (
+        "import atexit, gc, runpy, sys; "
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0, gc.isenabled())); "
+        "sys.argv = ['mimicfund', '--version']; "
+        "runpy.run_module('mimicfund', run_name='__main__')"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "mimicfund 0.1.0\nTrue True\n"
+
+
+def test_in_process_main_leaves_the_collector_alone(capsys):
+    from mimicfund import cli
+
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert cli.main(["verify", "--count", "2", "--seed", "1"]) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_module_and_console_script_share_the_entry(monkeypatch):
+    # CI's "Console script" step runs the installed script, so it must be the
+    # freezing entry that python -m mimicfund runs
+    tomllib = pytest.importorskip("tomllib", reason="tomllib is new in Python 3.11")
+    from mimicfund import cli
+
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    assert scripts == {"mimicfund": "mimicfund.cli:run"}
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda: calls.append("run") or 0)
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("mimicfund", run_name="__main__")
+    assert calls == ["run"] and exit_info.value.code == 0

@@ -1,7 +1,14 @@
+import csv
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mimicfund import errors, moments
+from mimicfund.model import _frozen_matrix
 from mimicfund.moments import ReturnSample, estimate, load_csv
 
 
@@ -94,6 +101,9 @@ def outcome(load, path):
 
 ROWS = ["0.01,0.02", "0.03,-0.01", "0.00,0.05", "-0.02,0.01"]
 VALUES = [[0.01, 0.02], [0.03, -0.01], [0.0, 0.05], [-0.02, 0.01]]
+# str.splitlines ends a line at each of these, csv at none: inside a row
+# they are white space around a cell
+SPLITLINES_ONLY = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
 
 
 class TestLoadtxtFastPath:
@@ -134,14 +144,66 @@ class TestLoadtxtFastPath:
              (errors.TooFewObservations, "need at least k + 2 = 4 observations, got 0")),
             ("A,B\r" + "\r".join(ROWS) + "\r", VALUES),
             ('"A\n0.5",B\n' + "\n".join(ROWS) + "\n", VALUES),
+            ("A,B\r\n" + "\r\n".join(ROWS) + "\r\n", VALUES),
+            ('"A","B"\r\n' + "\r\n".join(ROWS) + "\r\n", VALUES),
+            ("A,B\n" + ROWS[0] + "\r" + "\n".join(ROWS[1:]) + "\n", VALUES),
+            ("A,B\n" + "\n".join(ROWS[:2] + ["\r"] + ROWS[2:]) + "\n",
+             (errors.ParseError, "<path>: row 4: expected 2 fields, got 0")),
+            *[("A,B\n" + "\n".join([ROWS[0].replace(",", char + ",")] + ROWS[1:]) + "\n", VALUES)
+              for char in SPLITLINES_ONLY],
         ],
         ids=["underscore", "padded", "empty-cell", "ragged", "blank-line", "hash", "inf",
-             "header-only", "cr-line-ends", "header-quoting-a-newline"],
+             "header-only", "cr-line-ends", "header-quoting-a-newline", "crlf-header",
+             "quoted-crlf-header", "lone-cr-between-rows", "cr-only-line",
+             *[f"{ord(char):#x}-in-a-row" for char in SPLITLINES_ONLY]],
     )
     def test_edge_cases_keep_the_cell_parser_result(self, tmp_path, monkeypatch, text, expected):
         path = write_csv(tmp_path, text)
         assert outcome(load_csv, path) == expected
         assert outcome(lambda p: load_by_cells(monkeypatch, p), path) == expected
+
+
+# characters that csv, str.splitlines or np.loadtxt treat specially;
+# the weights keep fatal ones rare enough that about a tenth of the drawn
+# texts parse and a third reach the end of the fast path
+ODD_CHARACTERS = SPLITLINES_ONLY + ['"', "#", "\r", " "]
+NUMBERS = ["0.01", "-0", "3", "1e-3", ".25", "-7.5e2"] * 10 + ["1_0", "inf", ""]
+LINE_ENDINGS = ["\n"] * 24 + ["\r\n"] * 6 + ["\r", "\n\n", "\n\r\n"]
+
+
+@st.composite
+def csv_texts(draw):
+    """Return-history texts near the edges of both parsers: odd characters
+    around cells and names, every line ending, blank lines and ragged rows."""
+    noise = st.sampled_from([""] * 40 + ODD_CHARACTERS)
+
+    def line(words, width):
+        cell = st.tuples(noise, st.sampled_from(words), noise).map("".join)
+        return st.tuples(st.lists(cell, min_size=width, max_size=width).map(",".join),
+                         st.sampled_from(LINE_ENDINGS)).map("".join)
+
+    k = draw(st.integers(1, 3))
+    rows = st.sampled_from([k] * 12 + [k + 1]).flatmap(lambda width: line(NUMBERS, width))
+    return draw(line(["A", "B", "C"], k)) + "".join(draw(st.lists(rows, min_size=k + 1, max_size=k + 4)))
+
+
+def parsed(text):
+    """``parse_csv``'s value bits and names, or its error class and message."""
+    try:
+        sample = moments.parse_csv("<path>", text)
+    except errors.ValidationError as exc:
+        return type(exc), str(exc)
+    header = next(csv.reader(io.StringIO(text, newline="")))
+    assert sample.asset_names == tuple(name.strip() for name in header)
+    return sample.asset_names, sample.returns.shape, sample.returns.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(text=csv_texts())
+def test_fast_path_matches_the_cell_parser(text):
+    with mock.patch.object(moments, "_loadtxt", lambda body, k: None):
+        by_cells = parsed(text)
+    assert parsed(text) == by_cells
 
 
 class TestReturnSample:
@@ -160,6 +222,16 @@ class TestReturnSample:
             with pytest.raises(errors.ParseError, match="asset_names must be a tuple or a list"):
                 ReturnSample(returns=returns, asset_names=names)
         assert ReturnSample(returns=returns, asset_names=["A", "B"]).asset_names == ("A", "B")
+
+    def test_keeps_a_frozen_matrix_and_copies_any_other(self):
+        frozen = np.zeros((6, 2))
+        frozen.setflags(write=False)
+        assert ReturnSample(returns=frozen, asset_names=("A", "B")).returns is frozen
+        for returns in (np.zeros((6, 2)), np.zeros((2, 6)).T, frozen[::1]):
+            kept = ReturnSample(returns=returns, asset_names=("A", "B")).returns
+            assert kept is not returns and kept.base is None and not kept.flags.writeable
+        # the fast path hands its array over frozen, so a parse makes no copy of it
+        assert _frozen_matrix(moments._loadtxt("\n".join(ROWS) + "\n", 2))
 
 
 class TestEstimate:
