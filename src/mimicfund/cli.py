@@ -273,7 +273,7 @@ def _cmd_study(args) -> int:
         files[f"{stem}.manifest.json"] = sidecar
     _write(files)
     for stem, table in tables.items():
-        _log(f"wrote {stem}.csv ({len(table.records)} records)")
+        _log(f"wrote {stem}.csv ({len(table)} records)")
     return EXIT_OK
 
 

@@ -16,6 +16,7 @@ from mimicfund.study import (
     STUDY_BETA,
     StudyConfig,
     SweepRecord,
+    SweepTable,
     _check_gains,
     _frontier_gains,
     run_sweeps,
@@ -380,14 +381,44 @@ class TestRunSweeps:
         series, coord, _, _ = lines[1].split(",")
         assert series == "phi=3"
         assert float(coord) == 1.0
-        for tables in (default_tables, *map(run_sweeps, random_configs())):
-            for table in tables:
-                text = table.to_csv()
-                assert text.endswith("\n")
-                assert text.splitlines()[1:] == [
-                    f"{r.series},{r.coordinate:.15g},{r.delta_omega:.15g},{r.delta_eu:.15g}"
-                    for r in table.records
-                ]
+        edge_configs = (
+            StudyConfig(phi_range=(-0.0, 5.0)),  # linspace writes its start as 0
+            StudyConfig(phi_set=(-0.0,), grid_points=3),  # the label phi=-0
+            StudyConfig(grid_points=2),
+            StudyConfig(phi_set=(4.0,), a_set=(3.0,)),
+            # e * e overflows below alpha1 ~ 1e-154; here results reach 1e+150
+            StudyConfig(alpha1=1e-150, grid_points=5),
+        )
+        # a hand-built table: -0, a subnormal, extreme exponents, % in the labels
+        special = [-0.0, 5e-324, 1e-300, 1.7976931348623157e308, -2.5e-7, 0.1]
+        hand_built = SweepTable(
+            ("x=100%", "%s%%d"),
+            *(np.array([special, special[::-1]]) * s for s in (1.0, -1.0, 0.5)),
+        )
+        tables = [*default_tables, hand_built]
+        for config in (*random_configs(), *edge_configs):
+            tables += run_sweeps(config)
+        assert "e+150\n" in tables[-1].to_csv()
+        assert hand_built.to_csv().splitlines()[1] == "x=100%,-0,0,-0"
+        for table in tables:
+            text = table.to_csv()
+            assert text.endswith("\n")
+            assert text.splitlines() == [table.CSV_HEADER] + [
+                f"{r.series},{r.coordinate:.15g},{r.delta_omega:.15g},{r.delta_eu:.15g}"
+                for r in table.records
+            ]
+
+    def test_columns_are_read_only_and_rows_are_records(self, default_tables):
+        figure1, figure2 = default_tables
+        for table in default_tables:
+            assert len(table) == len(table.records) == 303
+            for column in (table.coordinate, table.delta_omega, table.delta_eu):
+                assert column.shape == (3, 101)
+                with pytest.raises(ValueError):
+                    column[0, 0] = 1.0
+        records = figure1.records + figure2.records
+        assert type(records) is tuple
+        assert all(type(r) is SweepRecord for r in records)
 
     def test_records_are_immutable_named_fields(self, default_tables):
         record = default_tables[0].records[0]
@@ -510,6 +541,12 @@ class TestRunSweeps:
         with pytest.raises(errors.NonPositiveOptimum) as caught:
             run_sweeps(config)
         assert str(caught.value).startswith(f"series phi=3, coordinate {first[1]:g}: ")
+
+    def test_failure_in_the_second_table_names_its_series(self):
+        # the flat index of a figure 2 point maps to a figure 2 label
+        with pytest.raises(errors.NonPositiveOptimum) as caught:
+            run_sweeps(StudyConfig(a_set=(2.0, 1e6)))
+        assert str(caught.value).startswith("series a=1e+06, coordinate 0: ")
 
     def test_heterogeneous_penalties_via_ratio(self, textbook_market):
         config = StudyConfig(grid_points=3, phi_ratio=0.5)
