@@ -257,8 +257,7 @@ def _cmd_study(args) -> int:
     figure1, figure2 = run_sweeps(config)
     echo = {"mu": config.market.mu.tolist(), "sigma": config.market.sigma.tolist()}
     for field in grid:
-        value = getattr(config, field.name)
-        echo[field.name] = list(value) if isinstance(value, tuple) else value
+        echo[field.name] = getattr(config, field.name)
     manifest = _manifest("study", echo, inputs)
     sidecar = _dumps(manifest)
     try:

@@ -132,14 +132,15 @@ def _classical_tau(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
         return _dot(beta, 1.0 / alpha)
 
 
-def _classical_scalar(group: InvestorGroup) -> float:
-    """One group's ``tau_cl`` as a float whose inverse, the risk aversion, is finite."""
-    tau_cl = _classical_tau(group.alpha, group.beta).item()
-    if not math.isfinite(1.0 / tau_cl):  # an alpha at the largest float gives 2^-1024
+def _fund_scalar(tau: np.ndarray, name: str) -> float:
+    """The one rule of both funds: scalar ``name``, finite, positive, finite inverse."""
+    value = tau.item()
+    # an alpha or alpha + phi near the largest float rounds it to 2^-1024, whose inverse overflows
+    if not (math.isfinite(value) and value > 0 and math.isfinite(1.0 / value)):
         raise errors.NumericalBreakdown(
-            f"classical fund scalar tau_cl is {tau_cl!r}; 1/tau_cl overflows"
+            f"fund scalar {name} is {value!r}; it or its inverse is out of floating-point range"
         )
-    return tau_cl
+    return value
 
 
 def _optimal_utility(ctx: MarkowitzContext, tau, beta_alpha):
@@ -163,10 +164,10 @@ def fund_aggregate(
     The fund is the frontier portfolio at ``tau_cl = beta' (1 / alpha)``,
     the beta-weighted average of the individual optima; its risk aversion
     ``1 / tau_cl`` is the weighted harmonic mean of the individual ones.
-    :func:`_classical_scalar` checks the risk aversion and :func:`frontier`
-    the weights and point (a tiny ``alpha`` puts ``1 / alpha`` or
-    ``tau_cl^2 slope`` beyond the float range).
+    :func:`_fund_scalar` checks ``tau_cl`` and its inverse, and
+    :func:`frontier` the weights and point (a tiny ``alpha`` puts
+    ``1 / alpha`` or ``tau_cl^2 slope`` beyond the float range).
     """
-    tau_cl = _classical_scalar(group)
+    tau_cl = _fund_scalar(_classical_tau(group.alpha, group.beta), "tau_cl")
     weights, point = frontier(ctx, tau_cl)
     return weights, 1.0 / tau_cl, point

@@ -36,6 +36,11 @@ from .markowitz import FrontierPoint, MarkowitzContext, _dot, _sum
 from .model import InvestorGroup, MarketModel, PortfolioMatrix
 
 
+# u, the smallest subnormal; _LOSS, the largest share of tau that digits lost
+# below the normal range may move
+_U, _LOSS = 2.0**-1074, 2.0**-45
+
+
 def _optimum(alpha: np.ndarray, beta: np.ndarray, phi: np.ndarray) -> tuple:
     """``(c, tau)``, ``c = a_phi^-1 beta``, of one group or a stack along the last axis.
 
@@ -49,8 +54,15 @@ def _optimum(alpha: np.ndarray, beta: np.ndarray, phi: np.ndarray) -> tuple:
     shares are checked to sum to 1 within ``BETA_SUM_TOL``, and a sum off
     by that much moves ``c`` by a few times as much.  ``tau`` keeps a trailing axis of length 1, like
     every per-group value, so a stack row equals its group alone bit for
-    bit.  Computed without floating-point warnings: ``alpha + phi`` beyond
-    the float range gives a ``tau`` that is not finite and positive.
+    bit.  Computed without floating-point warnings.
+
+    Below the normal range a ``g`` or a ``g alpha`` is off by up to ``u``,
+    and an ``alpha + phi`` beyond the range gives ``g = 0``.  Where that may
+    move ``tau`` by more than a share ``_LOSS``, ``tau`` is NaN, which the
+    callers reject: where some ``g < u / _LOSS``, or where ``n u max(phi)``,
+    the most the ``g alpha`` can lose in ``r``, exceeds ``_LOSS r`` (tested as
+    ``r / max(phi) < n u / _LOSS``: a product with the subnormal ``u / _LOSS``
+    would be slow).
     """
     with np.errstate(all="ignore"):
         alpha_phi = alpha + phi
@@ -58,20 +70,11 @@ def _optimum(alpha: np.ndarray, beta: np.ndarray, phi: np.ndarray) -> tuple:
         g_alpha = g * alpha
         s0 = _sum(g)
         t = _sum(g_alpha)
-        tau = s0 / (t * t + s0 * _dot(g_alpha, phi))
+        r = _dot(g_alpha, phi)
+        tau = s0 / (t * t + s0 * r)
         c = tau * (t / s0 + phi) / alpha_phi
-    return c, tau
-
-
-def _solved(group: InvestorGroup) -> tuple:
-    """:func:`_optimum` of one group, ``tau`` as a float: finite, positive, finite inverse."""
-    c, tau = _optimum(group.alpha, group.beta, group.phi)
-    tau = tau.item()
-    # alpha + phi near the largest float rounds tau to 2^-1024, whose inverse overflows
-    if not (math.isfinite(tau) and tau > 0 and math.isfinite(1.0 / tau)):
-        raise errors.NumericalBreakdown(
-            f"fund scalar tau is {tau!r}; the sums over alpha + phi are out of floating-point range"
-        )
+        tau[np.minimum.reduce(g, axis=-1, keepdims=True) < _U / _LOSS] = np.nan
+        tau[r / np.maximum.reduce(phi, axis=-1, keepdims=True) < g.shape[-1] * _U / _LOSS] = np.nan
     return c, tau
 
 
@@ -115,11 +118,12 @@ def solve(ctx: MarkowitzContext, group: InvestorGroup) -> MimickingSolution:
     formed.  The freshly built ``W`` is frozen and handed to
     :class:`PortfolioMatrix`, which checks it in one pass and keeps it
     without a copy.  Every number returned is finite: a ``tau`` that fails
-    :func:`_solved`, a ``W`` that fails :class:`PortfolioMatrix`, a fund
-    that fails :func:`markowitz.frontier`, or an ``eu_star`` beyond the
-    float range raises :class:`errors.NumericalBreakdown`.
+    :func:`markowitz._fund_scalar`, a ``W`` that fails :class:`PortfolioMatrix`,
+    a fund that fails :func:`markowitz.frontier`, or an ``eu_star`` beyond
+    the float range raises :class:`errors.NumericalBreakdown`.
     """
-    c, tau = _solved(group)
+    c, tau = _optimum(group.alpha, group.beta, group.phi)
+    tau = markowitz._fund_scalar(tau, "tau")
     coords = np.empty((2, c.shape[0]))
     coords[0] = 1.0
     coords[1] = c
@@ -178,11 +182,12 @@ def asymptotic_alpha(group: InvestorGroup) -> AsymptoticAlpha:
 
     All three cost O(n), with no ``n x n`` matrix.  Under equal preferences
     (``alpha_i = a``, ``phi_i = p``) ``exact_inverse`` is ``1/a`` for every
-    ``n`` and wealth.  A ``tau`` or ``tau_cl`` out of range raises
-    :class:`errors.NumericalBreakdown`, as in :func:`solve` and :func:`markowitz.fund_aggregate`.
+    ``n`` and wealth.  ``tau`` and ``tau_cl`` pass :func:`markowitz._fund_scalar`,
+    as in :func:`solve` and :func:`markowitz.fund_aggregate`, so one out of
+    range raises :class:`errors.NumericalBreakdown` naming it.
     """
-    _, tau = _solved(group)
+    tau = markowitz._fund_scalar(_optimum(group.alpha, group.beta, group.phi)[1], "tau")
+    tau_cl = markowitz._fund_scalar(markowitz._classical_tau(group.alpha, group.beta), "tau_cl")
     beta = group.beta
     upper = float(beta @ group.alpha + beta @ group.phi)
-    classical = 1.0 / markowitz._classical_scalar(group)
-    return AsymptoticAlpha(upper=upper, classical=classical, exact_inverse=tau)
+    return AsymptoticAlpha(upper=upper, classical=1.0 / tau_cl, exact_inverse=tau)

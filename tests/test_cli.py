@@ -327,10 +327,10 @@ class TestSolve:
         [
             # alpha + phi overflows to inf
             ((1e308, 1e308), (1e308, 1e308),
-             "error: fund scalar tau is nan; the sums over alpha + phi are out of floating-point"),
-            # a subnormal alpha: 1 / alpha, and so the classical fund, is infinite
+             "error: fund scalar tau is nan; it or its inverse is out of floating-point range"),
+            # a subnormal alpha: 1 / alpha, and so the classical fund scalar, is infinite
             ((1e-320, 1.0), (3.0, 3.0),
-             "error: frontier fund at t = inf is out of floating-point range"),
+             "error: fund scalar tau_cl is inf; it or its inverse is out of floating-point range"),
             # alpha = 1e-308: only the classical fund's variance is infinite
             ((1e-308, 1.0), (3.0, 3.0),
              "error: frontier fund at t = 5e+307 is out of floating-point range"),
@@ -357,7 +357,7 @@ class TestSolve:
              "error: utility -inf at the optimum is out of floating-point range"),
             # tau = 2^-1024 is subnormal, and 1 / tau overflows
             ({"alpha": [sys.float_info.max] * 2, "phi": [0, 0]},
-             "error: fund scalar tau is 5.562684646268003e-309; the sums over alpha + phi"),
+             "error: fund scalar tau is 5.562684646268003e-309; it or its inverse is out of"),
         ],
         ids=["fund-variance", "utility", "risk-aversion"],
     )
@@ -647,6 +647,18 @@ class TestStudy:
         result = run_cli("study", "--config", str(cfg), "--output-dir", str(out))
         assert_validation_error(result)
         assert "the study has 60000000000000 points" in result.stderr
+        assert not out.exists()
+
+    def test_repeated_series_label_exits_1(self, tmp_path):
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps({"phi_set": [3.0, 3.0000001]}), encoding="utf-8")
+        out = tmp_path / "s"
+        result = run_cli("study", "--config", str(cfg), "--output-dir", str(out))
+        assert_validation_error(result)
+        assert result.stderr == (
+            "error: series label 'phi=3' repeats: two members of phi_set or of a_set "
+            "agree to 6 significant digits\n"
+        )
         assert not out.exists()
 
     def test_non_array_phi_set_exits_1(self, tmp_path):

@@ -246,7 +246,7 @@ class TestSolve:
         "instance, message",
         [(TINY_ALPHA, "frontier fund at t = 1e+306 is out of floating-point range"),
          (LARGE_ALPHA, "utility -inf at the optimum is out of floating-point range"),
-         (LARGEST_ALPHA, "fund scalar tau is 5.562684646268003e-309; the sums over alpha + phi")],
+         (LARGEST_ALPHA, "fund scalar tau is 5.562684646268003e-309; it or its inverse is out of")],
         ids=["fund-variance", "utility", "risk-aversion"],
     )
     def test_out_of_range_fund_or_utility_is_numerical(self, instance, message):
@@ -356,6 +356,61 @@ def test_solve_returns_finite_numbers_or_raises(instance):
     values = (s.w_star.weights, s.fund_weights, s.alpha_star_f, s.point.mean, s.point.variance,
               s.eu_star)
     assert all(np.isfinite(v).all() for v in values)
+
+
+@st.composite
+def extreme_groups(draw):
+    """2 to 5 investors, ``alpha`` and ``phi`` over ``10^[-320, 308]``, random wealth shares."""
+    n = draw(st.integers(2, 5))
+    powers = st.floats(-320.0, 308.0)
+    alpha = [10.0 ** draw(powers) for _ in range(n)]
+    phi = [10.0 ** draw(powers) for _ in range(n)]
+    shares = np.array([draw(st.floats(0.01, 1.0)) for _ in range(n)])
+    return alpha, shares / shares.sum(), phi
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(instance=extreme_groups())
+# tau_cl = inf, whose inverse 0 passed as the classical risk aversion
+@example(instance=((1e-320, 1.0), (0.5, 0.5), (1.0, 1.0)))
+# g alpha = 5e-318 keeps 19 bits, and phi = 1e89 carries the loss into tau
+@example(instance=((1e-228, 1e-228), (0.5, 0.5), (1.0, 1e89)))
+# alpha + phi overflows for one investor, whose g is then 0
+@example(instance=((2.0, 1e308), (0.5, 0.5), (3.0, 1e308)))
+# g = 1e-328 underflows to 0, and alpha phi = 2.5e615 would have made its term dominate
+@example(instance=((1.0, 5e307), (1.0 - 1e-20, 1e-20), (1.0, 5e307)))
+def test_fund_scalars_are_accurate_or_raise(instance):
+    # one rule for both fund scalars: asymptotic_alpha and the solver of the
+    # failing scalar raise together, or tau is exact to 1e-12 and the risk
+    # aversions are ordered classical <= 1 / tau <= upper
+    group = build_group(*instance)
+    # the textbook market
+    ctx = markowitz.context(build_market(LARGEST_ALPHA["mu"], LARGEST_ALPHA["sigma"]))
+    try:
+        upper, classical, tau = mimicking.asymptotic_alpha(group)
+    except errors.NumericalBreakdown as exc:
+        name = re.match(r"fund scalar (tau|tau_cl) is ", str(exc)).group(1)
+        with pytest.raises(errors.NumericalBreakdown, match=f"fund scalar {name} is "):
+            if name == "tau":
+                mimicking.solve(ctx, group)
+            else:
+                markowitz.fund_aggregate(ctx, group)
+        return
+    alpha_f = 1.0 / tau
+    assert all(np.isfinite(x) and x > 0 for x in (upper, classical, tau, alpha_f))
+    assert classical <= alpha_f * (1 + 1e-12) and alpha_f <= upper * (1 + 1e-12)
+    # beta' a_phi^-1 beta in exact arithmetic, for the shares scaled to sum to 1
+    beta = [Fraction(b) for b in group.beta.tolist()]
+    beta = [b / sum(beta) for b in beta]
+    c = support.inverse_beta_exact(group.alpha.tolist(), beta, group.phi.tolist())
+    assert abs(Fraction(tau) / sum(b * x for b, x in zip(beta, c)) - 1) <= 1e-12
+    # each solver reaches the same risk aversion, or fails at its fund's range
+    for solver, expected in ((lambda: mimicking.solve(ctx, group).alpha_star_f, alpha_f),
+                             (lambda: markowitz.fund_aggregate(ctx, group)[1], classical)):
+        try:
+            assert solver() == expected
+        except errors.NumericalBreakdown as exc:
+            assert "fund scalar" not in str(exc)
 
 
 class TestPenalizedUtility:

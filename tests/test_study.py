@@ -337,6 +337,18 @@ def default_tables():
 
 
 class TestRunSweeps:
+    @pytest.mark.parametrize(
+        "fields, label",
+        [({"phi_set": (3.0, 3.0000001)}, "phi=3"), ({"phi_set": (3, 3.0)}, "phi=3"),
+         ({"a_set": (2.0, 5.0, 2.0)}, "a=2")],
+    )
+    def test_repeated_series_label_is_rejected(self, fields, label):
+        # two series under one label would read as one series in the CSV
+        with pytest.raises(errors.ConstraintViolated, match=f"^series label '{label}' repeats"):
+            run_sweeps(StudyConfig(grid_points=2, **fields))
+        # a phi series and an a series never share a label
+        assert len(run_sweeps(StudyConfig(phi_set=(2.0,), a_set=(2.0,), grid_points=2))[0]) == 2
+
     def test_cardinality_and_labels(self, default_tables):
         figure1, figure2 = default_tables
         assert len(figure1.records) == 3 * 101
