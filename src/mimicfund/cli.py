@@ -238,7 +238,7 @@ def _cmd_verify(args) -> int:
                 f"seed {args.seed}): relative error {err:.6e}"
             )
     if args.count == 0:
-        lines.append("note: 0 instances requested — vacuous pass")
+        lines.append("note: 0 instances requested - vacuous pass")
     else:
         lines.append(f"worst relative error: {worst:.6e} at {worst_tag}")
     lines.append("result: FAIL" if failures else "result: OK")

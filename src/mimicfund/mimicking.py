@@ -50,11 +50,17 @@ def _optimum(alpha: np.ndarray, beta: np.ndarray, phi: np.ndarray) -> tuple:
         tau = beta'c = s0 / (t^2 + s0 r),   c = tau (t / s0 + phi) / (alpha + phi),
 
     the one formula for ``tau``.  Solving ``a_phi c = beta`` uses
-    ``1 - g'phi = t``, which holds because ``sum beta = 1``; a group's wealth
-    shares are checked to sum to 1 within ``BETA_SUM_TOL``, and a sum off
-    by that much moves ``c`` by a few times as much.  ``tau`` keeps a trailing axis of length 1, like
-    every per-group value, so a stack row equals its group alone bit for
-    bit.  Computed without floating-point warnings.
+    ``1 - g'phi = t``, which holds when ``sum beta = 1``; a group's wealth
+    shares are checked to sum to 1 within ``BETA_SUM_TOL``.  For shares off
+    by ``d = 1 - sum beta`` the exact solution has these formulas with ``t``
+    replaced by ``m = t + d``, so ``tau`` is off the given shares' by about
+    ``(2 t d + d^2) / (t^2 + s0 r)`` relative: of the order of ``d`` where
+    ``alpha`` and ``phi`` are comparable, but about ``d^2 phi / alpha`` where
+    ``alpha`` is far below ``phi`` (8.1e-4 at ``alpha = (1e-21, 1e-21)``,
+    ``phi = (1, 1)``, ``beta = (0.5, 0.5 + 9e-13)``).  ``tau`` keeps a
+    trailing axis of length 1, like every per-group value, so a stack row
+    equals its group alone bit for bit.  Computed without floating-point
+    warnings.
 
     Below the normal range a ``g`` or a ``g alpha`` is off by up to ``u``,
     and an ``alpha + phi`` beyond the range gives ``g = 0``.  Where that may

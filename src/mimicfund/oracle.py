@@ -100,9 +100,9 @@ def solve_kkt_system(mu, sigma, a_phi, beta) -> tuple[np.ndarray, np.ndarray, fl
     """Assemble and solve the dense KKT system; returns ``(W, lambda, residual)``.
 
     Accepts raw arrays so degenerate shapes (e.g. a single investor) can be
-    exercised directly in tests.  The residual is the max norm of
-    ``KKT @ x - rhs`` and is checked against ``RESIDUAL_TOL`` scaled by the
-    right-hand side; a violation raises :class:`errors.SingularKkt`.
+    exercised directly in tests.  The system is factored once; the residual,
+    the max norm of ``KKT @ x - rhs``, is checked against ``RESIDUAL_TOL``
+    scaled by the right-hand side; a violation raises :class:`errors.SingularKkt`.
     """
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
@@ -114,8 +114,6 @@ def solve_kkt_system(mu, sigma, a_phi, beta) -> tuple[np.ndarray, np.ndarray, fl
     kkt, rhs = _kkt_system(mu, sigma, a_phi, beta)
     try:
         x = np.linalg.solve(kkt, rhs)
-        # one step of iterative refinement on the residual
-        x += np.linalg.solve(kkt, rhs - kkt @ x)
     except np.linalg.LinAlgError as exc:
         raise errors.SingularKkt(f"KKT factorization failed: {exc}") from exc
     residual = float(np.max(np.abs(kkt @ x - rhs)))

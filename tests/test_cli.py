@@ -835,6 +835,21 @@ def test_version():
     assert result.stdout == "mimicfund 0.1.0\n"
 
 
+def test_output_is_ascii_for_a_non_utf8_stdout(solve_config, returns_csv):
+    # a console that cannot encode UTF-8 still gets every report, not a traceback
+    commands = [
+        ("verify", "--count", "0"),
+        ("verify", "--count", "2"),
+        ("solve", "--config", str(solve_config)),
+        ("estimate", "--returns", str(returns_csv)),
+    ]
+    for command in commands:
+        result = run_cli(*command, env={"PYTHONIOENCODING": "ascii"})
+        assert result.returncode == 0, command
+        assert "Traceback" not in result.stderr, command
+        assert result.stdout.isascii(), command
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -223,6 +223,15 @@ class TestReturnSample:
                 ReturnSample(returns=returns, asset_names=names)
         assert ReturnSample(returns=returns, asset_names=["A", "B"]).asset_names == ("A", "B")
 
+    def test_infinite_entry_and_name_count_rejected(self):
+        returns = np.full((6, 2), 0.01)
+        returns[3, 1] = np.inf
+        message = "^non-finite return at observation 4, column 2$"
+        with pytest.raises(errors.NonFiniteValue, match=message):
+            ReturnSample(returns=returns, asset_names=("A", "B"))
+        with pytest.raises(errors.DimensionMismatch, match="^1 asset names for 2 return columns$"):
+            ReturnSample(returns=np.zeros((6, 2)), asset_names=("A",))
+
     def test_keeps_a_frozen_matrix_and_copies_any_other(self):
         frozen = np.zeros((6, 2))
         frozen.setflags(write=False)

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 import support
 
-from mimicfund import build_group, build_market, errors, markowitz, mimicking, oracle, sampling
+from mimicfund import (
+    build_group, build_market, cli, errors, markowitz, mimicking, oracle, sampling
+)
 
 
 class TestKktSolve:
@@ -83,6 +85,48 @@ class TestKktSolve:
             oracle.solve_kkt_system(
                 textbook_market.mu, textbook_market.sigma, np.zeros((n, n)), np.full(n, 1 / n)
             )
+
+    def test_wrong_solution_raises_singular_kkt(self, textbook_market, base_group, monkeypatch):
+        # the residual check, not the factorization, rejects a wrong solution
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-6))
+        with pytest.raises(errors.SingularKkt, match="exceeds"):
+            oracle.kkt_solve(textbook_market, base_group)
+
+    def test_factors_the_system_once(self, textbook_market, base_group, monkeypatch):
+        # one LU per solve: a second factorization would double the O(N^3) work
+        calls = []
+        solve = np.linalg.solve
+
+        def counting(a, b):
+            calls.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        oracle.kkt_solve(textbook_market, base_group)
+        assert calls == [(6, 6)]
+
+    def test_matches_exact_rationals_on_small_systems(self):
+        # one factorization, unrefined, keeps the oracle near rounding level
+        rng = np.random.default_rng(1)
+        worst = 0.0
+        for _ in range(100):
+            market, group = sampling.random_instance(rng, 4, 4)
+            exact = support.optimum_exact(
+                market.mu, market.sigma, group.alpha, group.beta, group.phi
+            )
+            checked = oracle.kkt_solve(market, group).weights.weights
+            worst = max(worst, support.rel_entry_err(checked, np.array(exact, dtype=float)))
+        assert worst <= 1e-13
+
+    def test_agrees_with_closed_form_just_under_the_cap(self):
+        rng = np.random.default_rng(88)
+        market = sampling.random_market(rng, 10)
+        group = sampling.random_group(rng, 450)
+        assert market.k * group.n + group.n == 4950 <= oracle.MAX_UNKNOWNS
+        closed = mimicking.solve(markowitz.context(market), group).w_star.weights
+        checked = oracle.kkt_solve(market, group).weights.weights
+        assert support.rel_entry_err(closed, checked) <= cli.VERIFY_TOL
 
     def test_weights_and_multipliers_are_read_only(self, textbook_market, base_group):
         checked = oracle.kkt_solve(textbook_market, base_group)

@@ -165,6 +165,8 @@ class TestStudyConfig:
             StudyConfig(phi_set=())
         with pytest.raises(errors.NonPositiveAlpha):
             StudyConfig(alpha1=0.0)
+        with pytest.raises(errors.ConstraintViolated, match=r"^phi_ratio must be >= 0, got -1\.0$"):
+            StudyConfig(phi_ratio=-1.0)
 
     def test_non_numeric_fields_rejected(self):
         for bad, error in (
@@ -559,6 +561,16 @@ class TestRunSweeps:
         with pytest.raises(errors.NonPositiveOptimum) as caught:
             run_sweeps(StudyConfig(a_set=(2.0, 1e6)))
         assert str(caught.value).startswith("series a=1e+06, coordinate 0: ")
+
+    def test_overflowing_alpha_plus_phi_is_numerical(self):
+        # alpha + phi overflows, so _optimum makes tau NaN and the gain check
+        # names the point
+        config = StudyConfig(
+            alpha1=1e308, phi_set=(1e308,), a_set=(1.0,), a_range=(1.0, 1.5), phi_range=(0.0, 1.0)
+        )
+        with pytest.raises(errors.NumericalBreakdown) as caught:
+            run_sweeps(config)
+        assert str(caught.value).startswith("series phi=1e+308, coordinate 1: delta_omega is nan")
 
     def test_heterogeneous_penalties_via_ratio(self, textbook_market):
         config = StudyConfig(grid_points=3, phi_ratio=0.5)
