@@ -70,7 +70,10 @@ def context(market: MarketModel) -> MarkowitzContext:
 
     With the market's Cholesky factor ``L`` (``sigma = L L'``), ``y1 = L^-1 1``
     and ``ym = L^-1 mu`` give ``1' sigma^-1 1 = y1'y1``, ``mu_gmv = y1'ym / y1'y1``
-    and ``slope = |ym - mu_gmv y1|^2``, a sum of squares.  The tilt is
+    and ``slope = |excess|^2`` for the whitened excess mean
+    ``excess = ym - mu_gmv y1 = L^-1 (mu - mu_gmv 1)``, a sum of squares.
+    The same vector gives ``tilt = L^-T excess = sigma^-1 (mu - mu_gmv 1)``,
+    so ``L^-T`` is applied to ``y1`` and ``excess`` alone.  The tilt is
     re-centred by its mean, so ``1'tilt`` is at the rounding of the tilt's
     own entries and the columns of a weight matrix ``gmvp + c_i tilt`` sum
     to 1 even for a large ``c_i``.  Nothing scales
@@ -91,8 +94,7 @@ def context(market: MarketModel) -> MarkowitzContext:
         slope = excess @ excess
         si_one = l_inv.T @ y1
         gmvp = si_one / si_one.sum()
-        si_mu = l_inv.T @ ym
-        tilt = si_mu - si_mu.sum() * gmvp
+        tilt = l_inv.T @ excess
         tilt -= tilt.sum() / market.k
         v_gmv = 1.0 / c0
     if not (np.isfinite(tilt).all() and all(map(math.isfinite, (mu_gmv, v_gmv, slope)))):
@@ -107,16 +109,18 @@ def context(market: MarketModel) -> MarkowitzContext:
 def frontier(ctx: MarkowitzContext, t: float) -> tuple[np.ndarray, FrontierPoint]:
     """Frontier portfolio ``gmvp + t * tilt`` at inverse risk aversion ``t``.
 
-    Returns the weights and their mean ``mu_gmv + t * slope`` and variance
-    ``v_gmv + t^2 * slope``.  Both funds are this portfolio, so this is their
-    one finiteness check: weights, mean or variance beyond the float range
-    raise :class:`errors.NumericalBreakdown`, without a numpy warning.
+    Returns the weights, read-only, and their mean ``mu_gmv + t * slope``
+    and variance ``v_gmv + t^2 * slope``.  Both funds are this portfolio,
+    so this is their one finiteness check: weights, mean or variance beyond
+    the float range raise :class:`errors.NumericalBreakdown`, without a
+    numpy warning.
     """
     with np.errstate(all="ignore"):
         weights = ctx.gmvp + t * ctx.tilt
         mean, variance = ctx.mu_gmv + t * ctx.slope, ctx.v_gmv + t * t * ctx.slope
     if not (np.isfinite(weights).all() and math.isfinite(mean) and math.isfinite(variance)):
         raise errors.NumericalBreakdown(f"frontier fund at t = {t!r} is out of floating-point range")
+    weights.setflags(write=False)
     return weights, FrontierPoint(mean=mean, variance=variance)
 
 

@@ -141,7 +141,6 @@ def solve(ctx: MarkowitzContext, group: InvestorGroup) -> MimickingSolution:
     except (errors.NonFiniteValue, errors.ConstraintViolated) as exc:
         raise errors.NumericalBreakdown(f"optimal weights fail their checks: {exc}") from exc
     fund_weights, point = markowitz.frontier(ctx, tau)
-    fund_weights.setflags(write=False)
     eu_star = markowitz._optimal_utility(ctx, tau, _dot(group.beta, group.alpha).item())
     if not math.isfinite(eu_star):
         raise errors.NumericalBreakdown(

@@ -132,10 +132,17 @@ def kkt_solve(market: MarketModel, group: InvestorGroup) -> OracleSolution:
     """Solve the penalized group problem through the KKT system alone.
 
     The size cap is checked before the ``n x n`` mimicking matrix is built.
+    A ``W`` that fails :class:`PortfolioMatrix`'s checks (a column sum off 1
+    by more than the tolerance on an ill-conditioned valid group) is the
+    oracle's failure, not the input's: it raises :class:`errors.SingularKkt`.
     """
     _require_size(market.k, group.n)
     a = entrywise_mimicking_matrix(group.alpha, group.beta, group.phi)
     a_phi = (a + a.T) / 2.0
     w, lam, residual = solve_kkt_system(market.mu, market.sigma, a_phi, group.beta)
+    try:
+        weights = PortfolioMatrix(w)
+    except (errors.NonFiniteValue, errors.ConstraintViolated) as exc:
+        raise errors.SingularKkt(f"KKT weights fail their checks: {exc}") from exc
     lam.setflags(write=False)
-    return OracleSolution(weights=PortfolioMatrix(w), multipliers=lam, residual=residual)
+    return OracleSolution(weights=weights, multipliers=lam, residual=residual)

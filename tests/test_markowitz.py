@@ -74,6 +74,21 @@ class TestContext:
                 assert abs(Fraction(got) - exact) <= Fraction(1, 10**11) * tilt_scale
             assert abs(Fraction(ctx.slope) - slope) <= Fraction(1, 10**12) * slope
 
+    def test_nearly_equal_means_keep_the_tilt_accurate(self):
+        # mu - mu_gmv 1 cancels to eps; the tilt is L^-T of the slope's own
+        # whitened vector, so its error grows no faster than 1 / eps
+        rng = np.random.default_rng(7)
+        for eps in (1e-2, 1e-5, 1e-8):
+            for _ in range(60):
+                k = int(rng.integers(2, 7))
+                sigma = sampling.random_market(rng, k).sigma
+                market = build_market(0.05 + eps * rng.standard_normal(k), sigma)
+                tilt = markowitz.context(market).tilt
+                _, exact, _ = support.frontier_exact(market.mu.tolist(), market.sigma.tolist())
+                bound = Fraction(1e-13) / Fraction(eps) * max(abs(t) for t in exact)
+                for got, want in zip(tilt.tolist(), exact):
+                    assert abs(Fraction(got) - want) <= bound
+
     def test_ill_conditioned_covariance(self):
         # positive definite with condition number 1e12: the factor-based
         # solve must still give a unit-sum GMVP and a zero-sum tilt
@@ -180,6 +195,7 @@ class TestFundAggregate:
     def test_textbook_harmonic_aggregation(self, textbook_market, textbook_ctx, base_group):
         weights, alpha_f, _ = markowitz.fund_aggregate(textbook_ctx, base_group)
         assert alpha_f == pytest.approx(8 / 3, rel=1e-12)
+        assert not weights.flags.writeable
         stacked = support.classical_stacked(
             textbook_market.mu,
             textbook_market.sigma,

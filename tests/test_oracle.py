@@ -93,6 +93,21 @@ class TestKktSolve:
         with pytest.raises(errors.SingularKkt, match="exceeds"):
             oracle.kkt_solve(textbook_market, base_group)
 
+    def test_failed_weight_check_is_singular_kkt(self):
+        # a valid group whose KKT weights miss a unit column sum: the oracle's
+        # failure, typed as numerical, while the closed form stays exact
+        mu = (1.6355128733922608, -1.1710472518468438)
+        sigma = ((5.426631210132885, 1.4624590935083914), (1.4624590935083914, 0.5352509456004865))
+        alpha = (1.1218338495937625e-07, 1.1936607812265085e-06)
+        beta = (0.23452292701757002, 0.7654770729824301)
+        phi = (0.6637825244157214, 11.142218376608726)
+        market, group = build_market(mu, sigma), build_group(alpha, beta, phi)
+        with pytest.raises(errors.SingularKkt, match="KKT weights fail their checks: column 0"):
+            oracle.kkt_solve(market, group)
+        closed = mimicking.solve(markowitz.context(market), group).w_star.weights
+        exact = np.array(support.optimum_exact(mu, sigma, alpha, beta, phi), dtype=float)
+        assert support.rel_entry_err(closed, exact) <= 1e-15
+
     def test_factors_the_system_once(self, textbook_market, base_group, monkeypatch):
         # one LU per solve: a second factorization would double the O(N^3) work
         calls = []
