@@ -110,14 +110,15 @@ def frontier(ctx: MarkowitzContext, t: float) -> tuple[np.ndarray, FrontierPoint
     """Frontier portfolio ``gmvp + t * tilt`` at inverse risk aversion ``t``.
 
     Returns the weights, read-only, and their mean ``mu_gmv + t * slope``
-    and variance ``v_gmv + t^2 * slope``.  Both funds are this portfolio,
-    so this is their one finiteness check: weights, mean or variance beyond
-    the float range raise :class:`errors.NumericalBreakdown`, without a
-    numpy warning.
+    and variance ``v_gmv + t^2 * slope``, formed as ``t * (t * slope)`` so
+    that ``t^2`` cannot overflow where the variance itself is finite.  Both
+    funds are this portfolio, so this is their one finiteness check:
+    weights, mean or variance beyond the float range raise
+    :class:`errors.NumericalBreakdown`, without a numpy warning.
     """
     with np.errstate(all="ignore"):
         weights = ctx.gmvp + t * ctx.tilt
-        mean, variance = ctx.mu_gmv + t * ctx.slope, ctx.v_gmv + t * t * ctx.slope
+        mean, variance = ctx.mu_gmv + t * ctx.slope, ctx.v_gmv + t * (t * ctx.slope)
     if not (np.isfinite(weights).all() and math.isfinite(mean) and math.isfinite(variance)):
         raise errors.NumericalBreakdown(f"frontier fund at t = {t!r} is out of floating-point range")
     weights.setflags(write=False)

@@ -13,6 +13,7 @@ study's grid of groups is checked as a grid, by :class:`study.StudyConfig`.
 
 from __future__ import annotations
 
+import math
 import reprlib
 from dataclasses import dataclass, field
 
@@ -81,9 +82,37 @@ def _frozen_matrix(x) -> bool:
     )
 
 
+def _non_finite(name: str) -> errors.NonFiniteValue:
+    return errors.NonFiniteValue(f"{name} contains a non-finite entry")
+
+
 def _require_finite(arr: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(arr)):
-        raise errors.NonFiniteValue(f"{name} contains a non-finite entry")
+        raise _non_finite(name)
+
+
+def _magnitude(arr: np.ndarray, name: str) -> float:
+    """Largest ``|entry|`` of ``arr``, 0 if it has none; raises unless finite.
+
+    It is finite iff every entry is: a NaN propagates through the maximum,
+    and an infinite entry is the maximum.
+    """
+    top = np.abs(arr).max(initial=0.0)
+    if not math.isfinite(top):
+        raise _non_finite(name)
+    return top
+
+
+def _lowest(arr: np.ndarray, name: str) -> float:
+    """Smallest entry of ``arr``, ``inf`` if it has none; raises unless every entry is finite.
+
+    One minimum and one maximum decide finiteness without a copy of ``arr``:
+    a NaN propagates through both, and an infinite entry is one of them.
+    """
+    low = arr.min(initial=np.inf)
+    if not (low > -np.inf and arr.max(initial=-np.inf) < np.inf):
+        raise _non_finite(name)
+    return low
 
 
 def _freeze(obj, **fields) -> None:
@@ -98,9 +127,13 @@ class MarketModel:
     """Return moments of ``k >= 2`` risky assets.
 
     ``mu`` is the vector of per-period expected returns (decimal fractions);
-    ``sigma`` is the symmetric positive-definite covariance matrix; an
-    asymmetry beyond the float range is ``inf`` and fails the symmetry
-    check without a numpy warning.
+    ``sigma`` is the symmetric positive-definite covariance matrix.  Each
+    array is summarized once, by its largest magnitude, and the rules read
+    that summary; the first broken rule raises, in this order: finite
+    ``mu``, ``sigma``; ``k >= 2``; symmetric ``sigma`` within
+    ``SYMMETRY_RTOL`` of its largest magnitude (an asymmetry beyond the
+    float range is ``inf`` and fails, without a numpy warning); positive
+    definite ``sigma``.
     ``cholesky`` is its lower-triangular factor ``L`` with ``sigma = L L'``,
     computed once by the positive-definiteness check; it is not a
     constructor argument.
@@ -119,11 +152,10 @@ class MarketModel:
             raise errors.DimensionMismatch(
                 f"mu has {mu.shape[0]} entries but sigma is {sigma.shape[0]}x{sigma.shape[1]}"
             )
-        _require_finite(mu, "mu")
-        _require_finite(sigma, "sigma")
+        _magnitude(mu, "mu")
+        scale = _magnitude(sigma, "sigma")
         if mu.shape[0] < 2:
             raise errors.TooFewAssets(f"need at least 2 assets, got {mu.shape[0]}")
-        scale = np.max(np.abs(sigma))
         with np.errstate(over="ignore"):
             asymmetry = np.max(np.abs(sigma - sigma.T))
         if asymmetry > SYMMETRY_RTOL * scale:
@@ -146,11 +178,12 @@ class InvestorGroup:
 
     ``alpha``: positive risk aversions.  ``beta``: positive wealth shares
     summing to one.  ``phi``: non-negative mimicking coefficients (zero
-    recovers the classical, penalty-free case).  The first broken rule
-    raises, in this order: finite ``alpha``, ``beta``, ``phi``; ``n >= 2``;
-    ``alpha > 0``; ``beta > 0``; ``sum beta = 1`` within ``BETA_SUM_TOL``
-    (a sum beyond the float range is ``inf``, without a numpy warning);
-    ``phi >= 0``.
+    recovers the classical, penalty-free case).  Each vector is summarized
+    once, by its minimum and maximum, and the rules read that summary; the
+    first broken rule raises, in this order: finite ``alpha``, ``beta``,
+    ``phi``; ``n >= 2``; ``alpha > 0``; ``beta > 0``; ``sum beta = 1``
+    within ``BETA_SUM_TOL`` (a sum beyond the float range is ``inf``,
+    without a numpy warning); ``phi >= 0``.
     """
 
     alpha: np.ndarray
@@ -166,20 +199,20 @@ class InvestorGroup:
                 f"alpha, beta, phi must have equal lengths, got "
                 f"{alpha.shape[0]}, {beta.shape[0]}, {phi.shape[0]}"
             )
-        _require_finite(alpha, "alpha")
-        _require_finite(beta, "beta")
-        _require_finite(phi, "phi")
+        low_alpha = _lowest(alpha, "alpha")
+        low_beta = _lowest(beta, "beta")
+        low_phi = _lowest(phi, "phi")
         if alpha.shape[0] < 2:
             raise errors.TooFewInvestors(f"need at least 2 investors, got {alpha.shape[0]}")
-        if (alpha <= 0).any():
+        if low_alpha <= 0:
             raise errors.NonPositiveAlpha("every alpha must be > 0")
-        if (beta <= 0).any():
+        if low_beta <= 0:
             raise errors.NonPositiveBeta("every beta must be > 0")
         with np.errstate(over="ignore"):
             total = beta.sum().item()
         if abs(total - 1.0) > BETA_SUM_TOL:
             raise errors.BetaNotNormalized(f"beta must sum to 1, got {total!r}")
-        if (phi < 0).any():
+        if low_phi < 0:
             raise errors.NegativePhi("every phi must be >= 0")
         _freeze(self, alpha=alpha, beta=beta, phi=phi)
 

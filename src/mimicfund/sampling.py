@@ -16,7 +16,8 @@ def random_market(rng: np.random.Generator, k: int) -> MarketModel:
     """Random market with covariance ``F F' + SIGMA_RIDGE I`` and standard-normal means."""
     f = rng.standard_normal((k, k))
     sigma = f @ f.T
-    sigma = (sigma + sigma.T) / 2.0 + SIGMA_RIDGE * np.eye(k)
+    sigma = (sigma + sigma.T) / 2.0
+    sigma.flat[:: k + 1] += SIGMA_RIDGE
     mu = rng.standard_normal(k)
     return build_market(mu, sigma)
 
@@ -25,13 +26,22 @@ def random_group(
     rng: np.random.Generator,
     n: int,
     alpha_low: float = ALPHA_LOW,
-    phi_high: float = PHI_HIGH,
     uniform_wealth: bool = False,
 ) -> InvestorGroup:
-    """Random group with uniform draws for preferences and simplex wealth."""
+    """Random group: uniform ``alpha`` and ``phi``, Dirichlet(1, ..., 1) wealth shares.
+
+    The shares are drawn as ``rng.dirichlet(np.ones(n))`` draws them, with
+    the same bits: ``n`` standard exponentials (numpy's gamma variate of
+    shape 1) times the reciprocal of their left-to-right sum.
+    """
     alpha = rng.uniform(alpha_low, ALPHA_HIGH, n)
-    phi = rng.uniform(0.0, phi_high, n)
-    beta = np.full(n, 1.0 / n) if uniform_wealth else rng.dirichlet(np.ones(n))
+    phi = rng.uniform(0.0, PHI_HIGH, n)
+    if uniform_wealth:
+        beta = np.full(n, 1.0 / n)
+    else:
+        beta = rng.standard_exponential(n)
+        # the last partial sum, sliced so that n = 0 draws an empty vector
+        beta *= 1.0 / np.add.accumulate(beta)[-1:]
     return build_group(alpha, beta, phi)
 
 

@@ -124,18 +124,31 @@ class TestContext:
     @given(seed=st.integers(0, 2**32 - 1), j=st.integers(-500, 500))
     def test_solve_is_free_of_the_preference_scale(self, seed, j):
         # (alpha, phi, sigma) -> (4^j alpha, 4^j phi, 4^-j sigma) scales tilt
-        # by 4^j and c by 4^-j, each exactly, so W keeps its bits; a failure
-        # must be typed as numerical, never as invalid input
+        # by 4^j and c by 4^-j, each exactly, so W keeps its bits; the fund
+        # variance scales by 4^-j and stays far inside the float range here,
+        # so solve returns at every j
         market, group = sampling.random_instance(np.random.default_rng(seed), 10, 10)
         reference = mimicking.solve(markowitz.context(market), group).w_star.weights
         scale = 4.0**j
         scaled_market = build_market(market.mu, market.sigma / scale)
         scaled_group = build_group(scale * group.alpha, group.beta, scale * group.phi)
-        try:
-            weights = mimicking.solve(markowitz.context(scaled_market), scaled_group).w_star.weights
-        except errors.NumericalError:
-            return
+        weights = mimicking.solve(markowitz.context(scaled_market), scaled_group).w_star.weights
         assert np.array_equal(weights, reference)
+
+    def test_fund_variance_overflows_only_with_its_value(self):
+        # at j = -300 tau is about 3.3e179, whose square overflows, while the
+        # fund variance is about 1.9e178; it is formed as t * (t * slope)
+        market, group = sampling.random_instance(np.random.default_rng(5), 10, 10)
+        reference = mimicking.solve(markowitz.context(market), group)
+        for j in range(-300, -250):
+            scale = 4.0**j
+            scaled_market = build_market(market.mu, market.sigma / scale)
+            scaled_group = build_group(scale * group.alpha, group.beta, scale * group.phi)
+            solution = mimicking.solve(markowitz.context(scaled_market), scaled_group)
+            assert np.array_equal(solution.w_star.weights, reference.w_star.weights)
+            assert solution.point.variance == pytest.approx(
+                reference.point.variance / scale, rel=1e-12
+            )
 
 
 class TestIndividualWeights:

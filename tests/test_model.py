@@ -8,7 +8,66 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimicfund import build_group, build_market, errors, mimicking, moments, oracle
-from mimicfund.model import COLUMN_SUM_TOL, PortfolioMatrix
+from mimicfund.model import BETA_SUM_TOL, COLUMN_SUM_TOL, SYMMETRY_RTOL, PortfolioMatrix
+
+
+# Faults injected into otherwise valid inputs by the summary-rule tests.
+FAULTS = (np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0)
+
+
+def outcome(build, *args):
+    """``(error class, message)`` of the first broken rule, ``None`` if none breaks."""
+    try:
+        build(*args)
+    except errors.ValidationError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def per_rule_market(mu, sigma):
+    # reference: one numpy pass per rule, after the shape checks
+    if not np.all(np.isfinite(mu)):
+        raise errors.NonFiniteValue("mu contains a non-finite entry")
+    if not np.all(np.isfinite(sigma)):
+        raise errors.NonFiniteValue("sigma contains a non-finite entry")
+    if mu.shape[0] < 2:
+        raise errors.TooFewAssets(f"need at least 2 assets, got {mu.shape[0]}")
+    scale = np.max(np.abs(sigma))
+    with np.errstate(over="ignore"):
+        asymmetry = np.max(np.abs(sigma - sigma.T))
+    if asymmetry > SYMMETRY_RTOL * scale:
+        raise errors.NotSymmetric("sigma is not symmetric")
+    try:
+        np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        raise errors.NotPositiveDefinite("sigma is not positive definite") from None
+
+
+def per_rule_group(alpha, beta, phi):
+    # reference: one numpy pass per rule, after the shape checks
+    for name, arr in (("alpha", alpha), ("beta", beta), ("phi", phi)):
+        if not np.all(np.isfinite(arr)):
+            raise errors.NonFiniteValue(f"{name} contains a non-finite entry")
+    if alpha.shape[0] < 2:
+        raise errors.TooFewInvestors(f"need at least 2 investors, got {alpha.shape[0]}")
+    if (alpha <= 0).any():
+        raise errors.NonPositiveAlpha("every alpha must be > 0")
+    if (beta <= 0).any():
+        raise errors.NonPositiveBeta("every beta must be > 0")
+    with np.errstate(over="ignore"):
+        total = beta.sum().item()
+    if abs(total - 1.0) > BETA_SUM_TOL:
+        raise errors.BetaNotNormalized(f"beta must sum to 1, got {total!r}")
+    if (phi < 0).any():
+        raise errors.NegativePhi("every phi must be >= 0")
+
+
+def inject_faults(rng, arrays, hits):
+    """Set ``hits`` random entries of random ``arrays`` to random :data:`FAULTS`."""
+    for _ in range(hits):
+        arr = arrays[int(rng.integers(len(arrays)))]
+        if arr.size:
+            arr.flat[int(rng.integers(arr.size))] = FAULTS[int(rng.integers(len(FAULTS)))]
 
 
 class TestMarketModel:
@@ -66,6 +125,48 @@ class TestMarketModel:
             with pytest.raises(errors.ParseError) as caught:
                 bad()
             assert len(str(caught.value)) < 150
+
+    @pytest.mark.parametrize(
+        "mu, sigma, error, message",
+        [
+            ((), np.zeros((0, 0)), errors.TooFewAssets, "got 0"),
+            ((np.nan,), ((np.inf,),), errors.NonFiniteValue, "mu contains"),
+            ((-1.0,), ((-np.inf,),), errors.NonFiniteValue, "sigma contains"),
+            ((np.inf,), np.zeros((1, 1)), errors.NonFiniteValue, "mu contains"),
+            ((0.1,), ((-1.0,),), errors.TooFewAssets, "got 1"),
+            ((0.1, 0.2), ((1.0, 2.0), (3.0, 1.0)), errors.NotSymmetric, "symmetric"),
+            ((0.1, 0.2), ((1.0, 2.0), (2.0, 1.0)), errors.NotPositiveDefinite, "definite"),
+        ],
+    )
+    def test_first_broken_rule_in_documented_order_raises(self, mu, sigma, error, message):
+        # finite mu, sigma; k >= 2; symmetric sigma; positive definite sigma
+        with pytest.raises(error, match=message):
+            build_market(mu, sigma)
+
+    def test_summary_rejects_what_per_rule_passes_rejected(self):
+        rng = np.random.default_rng(27)
+        seen = set()
+        for _ in range(2000):
+            k = int(rng.integers(0, 7))
+            f = rng.standard_normal((k, k))
+            gram = f @ f.T
+            sigma = (gram + gram.T) / 2.0 + 0.1 * np.eye(k)
+            mu = rng.standard_normal(k)
+            if k >= 2 and rng.random() < 0.3:
+                # one entry off symmetry by 1e-13 (accepted) or 1e-11 (not) of the scale
+                i, j = rng.choice(k, 2, replace=False)
+                off = rng.choice([-1e-11, -1e-13, 1e-13, 1e-11])
+                sigma[i, j] += off * np.max(np.abs(sigma))
+            if k and rng.random() < 0.3:
+                sigma[rng.integers(k), rng.integers(k)] *= -1.0  # indefinite, or asymmetric
+            inject_faults(rng, [mu, sigma], int(rng.integers(0, 2)) * int(rng.integers(1, 4)))
+            want = outcome(per_rule_market, mu, sigma)
+            assert outcome(build_market, mu, sigma) == want
+            seen.add(want and want[0])
+        assert seen == {
+            None, errors.NonFiniteValue, errors.TooFewAssets,
+            errors.NotSymmetric, errors.NotPositiveDefinite,
+        }
 
     def test_values_are_immutable(self, textbook_market):
         with pytest.raises(ValueError):
@@ -139,12 +240,38 @@ class TestInvestorGroup:
             ((0.0, 4.0), (0.0, 0.6), (3.0, -1.0), errors.NonPositiveAlpha, "alpha"),
             ((2.0, 4.0), (-0.5, 0.6), (3.0, -1.0), errors.NonPositiveBeta, "beta"),
             ((2.0, 4.0), (0.6, 0.6), (3.0, -1.0), errors.BetaNotNormalized, "got 1.2"),
+            ((2.0, 4.0), (0.5, 0.5), (3.0, -1.0), errors.NegativePhi, "phi"),
+            # the summaries' edges: an empty vector, an inf max over a negative min
+            ((), (), (), errors.TooFewInvestors, "got 0"),
+            ((-1.0, np.inf), (0.5, 0.5), (3.0, 3.0), errors.NonFiniteValue, "alpha contains"),
+            ((2.0, 4.0), (-np.inf, 1.0), (np.inf, -1.0), errors.NonFiniteValue, "beta contains"),
+            ((np.inf,), (1.0,), (3.0,), errors.NonFiniteValue, "alpha contains"),
+            ((2.0, 4.0), (-0.0, 1.0), (3.0, 3.0), errors.NonPositiveBeta, "beta"),
         ],
     )
     def test_first_broken_rule_in_documented_order_raises(self, alpha, beta, phi, error, message):
         # finite alpha, beta, phi; n >= 2; alpha > 0; beta > 0; sum beta = 1; phi >= 0
         with pytest.raises(error, match=message):
             build_group(alpha, beta, phi)
+
+    def test_summary_rejects_what_per_rule_passes_rejected(self):
+        rng = np.random.default_rng(28)
+        seen = set()
+        for _ in range(2000):
+            n = int(rng.integers(0, 7))
+            alpha = rng.uniform(0.1, 20.0, n)
+            beta = rng.dirichlet(np.ones(n))
+            phi = rng.uniform(0.0, 20.0, n)
+            if n and rng.random() < 0.3:
+                beta[rng.integers(n)] += rng.choice([-2.0, 2.0]) * BETA_SUM_TOL
+            inject_faults(rng, [alpha, beta, phi], int(rng.integers(0, 2)) * int(rng.integers(1, 4)))
+            want = outcome(per_rule_group, alpha, beta, phi)
+            assert outcome(build_group, alpha, beta, phi) == want
+            seen.add(want and want[0])
+        assert seen == {
+            None, errors.NonFiniteValue, errors.TooFewInvestors, errors.NonPositiveAlpha,
+            errors.NonPositiveBeta, errors.BetaNotNormalized, errors.NegativePhi,
+        }
 
     def test_revalidation_is_idempotent(self, base_group):
         again = build_group(base_group.alpha, base_group.beta, base_group.phi)

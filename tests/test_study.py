@@ -311,7 +311,10 @@ class TestDeltaEu:
             market = sampling.random_market(rng, int(rng.integers(2, 7)))
             ctx = markowitz.context(market)
             n = int(rng.integers(2, 51))
-            group = sampling.random_group(rng, n, alpha_low=0.5, phi_high=5.0)
+            # random_group's draws with alpha >= 0.5 and phi <= 5
+            alpha = rng.uniform(0.5, sampling.ALPHA_HIGH, n)
+            phi = rng.uniform(0.0, 5.0, n)
+            group = build_group(alpha, rng.dirichlet(np.ones(n)), phi)
             d_omega, d_eu, eu_star = per_group_gains(market, group)
             assert delta_omega(ctx, group) == pytest.approx(d_omega, abs=1e-12)
             if eu_star <= 0:
