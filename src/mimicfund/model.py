@@ -13,7 +13,6 @@ study's grid of groups is checked as a grid, by :class:`study.StudyConfig`.
 
 from __future__ import annotations
 
-import math
 import reprlib
 from dataclasses import dataclass, field
 
@@ -82,37 +81,18 @@ def _frozen_matrix(x) -> bool:
     )
 
 
-def _non_finite(name: str) -> errors.NonFiniteValue:
-    return errors.NonFiniteValue(f"{name} contains a non-finite entry")
+def _range(arr: np.ndarray, name: str) -> tuple[float, float]:
+    """Smallest and largest entry of ``arr``, ``(inf, -inf)`` if it has none.
 
-
-def _require_finite(arr: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise _non_finite(name)
-
-
-def _magnitude(arr: np.ndarray, name: str) -> float:
-    """Largest ``|entry|`` of ``arr``, 0 if it has none; raises unless finite.
-
-    It is finite iff every entry is: a NaN propagates through the maximum,
-    and an infinite entry is the maximum.
+    Raises :class:`errors.NonFiniteValue` unless every entry is finite, which
+    the two extremes decide without a copy of ``arr``: a NaN propagates
+    through both, and an infinite entry is one of them.
     """
-    top = np.abs(arr).max(initial=0.0)
-    if not math.isfinite(top):
-        raise _non_finite(name)
-    return top
-
-
-def _lowest(arr: np.ndarray, name: str) -> float:
-    """Smallest entry of ``arr``, ``inf`` if it has none; raises unless every entry is finite.
-
-    One minimum and one maximum decide finiteness without a copy of ``arr``:
-    a NaN propagates through both, and an infinite entry is one of them.
-    """
-    low = arr.min(initial=np.inf)
-    if not (low > -np.inf and arr.max(initial=-np.inf) < np.inf):
-        raise _non_finite(name)
-    return low
+    low = np.minimum.reduce(arr, axis=None, initial=np.inf)
+    high = np.maximum.reduce(arr, axis=None, initial=-np.inf)
+    if not (low > -np.inf and high < np.inf):
+        raise errors.NonFiniteValue(f"{name} contains a non-finite entry")
+    return low, high
 
 
 def _freeze(obj, **fields) -> None:
@@ -128,12 +108,12 @@ class MarketModel:
 
     ``mu`` is the vector of per-period expected returns (decimal fractions);
     ``sigma`` is the symmetric positive-definite covariance matrix.  Each
-    array is summarized once, by its largest magnitude, and the rules read
-    that summary; the first broken rule raises, in this order: finite
+    array is summarized once, by its minimum and maximum, and the rules
+    read that summary; the first broken rule raises, in this order: finite
     ``mu``, ``sigma``; ``k >= 2``; symmetric ``sigma`` within
-    ``SYMMETRY_RTOL`` of its largest magnitude (an asymmetry beyond the
-    float range is ``inf`` and fails, without a numpy warning); positive
-    definite ``sigma``.
+    ``SYMMETRY_RTOL`` of its largest magnitude, the larger of ``-min`` and
+    ``max`` (an asymmetry beyond the float range is ``inf`` and fails,
+    without a numpy warning); positive definite ``sigma``.
     ``cholesky`` is its lower-triangular factor ``L`` with ``sigma = L L'``,
     computed once by the positive-definiteness check; it is not a
     constructor argument.
@@ -152,13 +132,14 @@ class MarketModel:
             raise errors.DimensionMismatch(
                 f"mu has {mu.shape[0]} entries but sigma is {sigma.shape[0]}x{sigma.shape[1]}"
             )
-        _magnitude(mu, "mu")
-        scale = _magnitude(sigma, "sigma")
+        _range(mu, "mu")
+        low, high = _range(sigma, "sigma")
         if mu.shape[0] < 2:
             raise errors.TooFewAssets(f"need at least 2 assets, got {mu.shape[0]}")
+        # sigma - sigma' is antisymmetric, so its largest entry is its largest magnitude
         with np.errstate(over="ignore"):
-            asymmetry = np.max(np.abs(sigma - sigma.T))
-        if asymmetry > SYMMETRY_RTOL * scale:
+            asymmetry = np.maximum.reduce(sigma - sigma.T, axis=None)
+        if asymmetry > SYMMETRY_RTOL * max(-low, high):
             raise errors.NotSymmetric("sigma is not symmetric")
         try:
             cholesky = np.linalg.cholesky(sigma)
@@ -179,11 +160,11 @@ class InvestorGroup:
     ``alpha``: positive risk aversions.  ``beta``: positive wealth shares
     summing to one.  ``phi``: non-negative mimicking coefficients (zero
     recovers the classical, penalty-free case).  Each vector is summarized
-    once, by its minimum and maximum, and the rules read that summary; the
-    first broken rule raises, in this order: finite ``alpha``, ``beta``,
-    ``phi``; ``n >= 2``; ``alpha > 0``; ``beta > 0``; ``sum beta = 1``
-    within ``BETA_SUM_TOL`` (a sum beyond the float range is ``inf``,
-    without a numpy warning); ``phi >= 0``.
+    once, by its minimum and maximum, which decide finiteness, and the
+    rules read the minimum; the first broken rule raises, in this order:
+    finite ``alpha``, ``beta``, ``phi``; ``n >= 2``; ``alpha > 0``;
+    ``beta > 0``; ``sum beta = 1`` within ``BETA_SUM_TOL`` (a sum beyond
+    the float range is ``inf``, without a numpy warning); ``phi >= 0``.
     """
 
     alpha: np.ndarray
@@ -199,9 +180,9 @@ class InvestorGroup:
                 f"alpha, beta, phi must have equal lengths, got "
                 f"{alpha.shape[0]}, {beta.shape[0]}, {phi.shape[0]}"
             )
-        low_alpha = _lowest(alpha, "alpha")
-        low_beta = _lowest(beta, "beta")
-        low_phi = _lowest(phi, "phi")
+        low_alpha = _range(alpha, "alpha")[0]
+        low_beta = _range(beta, "beta")[0]
+        low_phi = _range(phi, "phi")[0]
         if alpha.shape[0] < 2:
             raise errors.TooFewInvestors(f"need at least 2 investors, got {alpha.shape[0]}")
         if low_alpha <= 0:
@@ -250,7 +231,7 @@ class PortfolioMatrix:
             sums = weights.sum(axis=0)
             off = np.abs(sums - 1.0)
         if not off.max(initial=0.0) <= COLUMN_SUM_TOL:  # also catches NaN
-            _require_finite(weights, "weights")
+            _range(weights, "weights")
             bad = int(np.argmax(off))
             raise errors.ConstraintViolated(
                 f"column {bad} sums to {float(sums[bad])!r}, violating the unit-sum constraint"

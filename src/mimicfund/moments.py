@@ -75,11 +75,12 @@ def read_input(path) -> tuple[str, str]:
     """The UTF-8 text of an input file and the sha256 of the very bytes it decodes.
 
     The one reader of the package's input files, the CLI's configs included.
+    A leading UTF-8 byte-order mark is not text; the digest still covers it.
     """
     try:
         with open(path, "rb") as handle:
             data = handle.read()
-        return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
+        return data.decode("utf-8-sig"), hashlib.sha256(data).hexdigest()
     except OSError as exc:
         raise errors.IoError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -132,7 +132,7 @@ class StudyConfig:
                            ("a_set", 1), ("a_range", 1), ("phi_range", 1)):
             value = getattr(self, name)
             arrays[name] = model._as_array(value, name, ndim)
-            model._require_finite(arrays[name], name)
+            model._range(arrays[name], name)
             if ndim:
                 object.__setattr__(self, name, tuple(value))
         alpha1, phi_ratio, phi_set, a_set, a_range, phi_range = arrays.values()

@@ -235,6 +235,14 @@ class TestSolve:
         assert_validation_error(result)
         assert "not UTF-8" in result.stderr
 
+    def test_byte_order_mark_config_solves(self, solve_config, tmp_path):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + solve_config.read_bytes())
+        result = run_cli("solve", "--config", str(path))
+        assert result.returncode == 0
+        report = json.loads(result.stdout)
+        assert report["mimicking"]["alpha_star_f"] == pytest.approx(17 / 6, rel=1e-9)
+
     def test_missing_returns_file_exits_2(self, group_config, tmp_path):
         result = run_cli(
             "solve", "--config", str(group_config), "--returns", str(tmp_path / "nope.csv")
@@ -536,6 +544,29 @@ class TestVerify:
         assert code == 4
         assert "DISAGREEMENT" in out
         assert "result: FAIL" in out
+
+    @pytest.mark.parametrize("factor, code", [(1.5, 4), (0.5, 0)])
+    def test_tolerance_is_criterion_1s(self, monkeypatch, capsys, factor, code):
+        # the closed form off the oracle by factor times criterion 1's 1e-10 in
+        # relative error: a pair of moves keeps column 0 unit-sum, each scaled
+        # by the smaller of the two entries' error floors max(1, |w|)
+        from mimicfund import cli, mimicking
+
+        true_solve = mimicking.solve
+
+        def skewed(ctx, group):
+            solution = true_solve(ctx, group)
+            weights = solution.w_star.weights.copy()
+            floor = min(max(1.0, abs(weights[0, 0])), max(1.0, abs(weights[1, 0])))
+            weights[0, 0] += factor * 1e-10 * floor
+            weights[1, 0] -= factor * 1e-10 * floor
+            return dataclasses.replace(solution, w_star=type(solution.w_star)(weights))
+
+        monkeypatch.setattr(mimicking, "solve", skewed)
+        assert cli.main(["verify", "--count", "3", "--seed", "5"]) == code
+        out = capsys.readouterr().out
+        assert ("DISAGREEMENT" in out) == (code == 4)
+        assert out.endswith("result: FAIL\n" if code else "result: OK\n")
 
 
 class TestStudy:

@@ -136,6 +136,12 @@ class TestMarketModel:
             ((0.1,), ((-1.0,),), errors.TooFewAssets, "got 1"),
             ((0.1, 0.2), ((1.0, 2.0), (3.0, 1.0)), errors.NotSymmetric, "symmetric"),
             ((0.1, 0.2), ((1.0, 2.0), (2.0, 1.0)), errors.NotPositiveDefinite, "definite"),
+            # asymmetry at 1.1x and 0.9x of SYMMETRY_RTOL * max|sigma| = 1e-11, on
+            # indefinite sigmas whose largest magnitude is positive, then negative
+            ((0.1, 0.2), ((1.0, 10.0), (10.0 + 1.1e-11, 1.0)), errors.NotSymmetric, "symmetric"),
+            ((0.1, 0.2), ((1.0, 10.0), (10.0 + 0.9e-11, 1.0)), errors.NotPositiveDefinite, "definite"),
+            ((0.1, 0.2), ((1.0, -10.0), (-10.0 - 1.1e-11, 1.0)), errors.NotSymmetric, "symmetric"),
+            ((0.1, 0.2), ((1.0, -10.0), (-10.0 - 0.9e-11, 1.0)), errors.NotPositiveDefinite, "definite"),
         ],
     )
     def test_first_broken_rule_in_documented_order_raises(self, mu, sigma, error, message):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 from unittest import mock
 
@@ -72,6 +73,18 @@ class TestLoadCsv:
     def test_empty_file(self, tmp_path):
         with pytest.raises(errors.ParseError):
             load_csv(write_csv(tmp_path, ""))
+
+    def test_byte_order_mark_is_not_data(self, returns_csv, tmp_path):
+        # Excel's "CSV UTF-8" starts with a BOM; the digest still covers its bytes
+        data = b"\xef\xbb\xbf" + returns_csv.read_bytes()
+        path = tmp_path / "bom.csv"
+        path.write_bytes(data)
+        plain, marked = load_csv(returns_csv), load_csv(path)
+        assert marked.asset_names == plain.asset_names == ("A", "B")
+        want, got = estimate(plain), estimate(marked)
+        np.testing.assert_array_equal(got.mu, want.mu)
+        np.testing.assert_array_equal(got.sigma, want.sigma)
+        assert moments.read_input(path)[1] == hashlib.sha256(data).hexdigest()
 
     def test_non_utf8_bytes(self, tmp_path):
         path = tmp_path / "latin.csv"

@@ -93,6 +93,25 @@ class TestKktSolve:
         with pytest.raises(errors.SingularKkt, match="exceeds"):
             oracle.kkt_solve(textbook_market, base_group)
 
+    @pytest.mark.parametrize("factor, rejected", [(1.5, True), (0.5, False)])
+    def test_residual_bound_is_pinned(self, textbook_market, base_group, monkeypatch,
+                                      factor, rejected):
+        # a solution whose first stationarity row is off by factor times the
+        # documented bound 1e-8 * (1 + max|rhs|); the unit-sum rows stay exact
+        solve = np.linalg.solve
+
+        def off(a, b):
+            shift = np.zeros_like(b)
+            shift[0] = factor * 1e-8 * (1.0 + np.max(np.abs(b)))
+            return solve(a, b + shift)
+
+        monkeypatch.setattr(np.linalg, "solve", off)
+        if rejected:
+            with pytest.raises(errors.SingularKkt, match="exceeds"):
+                oracle.kkt_solve(textbook_market, base_group)
+        else:
+            assert oracle.kkt_solve(textbook_market, base_group).residual > 0.4e-8
+
     def test_failed_weight_check_is_singular_kkt(self):
         # a valid group whose KKT weights miss a unit column sum: the oracle's
         # failure, typed as numerical, while the closed form stays exact
