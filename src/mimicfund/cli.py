@@ -82,21 +82,29 @@ def _dumps(document: dict) -> str:
         raise errors.NumericalBreakdown(f"output holds a non-finite number: {exc}") from None
 
 
-def _parse_json(text: str, where: str):
-    try:
-        return json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer beyond the digit limit
-        raise errors.ParseError(f"{where}: invalid JSON: {exc}") from exc
-    except RecursionError:
-        raise errors.ParseError(f"{where}: invalid JSON: nested too deeply") from None
-
-
 def _config(command: str, path, keys) -> tuple[dict, dict]:
-    """``command``'s JSON config (``keys`` only, mu with sigma) and ``{path: its sha256}``."""
+    """``command``'s JSON config (``keys``, each once, mu with sigma) and ``{path: its sha256}``."""
     if path is None:
         return {}, {}
     text, digest = read_input(path)
-    config = _parse_json(text, path)
+
+    def unique(pairs):
+        # json.loads keeps a repeated key's last value without a word
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise errors.ParseError(f"{path}: key {key!r} repeats")
+            obj[key] = value
+        return obj
+
+    try:
+        config = json.loads(text, object_pairs_hook=unique)
+    except errors.ParseError:
+        raise
+    except ValueError as exc:  # a JSONDecodeError, or an integer beyond the digit limit
+        raise errors.ParseError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise errors.ParseError(f"{path}: invalid JSON: nested too deeply") from None
     if not isinstance(config, dict):
         raise errors.ParseError(f"{path}: expected a JSON object at top level")
     unknown = set(config) - set(keys)
@@ -132,25 +140,18 @@ def _write(files: dict) -> None:
 
 
 def _resolve_market(args, config: dict, inputs: dict) -> MarketModel:
-    """The market from exactly one source; a ``--returns`` file's digest goes into ``inputs``."""
-    sources = [name for name, given in (
-        ("--returns", args.returns is not None),
-        ("--mu/--sigma", args.mu is not None or args.sigma is not None),
-        ("config mu/sigma", "mu" in config),
-    ) if given]
-    if len(sources) != 1:
+    """The market from the config's mu/sigma or ``--returns``, whose digest goes into ``inputs``."""
+    in_config = "mu" in config
+    if in_config == (args.returns is not None):
+        given = "--returns and config mu/sigma" if in_config else "none"
         raise errors.ValidationError(
-            f"market sources given: {' and '.join(sources) or 'none'}; use exactly one of "
-            "--returns, --mu/--sigma, or mu/sigma keys in the config file"
+            f"market sources given: {given}; use exactly one of --returns "
+            "or mu/sigma keys in the config file"
         )
-    if args.returns is not None:
-        text, inputs[args.returns] = read_input(args.returns)
-        return estimate(parse_csv(args.returns, text), args.annualize)
-    if "mu" in config:
+    if in_config:
         return build_market(config["mu"], config["sigma"])
-    if args.mu is None or args.sigma is None:
-        raise errors.ValidationError("--mu and --sigma must be given together")
-    return build_market(_parse_json(args.mu, "--mu"), _parse_json(args.sigma, "--sigma"))
+    text, inputs[args.returns] = read_input(args.returns)
+    return estimate(parse_csv(args.returns, text), args.annualize)
 
 
 def _cmd_solve(args) -> int:
@@ -166,7 +167,7 @@ def _cmd_solve(args) -> int:
     solution = mimicking.solve(ctx, group)
     base_weights, alpha_f, base_point = markowitz.fund_aggregate(ctx, group)
 
-    # the config's digest records the group; the market may come from no file
+    # the config's digest records the group; the echo shows the market from either file
     echo = {"mu": market.mu.tolist(), "sigma": market.sigma.tolist(), "annualize": args.annualize}
     report = {
         "manifest": _manifest("solve", echo, inputs),
@@ -321,13 +322,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="solve one market/group instance")
-    solve.add_argument("--config", help="JSON file with alpha, beta, phi (and optionally mu, sigma)")
+    solve.add_argument(
+        "--config", required=True, help="JSON file with alpha, beta, phi (and optionally mu, sigma)"
+    )
     solve.add_argument("--returns", help="CSV return history to estimate the market from")
     solve.add_argument(
         "--annualize", type=_int_at_least(1), help="periods per year for moment annualization"
     )
-    solve.add_argument("--mu", help="JSON vector of expected returns")
-    solve.add_argument("--sigma", help="JSON matrix of return covariances")
     solve.add_argument("--output", help="write the JSON report here instead of stdout")
     solve.set_defaults(handler=_cmd_solve)
 

@@ -79,7 +79,9 @@ def context(market: MarketModel) -> MarkowitzContext:
     to 1 even for a large ``c_i``.  Nothing scales
     faster than ``sigma^-1``: a power-of-4 scale of ``(mu, sigma)`` keeps the
     weights' bits while every intermediate stays in the normal float range,
-    and a result that is not finite raises :class:`errors.NumericalBreakdown`.
+    and a result that is not finite, a ``gmvp`` among them, or a ``v_gmv``
+    that is not positive (``1' sigma^-1 1`` overflowed) raises
+    :class:`errors.NumericalBreakdown`.
     """
     try:
         l_inv = np.linalg.solve(market.cholesky, np.eye(market.k))
@@ -97,7 +99,8 @@ def context(market: MarketModel) -> MarkowitzContext:
         tilt = l_inv.T @ excess
         tilt -= tilt.sum() / market.k
         v_gmv = 1.0 / c0
-    if not (np.isfinite(tilt).all() and all(map(math.isfinite, (mu_gmv, v_gmv, slope)))):
+    finite = np.isfinite(gmvp).all() and np.isfinite(tilt).all()
+    if not (finite and 0 < v_gmv < math.inf and math.isfinite(mu_gmv) and math.isfinite(slope)):
         raise errors.NumericalBreakdown("frontier constants are not finite at this market's scale")
     gmvp.setflags(write=False)
     tilt.setflags(write=False)

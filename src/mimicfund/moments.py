@@ -118,6 +118,9 @@ def parse_csv(path, text: str) -> ReturnSample:
     header = [cell.strip() for cell in header]
     if not header or any(not name for name in header):
         raise errors.ParseError(f"{path}: row 1: header must name every column")
+    if len(set(header)) < len(header):
+        name = next(name for index, name in enumerate(header) if name in header[:index])
+        raise errors.ParseError(f"{path}: row 1: asset name {name!r} repeats")
     k = len(header)
     returns = _loadtxt(body, k)
     if returns is None:

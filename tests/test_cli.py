@@ -77,6 +77,9 @@ TEXTBOOK_CONFIG = {
 # bottom of the normal float range
 TINY_SIGMA = [[1.44e-302, 4.8e-303], [4.8e-303, 4e-302]]
 
+# a valid market on which 1' sigma^-1 1 overflows: the GMVP is inf / inf
+SUBNORMAL_SIGMA = {"mu": [1e-5, 2e-5], "sigma": [[1e-310, 0.0], [0.0, 2e-310]]}
+
 # a valid market whose frontier constants are finite but on which a fund's
 # variance or the utility at the optimum can leave the float range
 HUGE_SIGMA = {"mu": [0.0, 1.0], "sigma": [[1e300, 0.0], [0.0, 1e300]]}
@@ -91,7 +94,7 @@ def solve_config(tmp_path):
 
 @pytest.fixture
 def group_config(tmp_path):
-    """A solve config without a market, to pair with --returns or --mu/--sigma."""
+    """A solve config without a market, to pair with --returns."""
     path = tmp_path / "group.json"
     group = {key: TEXTBOOK_CONFIG[key] for key in ("alpha", "beta", "phi")}
     path.write_text(json.dumps(group), encoding="utf-8")
@@ -156,22 +159,6 @@ class TestSolve:
         report = json.loads(result.stdout)
         assert report["mimicking"]["alpha_star_f"] > 0
 
-    def test_market_from_flags(self, tmp_path):
-        group = tmp_path / "group.json"
-        group.write_text(
-            json.dumps({"alpha": [2.0, 4.0], "beta": [0.5, 0.5], "phi": [0.0, 0.0]}),
-            encoding="utf-8",
-        )
-        result = run_cli(
-            "solve",
-            "--config", str(group),
-            "--mu", "[0.07, 0.14]",
-            "--sigma", "[[0.0144, 0.0048], [0.0048, 0.04]]",
-        )
-        assert result.returncode == 0
-        report = json.loads(result.stdout)
-        assert report["mimicking"]["alpha_star_f"] == pytest.approx(8 / 3, rel=1e-9)
-
     def test_missing_market_exits_1(self, tmp_path):
         group = tmp_path / "group.json"
         group.write_text(
@@ -183,32 +170,49 @@ class TestSolve:
         assert "market" in result.stderr
 
     @pytest.mark.parametrize("returns", [False, True], ids=["no-csv", "csv"])
-    @pytest.mark.parametrize("flags", [None, "valid", "malformed"], ids=["no-flags", "flags", "bad-flags"])
     @pytest.mark.parametrize("in_config", [False, True], ids=["group-only", "config-market"])
     def test_market_from_exactly_one_source(
-        self, returns, flags, in_config, returns_csv, solve_config, group_config, capsys
+        self, returns, in_config, returns_csv, solve_config, group_config, capsys
     ):
-        # every other source is an error, not ignored unvalidated
+        # a second source is an error, not ignored unvalidated
         from mimicfund import cli
 
         argv = ["solve", "--config", str(solve_config if in_config else group_config)]
         if returns:
             argv += ["--returns", str(returns_csv)]
-        if flags == "valid":
-            argv += ["--mu", json.dumps(TEXTBOOK_CONFIG["mu"])]
-            argv += ["--sigma", json.dumps(TEXTBOOK_CONFIG["sigma"])]
-        elif flags == "malformed":
-            argv += ["--mu", "not json", "--sigma", "{"]
         code = cli.main(argv)
         out, err = capsys.readouterr()
-        sources = returns + (flags is not None) + in_config
-        if sources == 1 and flags != "malformed":
+        if returns != in_config:
             assert code == 0
             assert list(json.loads(out)["manifest"]["config"]) == ["mu", "sigma", "annualize"]
         else:
             assert code == 1
             assert_one_short_error_line(out, err)
-            assert sources == 1 or "error: market sources given: " in err
+            given = "--returns and config mu/sigma" if returns else "none"
+            assert err.startswith(f"error: market sources given: {given}; ")
+
+    @pytest.mark.parametrize("argv", [[], ["--returns", "r.csv"]], ids=["bare", "returns"])
+    def test_config_is_required(self, argv, capsys):
+        # argparse names the missing flag before any file is read
+        from mimicfund import cli
+
+        with pytest.raises(SystemExit) as caught:
+            cli.main(["solve", *argv])
+        err = capsys.readouterr().err
+        assert caught.value.code == 1
+        assert err.startswith("usage: mimicfund solve ")
+        assert "error: the following arguments are required: --config" in err
+
+    @pytest.mark.parametrize("flag", ["--mu", "--sigma"])
+    def test_market_flags_are_unrecognized(self, flag, solve_config, capsys):
+        from mimicfund import cli
+
+        with pytest.raises(SystemExit) as caught:
+            cli.main(["solve", "--config", str(solve_config), flag, "[0.07, 0.14]"])
+        err = capsys.readouterr().err
+        assert caught.value.code == 1
+        assert err.startswith("usage: mimicfund ")
+        assert f"error: unrecognized arguments: {flag} [0.07, 0.14]" in err
 
     @pytest.mark.parametrize("present", ["mu", "sigma"])
     def test_half_market_in_config_exits_1(self, tmp_path, present):
@@ -272,16 +276,10 @@ class TestSolve:
         assert_validation_error(result)
         assert "alpha is not an array of numbers" in result.stderr
 
-    def test_string_in_mu_flag_exits_1(self, tmp_path):
-        group = tmp_path / "group.json"
-        group.write_text(
-            json.dumps({key: TEXTBOOK_CONFIG[key] for key in ("alpha", "beta", "phi")}),
-            encoding="utf-8",
-        )
-        result = run_cli(
-            "solve", "--config", str(group),
-            "--mu", '["0.07", 0.14]', "--sigma", json.dumps(TEXTBOOK_CONFIG["sigma"]),
-        )
+    def test_string_in_mu_exits_1(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TEXTBOOK_CONFIG, "mu": ["0.07", 0.14]}), encoding="utf-8")
+        result = run_cli("solve", "--config", str(path))
         assert_validation_error(result)
         assert "mu is not an array of numbers" in result.stderr
 
@@ -293,24 +291,6 @@ class TestSolve:
         path.write_text(text, encoding="utf-8")
         result = run_cli("solve", "--config", str(path))
         assert_validation_error(result)
-
-    def test_deeply_nested_mu_flag_exits_1(self, tmp_path, capsys):
-        from mimicfund import cli
-
-        group = tmp_path / "group.json"
-        group.write_text(
-            json.dumps({key: TEXTBOOK_CONFIG[key] for key in ("alpha", "beta", "phi")}),
-            encoding="utf-8",
-        )
-        # in process: one command-line argument holds at most 128 KiB
-        code = cli.main([
-            "solve", "--config", str(group),
-            "--mu", nested(10**5), "--sigma", json.dumps(TEXTBOOK_CONFIG["sigma"]),
-        ])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "error: --mu: invalid JSON: nested too deeply" in err
-        assert "Traceback" not in err
 
     def test_unknown_config_key_exits_1(self, tmp_path):
         path = tmp_path / "extra.json"
@@ -779,8 +759,38 @@ class TestStudy:
         assert "Warning" not in result.stderr and "Traceback" not in result.stderr
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", ["solve", "study"])
+    def test_overflowing_gmvp_exits_3(self, command, tmp_path):
+        # the frontier constants are named, not the weights or gains they would make NaN
+        cfg = tmp_path / "config.json"
+        keys = ("alpha", "beta", "phi") if command == "solve" else ()
+        group = {key: TEXTBOOK_CONFIG[key] for key in keys}
+        cfg.write_text(json.dumps({**SUBNORMAL_SIGMA, **group}), encoding="utf-8")
+        out = tmp_path / "study"
+        extra = ["--output-dir", str(out)] if command == "study" else []
+        result = run_cli(command, "--config", str(cfg), *extra)
+        assert result.returncode == 3
+        assert_one_short_error_line(result.stdout, result.stderr)
+        assert result.stderr == "error: frontier constants are not finite at this market's scale\n"
+        assert not out.exists()
+
 
 class TestInputFiles:
+    @pytest.mark.parametrize("command", ["solve", "study"])
+    def test_repeated_config_key_exits_1(self, command, tmp_path):
+        # the last phi would otherwise win, unseen in a report that digests the file
+        cfg = tmp_path / "config.json"
+        body = json.dumps(TEXTBOOK_CONFIG if command == "solve" else {"phi_set": [3]})[1:]
+        key = "phi" if command == "solve" else "phi_set"
+        cfg.write_text(f'{{"{key}": [0, 0], {body}', encoding="utf-8")
+        out = tmp_path / "study"
+        extra = ["--output-dir", str(out)] if command == "study" else []
+        result = run_cli(command, "--config", str(cfg), *extra)
+        assert result.returncode == 1
+        assert_one_short_error_line(result.stdout, result.stderr)
+        assert result.stderr == f"error: {cfg}: key '{key}' repeats\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["solve", "study", "estimate"])
     def test_each_file_is_read_once_and_digested_as_parsed(
         self, command, tmp_path, returns_csv, group_config, monkeypatch, capsys
@@ -940,8 +950,8 @@ def fuzz_returns(tmp_path_factory):
 
 @st.composite
 def solve_configs(draw):
-    """``(config, flags, returns)``: a config, ``--mu/--sigma`` flags, and whether
-    ``--returns`` is given; the market is in none, one or several of them."""
+    """``(config, returns)``: a config and whether ``--returns`` is given; the
+    market is in neither, one or both of them."""
     n = draw(st.integers(1, 4))
     # valid entries, from everyday values to the ends of the float range
     positive = st.one_of(st.floats(1e-3, 1e3), st.floats(0, exclude_min=True, allow_infinity=False))
@@ -968,12 +978,7 @@ def solve_configs(draw):
         config.update(mu=TEXTBOOK_CONFIG["mu"], sigma=TEXTBOOK_CONFIG["sigma"])
     elif market == "drawn":
         config.update(draw_market(draw))
-    flags = []
-    if draw(st.booleans()):
-        drawn = TEXTBOOK_CONFIG if draw(st.booleans()) else draw_market(draw)
-        # "=" keeps argparse from reading a value such as -1e-05 as an option
-        flags = [f"--mu={json.dumps(drawn['mu'])}", f"--sigma={json.dumps(drawn['sigma'])}"]
-    return config, flags, draw(st.booleans())
+    return config, draw(st.booleans())
 
 
 def draw_market(draw):
@@ -991,26 +996,26 @@ def draw_market(draw):
 @given(case=solve_configs())
 # the wealth-share sum overflows to inf
 @example(case=({**TEXTBOOK_CONFIG, "alpha": [0.5, 0.5], "beta": [1e308, 1e308], "phi": [0, 0]},
-               [], False))
+               False))
 # sigma - sigma.T overflows to inf
-@example(case=({**TEXTBOOK_CONFIG, "mu": [0, 0], "sigma": [[1, 1e308], [-1e308, 1]]}, [], False))
+@example(case=({**TEXTBOOK_CONFIG, "mu": [0, 0], "sigma": [[1, 1e308], [-1e308, 1]]}, False))
 # 1 / alpha, and so the classical fund, is infinite
-@example(case=({**TEXTBOOK_CONFIG, "alpha": [1e-320, 1]}, [], False))
+@example(case=({**TEXTBOOK_CONFIG, "alpha": [1e-320, 1]}, False))
 # numpy's message would quote the whole string
-@example(case=({**TEXTBOOK_CONFIG, "alpha": ["x" * 10**5, 1]}, [], False))
+@example(case=({**TEXTBOOK_CONFIG, "alpha": ["x" * 10**5, 1]}, False))
 # deeper than numpy 1.x allows an array to be, within numpy 2.x's limit
-@example(case=({**TEXTBOOK_CONFIG, "alpha": json.loads(nested(40))}, [], False))
-# three market sources, one of them malformed
-@example(case=(TEXTBOOK_CONFIG, ["--mu", "not json", "--sigma", "{"], True))
+@example(case=({**TEXTBOOK_CONFIG, "alpha": json.loads(nested(40))}, False))
+# both market sources, the config's malformed
+@example(case=({**TEXTBOOK_CONFIG, "mu": "not a vector"}, True))
 def test_solve_keeps_the_exit_code_contract(fuzz_config, fuzz_returns, case):
     # any config and market sources end in a documented exit code, without
     # a traceback or warning, and a successful report is strict JSON from
     # exactly one market source
     from mimicfund import cli
 
-    config, flags, returns = case
+    config, returns = case
     fuzz_config.write_text(json.dumps(config), encoding="utf-8")
-    argv = ["solve", "--config", str(fuzz_config), *flags]
+    argv = ["solve", "--config", str(fuzz_config)]
     if returns:
         argv += ["--returns", str(fuzz_returns)]
     out, err = io.StringIO(), io.StringIO()
@@ -1020,7 +1025,7 @@ def test_solve_keeps_the_exit_code_contract(fuzz_config, fuzz_returns, case):
     assert "Traceback" not in err.getvalue()
     if code == 0:
         json.loads(out.getvalue(), parse_constant=_reject_constant)
-        assert ("mu" in config) + bool(flags) + returns == 1
+        assert ("mu" in config) != returns
     else:
         assert_one_short_error_line(out.getvalue(), err.getvalue())
 

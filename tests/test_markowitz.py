@@ -135,6 +135,12 @@ class TestContext:
         weights = mimicking.solve(markowitz.context(scaled_market), scaled_group).w_star.weights
         assert np.array_equal(weights, reference)
 
+    def test_overflowing_one_sigma_inv_one_raises(self):
+        # 1' sigma^-1 1 = 1.5e310 overflows: v_gmv would be 0 and gmvp inf / inf
+        market = build_market((1e-5, 2e-5), np.diag([1e-310, 2e-310]))
+        with pytest.raises(errors.NumericalBreakdown, match="frontier constants are not finite"):
+            markowitz.context(market)
+
     def test_fund_variance_overflows_only_with_its_value(self):
         # at j = -300 tau is about 3.3e179, whose square overflows, while the
         # fund variance is about 1.9e178; it is formed as t * (t * slope)

@@ -155,6 +155,8 @@ class TestLoadtxtFastPath:
              (errors.NonFiniteValue, "<path>: row 3, column 2: non-finite value 'inf'")),
             ("A,B\n",
              (errors.TooFewObservations, "need at least k + 2 = 4 observations, got 0")),
+            ("A, A \n" + "\n".join(ROWS) + "\n",
+             (errors.ParseError, "<path>: row 1: asset name 'A' repeats")),
             ("A,B\r" + "\r".join(ROWS) + "\r", VALUES),
             ('"A\n0.5",B\n' + "\n".join(ROWS) + "\n", VALUES),
             ("A,B\r\n" + "\r\n".join(ROWS) + "\r\n", VALUES),
@@ -166,7 +168,7 @@ class TestLoadtxtFastPath:
               for char in SPLITLINES_ONLY],
         ],
         ids=["underscore", "padded", "empty-cell", "ragged", "blank-line", "hash", "inf",
-             "header-only", "cr-line-ends", "header-quoting-a-newline", "crlf-header",
+             "header-only", "repeated-name", "cr-line-ends", "header-quoting-a-newline", "crlf-header",
              "quoted-crlf-header", "lone-cr-between-rows", "cr-only-line",
              *[f"{ord(char):#x}-in-a-row" for char in SPLITLINES_ONLY]],
     )
@@ -190,14 +192,17 @@ def csv_texts(draw):
     around cells and names, every line ending, blank lines and ragged rows."""
     noise = st.sampled_from([""] * 40 + ODD_CHARACTERS)
 
-    def line(words, width):
-        cell = st.tuples(noise, st.sampled_from(words), noise).map("".join)
-        return st.tuples(st.lists(cell, min_size=width, max_size=width).map(",".join),
-                         st.sampled_from(LINE_ENDINGS)).map("".join)
+    def line(words):
+        cells = [st.tuples(noise, word, noise).map("".join) for word in words]
+        return st.tuples(st.tuples(*cells).map(",".join), st.sampled_from(LINE_ENDINGS)).map("".join)
 
     k = draw(st.integers(1, 3))
-    rows = st.sampled_from([k] * 12 + [k + 1]).flatmap(lambda width: line(NUMBERS, width))
-    return draw(line(["A", "B", "C"], k)) + "".join(draw(st.lists(rows, min_size=k + 1, max_size=k + 4)))
+    number = st.sampled_from(NUMBERS)
+    rows = st.sampled_from([k] * 12 + [k + 1]).flatmap(lambda width: line([number] * width))
+    # distinct names, so that the rows, not a repeated name, decide most outcomes
+    names = draw(st.permutations(["A", "B", "C"]))[:k]
+    header = draw(line([st.just(name) for name in names]))
+    return header + "".join(draw(st.lists(rows, min_size=k + 1, max_size=k + 4)))
 
 
 def parsed(text):
