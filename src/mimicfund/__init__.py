@@ -14,13 +14,7 @@ Submodules:
 __version__ = "0.1.0"
 
 from . import errors
-from .model import (
-    InvestorGroup,
-    MarketModel,
-    PortfolioMatrix,
-    build_group,
-    build_market,
-)
+from .model import InvestorGroup, MarketModel, PortfolioMatrix
 
 __all__ = [
     "__version__",
@@ -28,6 +22,4 @@ __all__ = [
     "InvestorGroup",
     "MarketModel",
     "PortfolioMatrix",
-    "build_group",
-    "build_market",
 ]

@@ -16,12 +16,13 @@ import gc
 import json
 import os
 import reprlib
+import stat
 import sys
 
 import numpy as np
 
 from . import __version__, errors, markowitz, mimicking
-from .model import MarketModel, build_group, build_market
+from .model import InvestorGroup, MarketModel
 from .moments import estimate, load_csv, parse_csv, read_input
 
 # oracle, sampling and study are imported by the commands that use them, so
@@ -118,22 +119,38 @@ def _config(command: str, path, keys) -> tuple[dict, dict]:
 def _write(files: dict) -> None:
     """Write each ``path: text`` of ``files``, all of them or none.
 
-    Each text goes to a temporary file beside its path, and the temporaries
-    are renamed over their paths only once every one of them is written.  A
-    failure removes the temporaries and names the path it was writing.
+    A path is written through a symlink to the file it resolves to, which
+    must be a regular file if it exists: a directory, FIFO or device is
+    refused, and so are an empty path and two paths that resolve to one
+    file.  Each text goes to a temporary file beside that target, and the
+    temporaries are renamed over their targets only once every one of them
+    is written.  A failure removes the temporaries and names the path it
+    was writing.
     """
     temps = {}
     try:
         for path, text in files.items():
-            if os.path.isdir(path):
+            if not path:
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+            target = os.path.realpath(path)
+            try:
+                mode = os.stat(target).st_mode
+            except FileNotFoundError:
+                mode = stat.S_IFREG  # written as a new regular file
+            if stat.S_ISDIR(mode):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            temps[path] = f"{path}.{os.getpid()}.tmp"
-            with open(temps[path], "w", encoding="utf-8", newline="") as handle:
+            if not stat.S_ISREG(mode):
+                raise OSError("not a regular file")
+            if target in temps:
+                raise OSError("resolves to the same file as another output")
+            temp = f"{target}.{os.getpid()}.tmp"
+            temps[target] = path, temp
+            with open(temp, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
-        for path, temp in temps.items():
-            os.replace(temp, path)
+        for target, (path, temp) in temps.items():
+            os.replace(temp, target)
     except OSError as exc:
-        for temp in temps.values():
+        for _, temp in temps.values():
             with contextlib.suppress(OSError):
                 os.remove(temp)
         raise errors.IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
@@ -149,7 +166,7 @@ def _resolve_market(args, config: dict, inputs: dict) -> MarketModel:
             "or mu/sigma keys in the config file"
         )
     if in_config:
-        return build_market(config["mu"], config["sigma"])
+        return MarketModel(config["mu"], config["sigma"])
     text, inputs[args.returns] = read_input(args.returns)
     return estimate(parse_csv(args.returns, text), args.annualize)
 
@@ -162,7 +179,7 @@ def _cmd_solve(args) -> int:
     missing = [key for key in ("alpha", "beta", "phi") if key not in config]
     if missing:
         raise errors.ValidationError(f"config file lacks group keys: {', '.join(missing)}")
-    group = build_group(config["alpha"], config["beta"], config["phi"])
+    group = InvestorGroup(config["alpha"], config["beta"], config["phi"])
     ctx = markowitz.context(market)
     solution = mimicking.solve(ctx, group)
     base_weights, alpha_f, base_point = markowitz.fund_aggregate(ctx, group)
@@ -187,7 +204,7 @@ def _cmd_solve(args) -> int:
         },
     }
     text = _dumps(report)
-    if args.output:
+    if args.output is not None:
         _write({args.output: text})
         _log(f"wrote {args.output}")
     else:
@@ -253,7 +270,7 @@ def _cmd_study(args) -> int:
     # the grid keys are the fields of StudyConfig other than market
     grid = [field for field in dataclasses.fields(StudyConfig) if field.name != "market"]
     raw, inputs = _config("study", args.config, ["mu", "sigma"] + [field.name for field in grid])
-    kwargs = {"market": build_market(raw.pop("mu"), raw.pop("sigma"))} if "mu" in raw else {}
+    kwargs = {"market": MarketModel(raw.pop("mu"), raw.pop("sigma"))} if "mu" in raw else {}
     config = StudyConfig(**kwargs, **raw)
     figure1, figure2 = run_sweeps(config)
     echo = {"mu": config.market.mu.tolist(), "sigma": config.market.sigma.tolist()}

@@ -13,6 +13,8 @@ study's grid of groups is checked as a grid, by :class:`study.StudyConfig`.
 
 from __future__ import annotations
 
+import contextlib
+import datetime
 import reprlib
 from dataclasses import dataclass, field
 
@@ -27,35 +29,50 @@ BETA_SUM_TOL = 1e-12
 COLUMN_SUM_TOL = 1e-10
 
 
-# Entries that np.array(..., dtype=float) converts although they are not numbers.
+# Entries that np.array(..., dtype=float) converts although they are not numbers:
+# strings and booleans, and dates and durations, which it counts in their unit
+# (an object array holds a datetime64 or timedelta64 array's entries as datetimes).
 _NOT_NUMBERS = (str, bytes, bool, np.bool_)
+_DATES = (np.datetime64, np.timedelta64, datetime.date, datetime.timedelta)
+# Entries it converts with a ComplexWarning, dropping their imaginary part.
+_COMPLEX = (complex, np.complexfloating)
 _SHAPES = {0: "a number", 1: "a 1-D vector", 2: "a 2-D matrix"}
 
 
 def _as_array(x, name: str, ndim: int) -> np.ndarray:
     """``x`` as a new float array of ``ndim`` (0, 1 or 2) dimensions.
 
-    Non-numbers, strings and booleans among them, raise :class:`errors.ParseError`
-    and another shape :class:`errors.DimensionMismatch`; a rejected value is
-    shown through ``reprlib.repr``, cut to 100 characters since it abridges
-    each list but not their nesting, so the message stays short.
+    Non-numbers raise :class:`errors.ParseError` and another shape
+    :class:`errors.DimensionMismatch`.  Complex numbers are rejected before
+    the conversion, as entries it cannot convert are; strings and booleans,
+    then dates and durations, which it does convert, after it.  A rejected
+    value is shown through ``reprlib.repr``, cut to 100 characters since it
+    abridges each list but not their nesting, so the message stays short.
     """
-    try:
-        arr = np.array(x, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        shown = reprlib.repr(x)[:100]
-        raise errors.ParseError(f"{name} is not an array of numbers: {shown}") from None
-    if not (isinstance(x, np.ndarray) and x.dtype.kind in "iuf"):
+    kind = x.dtype.kind if isinstance(x, np.ndarray) else "O"
+    arr = np.array(x, dtype=float) if kind in "iuf" else _checked_array(x, name, kind)
+    if arr.ndim != ndim:
+        raise errors.DimensionMismatch(f"{name} must be {_SHAPES[ndim]}, got shape {arr.shape}")
+    return arr
+
+
+def _checked_array(x, name: str, kind: str) -> np.ndarray:
+    """:func:`_as_array`'s conversion of an ``x`` that is not an integer or float array."""
+    kinds = set()
+    arr = None
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
         # look at each distinct entry type once, not at each entry; ravel, not
         # .flat, whose iterator stops at 32 dimensions where arrays reach 64
         entries = np.array(x, dtype=object).ravel()
-        if any(issubclass(kind, _NOT_NUMBERS) for kind in set(map(type, entries))):
-            bad = next(value for value in entries if isinstance(value, _NOT_NUMBERS))
-            raise errors.ParseError(
-                f"{name} is not an array of numbers: it holds {reprlib.repr(bad)}"
-            )
-    if arr.ndim != ndim:
-        raise errors.DimensionMismatch(f"{name} must be {_SHAPES[ndim]}, got shape {arr.shape}")
+        kinds = set(map(type, entries))
+        if kind not in "cmM" and not any(issubclass(entry, _COMPLEX) for entry in kinds):
+            arr = np.array(x, dtype=float)
+    if arr is not None and any(issubclass(entry, _NOT_NUMBERS) for entry in kinds):
+        bad = next(value for value in entries if isinstance(value, _NOT_NUMBERS))
+        raise errors.ParseError(f"{name} is not an array of numbers: it holds {reprlib.repr(bad)}")
+    if arr is None or any(issubclass(entry, _DATES) for entry in kinds):
+        shown = reprlib.repr(x)[:100]
+        raise errors.ParseError(f"{name} is not an array of numbers: {shown}")
     return arr
 
 
@@ -245,13 +262,3 @@ class PortfolioMatrix:
     @property
     def n(self) -> int:
         return self.weights.shape[1]
-
-
-def build_market(mu, sigma) -> MarketModel:
-    """Validate and build a :class:`MarketModel` from array-likes."""
-    return MarketModel(mu, sigma)
-
-
-def build_group(alpha, beta, phi) -> InvestorGroup:
-    """Validate and build an :class:`InvestorGroup` from array-likes."""
-    return InvestorGroup(alpha, beta, phi)

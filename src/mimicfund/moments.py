@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import errors
-from .model import MarketModel, _as_array, _as_count, _freeze, _frozen_matrix, build_market
+from .model import MarketModel, _as_array, _as_count, _freeze, _frozen_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,22 +95,26 @@ def load_csv(path) -> ReturnSample:
 def parse_csv(path, text: str) -> ReturnSample:
     r"""Parse ``text``, the return-history CSV read from ``path``, into a :class:`ReturnSample`.
 
-    Parse failures name ``path``, the offending row (1-based physical line,
-    header is row 1) and column.  One ``np.loadtxt`` call parses the data
-    rows; a file it does not read as exactly the rows the per-cell parser
-    would goes to that parser, which then decides the value or the error.
-    The header is the first line split at commas; ``csv`` reads it only
-    when it holds a quote or a ``\r`` before its line ending.  Besides
+    Parse failures name ``path``, the offending row by the 1-based physical
+    line it starts on (the header starts on line 1; a quoted newline or a
+    ``\r`` ends a line too), and the column.  One ``np.loadtxt`` call parses
+    the data rows; a file it does not read as exactly the rows the per-cell
+    parser would goes to that parser, which then decides the value or the
+    error.  The header is the first line split at commas; ``csv`` reads it
+    only when it holds a quote or a ``\r`` before its line ending.  Besides
     ``text``, a parse holds the body after the header, one list of the
     body's lines and the array; the ``io.StringIO`` copies ``csv`` reads,
     at up to four bytes a character, are made only on those two detours.
     """
     head, _, body = text.partition("\n")
     head = head.removesuffix("\r")
+    first = 2  # the physical line the body starts on
     if '"' in head or "\r" in head:  # csv decides where a quoted or \r-ended header ends
         stream = io.StringIO(text, newline="")
-        header = next(csv.reader(stream), None)
+        reader = csv.reader(stream)
+        header = next(reader, None)
         body = stream.read()
+        first = reader.line_num + 1
     else:
         header = head.split(",") if text else None
     if header is None:
@@ -124,7 +128,7 @@ def parse_csv(path, text: str) -> ReturnSample:
     k = len(header)
     returns = _loadtxt(body, k)
     if returns is None:
-        returns = _parse_cells(path, csv.reader(io.StringIO(body, newline="")), k)
+        returns = _parse_cells(path, body, k, first)
     return ReturnSample(returns=returns, asset_names=tuple(header))
 
 
@@ -157,10 +161,16 @@ def _loadtxt(body: str, k: int) -> Optional[np.ndarray]:
     return returns
 
 
-def _parse_cells(path, rows, k: int) -> np.ndarray:
-    """Data rows parsed cell by cell; the reference parser and its errors."""
+def _parse_cells(path, body: str, k: int, first: int) -> np.ndarray:
+    """Data rows parsed cell by cell; the reference parser and its errors.
+
+    ``body`` starts on physical line ``first``, and an error names a row by
+    the line it starts on, which ``csv`` counts for a row that spans lines.
+    """
+    rows = csv.reader(io.StringIO(body, newline=""))
     values = []
-    for line_no, row in enumerate(rows, start=2):
+    line_no = first
+    for row in rows:
         if len(row) != k:
             raise errors.ParseError(
                 f"{path}: row {line_no}: expected {k} fields, got {len(row)}"
@@ -182,6 +192,7 @@ def _parse_cells(path, rows, k: int) -> np.ndarray:
                 )
             parsed.append(value)
         values.append(parsed)
+        line_no = first + rows.line_num
     return np.array(values, dtype=float).reshape(len(values), k)
 
 
@@ -200,4 +211,4 @@ def estimate(sample: ReturnSample, periods_per_year: Optional[int] = None) -> Ma
     with np.errstate(all="ignore"):  # a non-finite moment fails the market's check
         mu = sample.returns.mean(axis=0) * scale
         sigma = np.atleast_2d(np.cov(sample.returns, rowvar=False, ddof=1)) * scale
-    return build_market(mu, sigma)
+    return MarketModel(mu, sigma)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import InvestorGroup, MarketModel, build_group, build_market
+from .model import InvestorGroup, MarketModel
 
 SIGMA_RIDGE = 0.1
 ALPHA_LOW = 0.1
@@ -19,7 +19,7 @@ def random_market(rng: np.random.Generator, k: int) -> MarketModel:
     sigma = (sigma + sigma.T) / 2.0
     sigma.flat[:: k + 1] += SIGMA_RIDGE
     mu = rng.standard_normal(k)
-    return build_market(mu, sigma)
+    return MarketModel(mu, sigma)
 
 
 def random_group(
@@ -42,7 +42,7 @@ def random_group(
         beta = rng.standard_exponential(n)
         # the last partial sum, sliced so that n = 0 draws an empty vector
         beta *= 1.0 / np.add.accumulate(beta)[-1:]
-    return build_group(alpha, beta, phi)
+    return InvestorGroup(alpha, beta, phi)
 
 
 def random_instance(

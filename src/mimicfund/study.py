@@ -69,11 +69,11 @@ import numpy as np
 
 from . import errors, markowitz, mimicking, model
 from .markowitz import MarkowitzContext
-from .model import MarketModel, build_market
+from .model import MarketModel
 
 # Textbook two-asset market: annualized means 7% and 14%, volatilities 12%
 # and 20%, correlation 0.2.
-DEFAULT_MARKET = build_market(
+DEFAULT_MARKET = MarketModel(
     mu=(0.07, 0.14),
     sigma=((0.0144, 0.0048), (0.0048, 0.04)),
 )

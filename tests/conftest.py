@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mimicfund import build_group, build_market, markowitz
+from mimicfund import InvestorGroup, MarketModel, markowitz
 
 # Child interpreters (the CLI tests and import probes) must import the same
 # checkout as the tests themselves, also when pytest alone put src/ on the path.
@@ -19,7 +19,7 @@ TEXTBOOK_SIGMA = ((0.0144, 0.0048), (0.0048, 0.04))
 
 @pytest.fixture
 def textbook_market():
-    return build_market(TEXTBOOK_MU, TEXTBOOK_SIGMA)
+    return MarketModel(TEXTBOOK_MU, TEXTBOOK_SIGMA)
 
 
 @pytest.fixture
@@ -29,7 +29,7 @@ def textbook_ctx(textbook_market):
 
 @pytest.fixture
 def base_group():
-    return build_group(alpha=(2.0, 4.0), beta=(0.5, 0.5), phi=(3.0, 3.0))
+    return InvestorGroup(alpha=(2.0, 4.0), beta=(0.5, 0.5), phi=(3.0, 3.0))
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import support
 
-from mimicfund import build_group, build_market, errors, markowitz, mimicking, oracle, sampling
+from mimicfund import InvestorGroup, MarketModel, errors, markowitz, mimicking, oracle, sampling
 from mimicfund.study import STUDY_BETA, StudyConfig, run_sweeps
 
 SEED = 1729
@@ -70,7 +70,7 @@ def test_criterion_2_trace_form_matches_direct_sum():
 
 def test_criterion_3_mimicking_matrix_positive_definite():
     rng = np.random.default_rng(SEED + 2)
-    textbook = build_market((0.07, 0.14), ((0.0144, 0.0048), (0.0048, 0.04)))
+    textbook = MarketModel((0.07, 0.14), ((0.0144, 0.0048), (0.0048, 0.04)))
     ctx = markowitz.context(textbook)
     failures = 0
     for _ in range(1000):
@@ -133,7 +133,7 @@ def test_criterion_5_special_case_suite():
     for _ in range(100):
         n = int(rng.integers(2, 11))
         phi = float(rng.uniform(0, 20))
-        group = build_group(
+        group = InvestorGroup(
             rng.uniform(0.1, 20, n), rng.dirichlet(np.ones(n)), np.full(n, phi)
         )
         expected = np.diag((group.alpha + phi) * group.beta) - phi * np.outer(
@@ -149,7 +149,7 @@ def test_criterion_5_special_case_suite():
         market = sampling.random_market(rng, int(rng.integers(2, 8)))
         ctx = markowitz.context(market)
         n = int(rng.integers(2, 11))
-        group = build_group(
+        group = InvestorGroup(
             np.full(n, rng.uniform(0.1, 20)),
             rng.dirichlet(np.ones(n)),
             np.full(n, rng.uniform(0, 20)),
@@ -171,7 +171,7 @@ def test_criterion_5_special_case_suite():
 def large_group_sweep():
     """50 random uniform-wealth groups with n = 1000 (criteria 6a and 6b)."""
     rng = np.random.default_rng(SEED + 4)
-    textbook = build_market((0.07, 0.14), ((0.0144, 0.0048), (0.0048, 0.04)))
+    textbook = MarketModel((0.07, 0.14), ((0.0144, 0.0048), (0.0048, 0.04)))
     ctx = markowitz.context(textbook)
     rows = []
     for _ in range(50):
@@ -234,7 +234,7 @@ def test_criterion_7_study_reproduction():
 
     # (d) weight-shift thresholds on the phi = 3 series
     def shift(a):
-        group = build_group((2.0, 2.0 * a), STUDY_BETA, (3.0, 3.0))
+        group = InvestorGroup((2.0, 2.0 * a), STUDY_BETA, (3.0, 3.0))
         solution = mimicking.solve(ctx, group)
         base, _, _ = markowitz.fund_aggregate(ctx, group)
         return float(solution.fund_weights[0] - base[0])
@@ -252,9 +252,9 @@ def test_criterion_7_study_reproduction():
 
 
 def test_criterion_8_spot_values_confirmed_then_frozen():
-    market = build_market((0.07, 0.14), ((0.0144, 0.0048), (0.0048, 0.04)))
+    market = MarketModel((0.07, 0.14), ((0.0144, 0.0048), (0.0048, 0.04)))
     ctx = markowitz.context(market)
-    group = build_group((2.0, 4.0), (0.5, 0.5), (3.0, 3.0))
+    group = InvestorGroup((2.0, 4.0), (0.5, 0.5), (3.0, 3.0))
 
     # independent confirmations first
     gmvp_oracle = support.qp_gmvp(market.sigma)

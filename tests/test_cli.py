@@ -11,6 +11,7 @@ import math
 import os
 import runpy
 import shutil
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -118,6 +119,42 @@ class TestSolve:
         assert result.stdout == ""
         report = json.loads(out.read_text(encoding="utf-8"))
         assert "mimicking" in report and "classical" in report
+
+    def test_output_through_a_symlink_updates_its_target(self, solve_config, tmp_path):
+        (tmp_path / "real").mkdir()
+        target = tmp_path / "real" / "out.json"
+        target.write_text("old", encoding="utf-8")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        result = run_cli("solve", "--config", str(solve_config), "--output", str(link))
+        assert result.returncode == 0
+        assert link.is_symlink() and link.resolve() == target
+        assert "mimicking" in json.loads(target.read_text(encoding="utf-8"))
+        assert sorted(p.name for p in (tmp_path / "real").iterdir()) == ["out.json"]
+
+    def test_output_that_is_not_a_regular_file_exits_2(self, solve_config, tmp_path, capsys):
+        from mimicfund import cli
+
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        before = sorted(tmp_path.iterdir())
+        assert cli.main(["solve", "--config", str(solve_config), "--output", str(fifo)]) == 2
+        out, err = capsys.readouterr()
+        assert_one_short_error_line(out, err)
+        assert f"cannot write {fifo}: not a regular file" in err
+        # still a FIFO, and no temporary file is left beside it
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_empty_output_path_exits_2(self, solve_config, tmp_path, monkeypatch, capsys):
+        from mimicfund import cli
+
+        monkeypatch.chdir(tmp_path)  # where a temporary file of "" would go
+        before = sorted(tmp_path.iterdir())
+        assert cli.main(["solve", "--config", str(solve_config), "--output", ""]) == 2
+        out, err = capsys.readouterr()
+        assert_one_short_error_line(out, err)
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_unnormalized_beta_exits_1(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -691,6 +728,34 @@ class TestStudy:
         blocker.write_text("not a directory", encoding="utf-8")
         result = run_cli("study", "--output-dir", str(blocker))
         assert result.returncode == 2
+
+    def test_output_through_a_symlink_updates_its_target(self, tmp_path):
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps({"grid_points": 3}), encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        target = tmp_path / "kept.csv"
+        target.write_text("old", encoding="utf-8")
+        (out / "figure1.csv").symlink_to(target)
+        result = run_cli("study", "--config", str(cfg), "--output-dir", str(out))
+        assert result.returncode == 0
+        assert (out / "figure1.csv").is_symlink()
+        assert target.read_text(encoding="utf-8").startswith("series,coordinate,")
+        assert target.read_bytes() != (out / "figure2.csv").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv", "out", "study.json"]
+
+    def test_two_outputs_resolving_to_one_file_exit_2(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("study", "--output-dir", str(out)).returncode == 0
+        (out / "figure1.csv").unlink()
+        (out / "figure1.csv").symlink_to(out / "figure2.csv")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        result = run_cli("study", "--output-dir", str(out))
+        assert result.returncode == 2
+        assert "resolves to the same file as another output" in result.stderr
+        # all or none: nothing renamed, the link kept, no temporary file left
+        assert (out / "figure1.csv").is_symlink()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_unwritable_sidecar_is_named(self, tmp_path):
         out = tmp_path / "out"

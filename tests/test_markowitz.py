@@ -8,7 +8,7 @@ import support
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimicfund import build_group, build_market, errors, markowitz, mimicking, sampling
+from mimicfund import InvestorGroup, MarketModel, errors, markowitz, mimicking, sampling
 
 # Hand-derived constants for the textbook market, confirmed against the
 # independent KKT oracles below before being frozen.
@@ -19,7 +19,7 @@ TILT = np.array([-1.5625, 1.5625])
 SLOPE = 0.109375
 
 TEXTBOOK_CTX = markowitz.context(
-    build_market((0.07, 0.14), ((0.0144, 0.0048), (0.0048, 0.04)))
+    MarketModel((0.07, 0.14), ((0.0144, 0.0048), (0.0048, 0.04)))
 )
 
 
@@ -38,13 +38,13 @@ class TestContext:
         assert textbook_ctx.slope == pytest.approx(SLOPE, rel=1e-12)
 
     def test_identity_covariance_gives_uniform_gmvp(self):
-        ctx = markowitz.context(build_market((0.1, 0.2, 0.3), np.eye(3)))
+        ctx = markowitz.context(MarketModel((0.1, 0.2, 0.3), np.eye(3)))
         np.testing.assert_allclose(ctx.gmvp, np.full(3, 1 / 3), rtol=1e-14)
         assert ctx.v_gmv == pytest.approx(1 / 3, rel=1e-14)
 
     def test_equal_means_annihilated(self):
         rng = np.random.default_rng(5)
-        market = build_market(np.full(4, 0.03), sampling.random_market(rng, 4).sigma)
+        market = MarketModel(np.full(4, 0.03), sampling.random_market(rng, 4).sigma)
         ctx = markowitz.context(market)
         np.testing.assert_allclose(ctx.tilt, 0.0, atol=1e-14)
         assert ctx.slope == pytest.approx(0.0, abs=1e-14)
@@ -82,7 +82,7 @@ class TestContext:
             for _ in range(60):
                 k = int(rng.integers(2, 7))
                 sigma = sampling.random_market(rng, k).sigma
-                market = build_market(0.05 + eps * rng.standard_normal(k), sigma)
+                market = MarketModel(0.05 + eps * rng.standard_normal(k), sigma)
                 tilt = markowitz.context(market).tilt
                 _, exact, _ = support.frontier_exact(market.mu.tolist(), market.sigma.tolist())
                 bound = Fraction(1e-13) / Fraction(eps) * max(abs(t) for t in exact)
@@ -97,7 +97,7 @@ class TestContext:
             basis, _ = np.linalg.qr(rng.standard_normal((k, k)))
             eigenvalues = 0.04 * np.logspace(-12, 0, k)
             sigma = basis @ np.diag(eigenvalues) @ basis.T
-            market = build_market(rng.normal(0.05, 0.02, k), (sigma + sigma.T) / 2)
+            market = MarketModel(rng.normal(0.05, 0.02, k), (sigma + sigma.T) / 2)
             assert np.linalg.cond(market.sigma) == pytest.approx(1e12, rel=1e-2)
             ctx = markowitz.context(market)
             assert abs(ctx.gmvp.sum() - 1.0) <= 1e-12
@@ -113,7 +113,7 @@ class TestContext:
         market, group = sampling.random_instance(np.random.default_rng(seed), 10, 10)
         reference = mimicking.solve(markowitz.context(market), group).w_star.weights
         scale = 4.0**j
-        scaled = build_market(scale * market.mu, scale * market.sigma)
+        scaled = MarketModel(scale * market.mu, scale * market.sigma)
         try:
             weights = mimicking.solve(markowitz.context(scaled), group).w_star.weights
         except errors.NumericalError:
@@ -130,14 +130,14 @@ class TestContext:
         market, group = sampling.random_instance(np.random.default_rng(seed), 10, 10)
         reference = mimicking.solve(markowitz.context(market), group).w_star.weights
         scale = 4.0**j
-        scaled_market = build_market(market.mu, market.sigma / scale)
-        scaled_group = build_group(scale * group.alpha, group.beta, scale * group.phi)
+        scaled_market = MarketModel(market.mu, market.sigma / scale)
+        scaled_group = InvestorGroup(scale * group.alpha, group.beta, scale * group.phi)
         weights = mimicking.solve(markowitz.context(scaled_market), scaled_group).w_star.weights
         assert np.array_equal(weights, reference)
 
     def test_overflowing_one_sigma_inv_one_raises(self):
         # 1' sigma^-1 1 = 1.5e310 overflows: v_gmv would be 0 and gmvp inf / inf
-        market = build_market((1e-5, 2e-5), np.diag([1e-310, 2e-310]))
+        market = MarketModel((1e-5, 2e-5), np.diag([1e-310, 2e-310]))
         with pytest.raises(errors.NumericalBreakdown, match="frontier constants are not finite"):
             markowitz.context(market)
 
@@ -148,8 +148,8 @@ class TestContext:
         reference = mimicking.solve(markowitz.context(market), group)
         for j in range(-300, -250):
             scale = 4.0**j
-            scaled_market = build_market(market.mu, market.sigma / scale)
-            scaled_group = build_group(scale * group.alpha, group.beta, scale * group.phi)
+            scaled_market = MarketModel(market.mu, market.sigma / scale)
+            scaled_group = InvestorGroup(scale * group.alpha, group.beta, scale * group.phi)
             solution = mimicking.solve(markowitz.context(scaled_market), scaled_group)
             assert np.array_equal(solution.w_star.weights, reference.w_star.weights)
             assert solution.point.variance == pytest.approx(
@@ -189,7 +189,7 @@ class TestIndividualWeights:
         np.testing.assert_allclose(weights, textbook_ctx.gmvp, atol=1e-11)
 
     def test_equal_means_selects_gmvp_for_all(self):
-        market = build_market(np.full(3, 0.05), ((0.02, 0.001, 0.0), (0.001, 0.03, 0.002), (0.0, 0.002, 0.05)))
+        market = MarketModel(np.full(3, 0.05), ((0.02, 0.001, 0.0), (0.001, 0.03, 0.002), (0.0, 0.002, 0.05)))
         ctx = markowitz.context(market)
         for alpha in (0.5, 2.0, 50.0):
             weights, _ = markowitz.frontier(ctx, 1.0 / alpha)
@@ -235,7 +235,7 @@ class TestFundAggregate:
             np.testing.assert_allclose(weights, averaged, atol=1e-12)
 
     def test_equal_risk_aversions_pass_through(self, textbook_ctx):
-        group = build_group((3.0, 3.0, 3.0), (0.2, 0.5, 0.3), (0.0, 0.0, 0.0))
+        group = InvestorGroup((3.0, 3.0, 3.0), (0.2, 0.5, 0.3), (0.0, 0.0, 0.0))
         _, alpha_f, _ = markowitz.fund_aggregate(textbook_ctx, group)
         assert alpha_f == pytest.approx(3.0, rel=1e-14)
 
@@ -256,14 +256,14 @@ class TestFundAggregate:
 
     def test_largest_alpha_is_numerical(self, textbook_ctx):
         # tau_cl rounds to 2^-1024, so alpha_f = 1 / tau_cl would be inf
-        group = build_group((sys.float_info.max,) * 2, (0.5, 0.5), (0.0, 0.0))
+        group = InvestorGroup((sys.float_info.max,) * 2, (0.5, 0.5), (0.0, 0.0))
         message = "fund scalar tau_cl is 5.562684646268003e-309; it or its inverse"
         with pytest.raises(errors.NumericalBreakdown, match=message):
             markowitz.fund_aggregate(textbook_ctx, group)
 
     def test_dominant_investor_limit(self, textbook_ctx):
         eps = 1e-9
-        group = build_group((2.0, 4.0), (1.0 - eps, eps), (0.0, 0.0))
+        group = InvestorGroup((2.0, 4.0), (1.0 - eps, eps), (0.0, 0.0))
         _, alpha_f, _ = markowitz.fund_aggregate(textbook_ctx, group)
         assert alpha_f == pytest.approx(2.0, rel=1e-8)
 

@@ -10,7 +10,7 @@ import support
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mimicfund import build_group, build_market, errors, markowitz, mimicking, oracle, sampling
+from mimicfund import InvestorGroup, MarketModel, errors, markowitz, mimicking, oracle, sampling
 from mimicfund.model import PortfolioMatrix
 
 TEXTBOOK_A = np.array([[1.75, -0.75], [-0.75, 2.75]])
@@ -62,7 +62,7 @@ class TestMimickingMatrix:
             np.testing.assert_allclose(split, dense(g)[1], rtol=1e-12, atol=1e-15)
 
     def test_zero_penalty_reduces_to_diagonal(self):
-        g = build_group((2.0, 4.0, 8.0), (0.5, 0.25, 0.25), (0.0, 0.0, 0.0))
+        g = InvestorGroup((2.0, 4.0, 8.0), (0.5, 0.25, 0.25), (0.0, 0.0, 0.0))
         np.testing.assert_allclose(dense(g)[0], np.diag(g.alpha * g.beta), atol=1e-15)
         c, tau = mimicking._optimum(g.alpha, g.beta, g.phi)
         np.testing.assert_allclose(c, 1.0 / g.alpha, rtol=1e-15)
@@ -74,7 +74,7 @@ class TestMimickingMatrix:
         rng = np.random.default_rng(32)
         for _ in range(50):
             n = int(rng.integers(2, 9))
-            g = build_group(
+            g = InvestorGroup(
                 rng.uniform(0.1, 20, n), rng.dirichlet(np.ones(n)), np.full(n, rng.uniform(0, 20))
             )
             phi = g.phi[0]
@@ -123,7 +123,7 @@ class TestStructuredOperator:
         rng = np.random.default_rng(2)
         for _ in range(500):
             alpha, phi = 10.0 ** rng.uniform(-6, 2, 2), 10.0 ** rng.uniform(-2, 9, 2)
-            g = build_group(alpha, (0.5, 0.5), phi)
+            g = InvestorGroup(alpha, (0.5, 0.5), phi)
             tau = mimicking.asymptotic_alpha(g).exact_inverse
             c, _ = mimicking._optimum(g.alpha, g.beta, g.phi)
             exact = support.inverse_beta_exact(g.alpha, g.beta, g.phi)
@@ -160,7 +160,7 @@ class TestStructuredOperator:
             phi = rng.uniform(0, 20, (m, n))
             stack = mimicking._optimum(alpha, beta, phi)
             for i in range(m):
-                group = build_group(alpha[i], beta[i], phi[i])
+                group = InvestorGroup(alpha[i], beta[i], phi[i])
                 single = mimicking._optimum(group.alpha, group.beta, group.phi)
                 # a stack row does not depend on the other rows
                 one = mimicking._optimum(alpha[i : i + 1], beta[i : i + 1], phi[i : i + 1])
@@ -191,7 +191,7 @@ class TestSolve:
             assert s.alpha_star_f > 0
 
     def test_equal_preferences_recover_classical_fund(self, textbook_ctx):
-        g = build_group((3.0, 3.0, 3.0, 3.0), (0.1, 0.2, 0.3, 0.4), (5.0, 5.0, 5.0, 5.0))
+        g = InvestorGroup((3.0, 3.0, 3.0, 3.0), (0.1, 0.2, 0.3, 0.4), (5.0, 5.0, 5.0, 5.0))
         s = mimicking.solve(textbook_ctx, g)
         base, alpha_f, _ = markowitz.fund_aggregate(textbook_ctx, g)
         assert alpha_f == pytest.approx(3.0)
@@ -199,9 +199,9 @@ class TestSolve:
             np.testing.assert_allclose(s.w_star.weights[:, i], base, atol=1e-12)
 
     def test_equal_means_pin_everyone_to_gmvp(self):
-        market = build_market(np.full(3, 0.08), ((0.02, 0.001, 0.0), (0.001, 0.03, 0.002), (0.0, 0.002, 0.05)))
+        market = MarketModel(np.full(3, 0.08), ((0.02, 0.001, 0.0), (0.001, 0.03, 0.002), (0.0, 0.002, 0.05)))
         ctx = markowitz.context(market)
-        g = build_group((1.0, 2.0, 3.0), (0.3, 0.3, 0.4), (0.0, 1.0, 9.0))
+        g = InvestorGroup((1.0, 2.0, 3.0), (0.3, 0.3, 0.4), (0.0, 1.0, 9.0))
         s = mimicking.solve(ctx, g)
         for i in range(g.n):
             np.testing.assert_allclose(s.w_star.weights[:, i], ctx.gmvp, atol=1e-13)
@@ -236,7 +236,7 @@ class TestSolve:
 
     def test_rounding_failures_are_numerical(self, textbook_ctx):
         # a valid group whose alpha + phi overflows: not an input error
-        overflow = build_group((1e308, 1e308), (0.5, 0.5), (1e308, 1e308))
+        overflow = InvestorGroup((1e308, 1e308), (0.5, 0.5), (1e308, 1e308))
         with pytest.raises(errors.NumericalBreakdown, match="out of floating-point range"):
             mimicking.asymptotic_alpha(overflow)
         with pytest.raises(errors.NumericalBreakdown):
@@ -250,8 +250,8 @@ class TestSolve:
         ids=["fund-variance", "utility", "risk-aversion"],
     )
     def test_out_of_range_fund_or_utility_is_numerical(self, instance, message):
-        market = build_market(instance["mu"], instance["sigma"])
-        group = build_group(instance["alpha"], instance["beta"], instance["phi"])
+        market = MarketModel(instance["mu"], instance["sigma"])
+        group = InvestorGroup(instance["alpha"], instance["beta"], instance["phi"])
         with pytest.raises(errors.NumericalBreakdown) as caught:
             mimicking.solve(markowitz.context(market), group)
         assert message in str(caught.value)
@@ -259,7 +259,7 @@ class TestSolve:
     def test_large_frontier_coordinates_keep_unit_column_sums(self, textbook_market, textbook_ctx):
         # c is about 2.4e5, so a 1'tilt of 1.3e-15 would put a column sum
         # 3.5e-10 off 1; the re-centred tilt sums to 0 exactly
-        g = build_group(
+        g = InvestorGroup(
             (6.39188298965864e-6, 2.036259105597082e-6), (0.5, 0.5),
             (526555.6052483491, 1048.9066279687663),
         )
@@ -270,7 +270,7 @@ class TestSolve:
     def test_preferences_over_13_decades_solve_exactly(self, textbook_market, textbook_ctx):
         # a_phi has eigenvalues 6.36 and 6.05e8, and the sums in a rank-two
         # (Woodbury) inverse of it cancel to the sign; W is checked exactly
-        g = build_group(
+        g = InvestorGroup(
             (1.3863072561283194e-4, 25.442767887553956), (0.5, 0.5),
             (0.5369271349060832, 2419877411.616322),
         )
@@ -300,7 +300,7 @@ class TestSolve:
             n = int(rng.integers(2, 300))
             raw = 10.0 ** rng.uniform(-12, 0, n)
             raw[0], raw[-1] = 1e-12, 1.0
-            g = build_group(
+            g = InvestorGroup(
                 rng.uniform(0.1, 20, n), raw / raw.sum(), rng.uniform(0, 20, n)
             )
             market = sampling.random_market(rng, int(rng.integers(2, 11)))
@@ -343,8 +343,8 @@ def test_solve_returns_finite_numbers_or_raises(instance):
     # a solution holds only finite numbers; a result beyond the float range
     # is a NumericalBreakdown, never an inf in the solution or a warning
     try:
-        market = build_market(instance["mu"], instance["sigma"])
-        group = build_group(instance["alpha"], instance["beta"], instance["phi"])
+        market = MarketModel(instance["mu"], instance["sigma"])
+        group = InvestorGroup(instance["alpha"], instance["beta"], instance["phi"])
     except errors.ValidationError:
         return
     with warnings.catch_warnings():
@@ -383,9 +383,9 @@ def test_fund_scalars_are_accurate_or_raise(instance):
     # one rule for both fund scalars: asymptotic_alpha and the solver of the
     # failing scalar raise together, or tau is exact to 1e-12 and the risk
     # aversions are ordered classical <= 1 / tau <= upper
-    group = build_group(*instance)
+    group = InvestorGroup(*instance)
     # the textbook market
-    ctx = markowitz.context(build_market(LARGEST_ALPHA["mu"], LARGEST_ALPHA["sigma"]))
+    ctx = markowitz.context(MarketModel(LARGEST_ALPHA["mu"], LARGEST_ALPHA["sigma"]))
     try:
         upper, classical, tau = mimicking.asymptotic_alpha(group)
     except errors.NumericalBreakdown as exc:
@@ -416,7 +416,7 @@ def test_fund_scalars_are_accurate_or_raise(instance):
 class TestPenalizedUtility:
     def test_zero_penalty_equals_weighted_plain_utilities(self, textbook_market):
         rng = np.random.default_rng(51)
-        g = build_group((2.0, 4.0, 6.0), (0.5, 0.3, 0.2), (0.0, 0.0, 0.0))
+        g = InvestorGroup((2.0, 4.0, 6.0), (0.5, 0.3, 0.2), (0.0, 0.0, 0.0))
         w = support.unit_sum_columns(rng, textbook_market.k, g.n)
         got = mimicking.penalized_utility(textbook_market, g, w)
         expected = sum(
@@ -487,13 +487,13 @@ class TestPenalizedUtility:
 
 class TestEqualWealthMatrix:
     def test_textbook_scaled_matrix(self):
-        g = build_group((2.0, 4.0), (0.5, 0.5), (3.0, 3.0))
+        g = InvestorGroup((2.0, 4.0), (0.5, 0.5), (3.0, 3.0))
         scaled = support.equal_wealth_matrix(g.alpha, g.phi)
         np.testing.assert_allclose(scaled, [[7.0, -3.0], [-3.0, 11.0]], rtol=1e-14)
         np.testing.assert_allclose(scaled, 4.0 * TEXTBOOK_A, rtol=1e-14)
 
     def test_zero_penalty_form(self):
-        g = build_group((2.0, 4.0, 8.0), (1 / 3, 1 / 3, 1 / 3), (0.0, 0.0, 0.0))
+        g = InvestorGroup((2.0, 4.0, 8.0), (1 / 3, 1 / 3, 1 / 3), (0.0, 0.0, 0.0))
         np.testing.assert_allclose(
             support.equal_wealth_matrix(g.alpha, g.phi), 3.0 * np.diag(g.alpha), atol=1e-12
         )
@@ -525,12 +525,12 @@ class TestAsymptoticAlpha:
 
     def test_largest_alpha_is_numerical(self):
         # tau and tau_cl round to 2^-1024; neither risk aversion may come out inf
-        group = build_group(LARGEST_ALPHA["alpha"], LARGEST_ALPHA["beta"], LARGEST_ALPHA["phi"])
+        group = InvestorGroup(LARGEST_ALPHA["alpha"], LARGEST_ALPHA["beta"], LARGEST_ALPHA["phi"])
         with pytest.raises(errors.NumericalBreakdown, match="fund scalar tau is 5.56"):
             mimicking.asymptotic_alpha(group)
 
     def test_zero_penalty_collapses_to_classical(self):
-        g = build_group((2.0, 5.0, 9.0), (0.2, 0.3, 0.5), (0.0, 0.0, 0.0))
+        g = InvestorGroup((2.0, 5.0, 9.0), (0.2, 0.3, 0.5), (0.0, 0.0, 0.0))
         got = mimicking.asymptotic_alpha(g)
         assert 1.0 / got.exact_inverse == pytest.approx(got.classical, rel=1e-14)
 
@@ -550,7 +550,7 @@ class TestAsymptoticAlpha:
         for _ in range(100):
             n = int(rng.integers(2, 200))
             a = rng.uniform(0.1, 20)
-            g = build_group(
+            g = InvestorGroup(
                 np.full(n, a), rng.dirichlet(np.ones(n)), np.full(n, rng.uniform(0, 20))
             )
             got = mimicking.asymptotic_alpha(g)

@@ -7,7 +7,7 @@ import support
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimicfund import build_group, build_market, errors, mimicking, moments, oracle
+from mimicfund import InvestorGroup, MarketModel, errors, mimicking, moments, oracle
 from mimicfund.model import BETA_SUM_TOL, COLUMN_SUM_TOL, SYMMETRY_RTOL, PortfolioMatrix
 
 
@@ -76,52 +76,52 @@ class TestMarketModel:
         np.testing.assert_allclose(textbook_market.sigma[0, 1], 0.2 * 0.12 * 0.2)
 
     def test_identity_covariance(self):
-        m = build_market((0.0, 0.0), np.eye(2))
+        m = MarketModel((0.0, 0.0), np.eye(2))
         assert m.k == 2
 
     def test_indefinite_covariance_rejected(self):
         # eigenvalues {3, -1}
         with pytest.raises(errors.NotPositiveDefinite):
-            build_market((0.0, 0.0), ((1.0, 2.0), (2.0, 1.0)))
+            MarketModel((0.0, 0.0), ((1.0, 2.0), (2.0, 1.0)))
 
     def test_asymmetric_covariance_rejected(self):
         with pytest.raises(errors.NotSymmetric):
-            build_market((0.0, 0.0), ((1.0, 0.2), (0.3, 1.0)))
+            MarketModel((0.0, 0.0), ((1.0, 0.2), (0.3, 1.0)))
 
     def test_overflowing_asymmetry_rejected(self):
         # sigma - sigma.T overflows to inf: typed, with no numpy warning
         with pytest.raises(errors.NotSymmetric):
-            build_market((0.0, 0.0), ((1.0, 1e308), (-1e308, 1.0)))
+            MarketModel((0.0, 0.0), ((1.0, 1e308), (-1e308, 1.0)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(errors.DimensionMismatch):
-            build_market((0.1, 0.2, 0.3), np.eye(2))
+            MarketModel((0.1, 0.2, 0.3), np.eye(2))
         with pytest.raises(errors.DimensionMismatch):
-            build_market((0.1, 0.2), np.ones((2, 3)))
+            MarketModel((0.1, 0.2), np.ones((2, 3)))
 
     def test_single_asset_rejected(self):
         with pytest.raises(errors.TooFewAssets):
-            build_market((0.1,), ((1.0,),))
+            MarketModel((0.1,), ((1.0,),))
 
     def test_non_finite_rejected(self):
         with pytest.raises(errors.NonFiniteValue):
-            build_market((np.nan, 0.1), np.eye(2))
+            MarketModel((np.nan, 0.1), np.eye(2))
         with pytest.raises(errors.NonFiniteValue):
-            build_market((0.1, 0.1), ((np.inf, 0.0), (0.0, 1.0)))
+            MarketModel((0.1, 0.1), ((np.inf, 0.0), (0.0, 1.0)))
 
     def test_non_numeric_entries_rejected(self):
         with pytest.raises(errors.ParseError):
-            build_market(("ab", 0.1), np.eye(2))
+            MarketModel(("ab", 0.1), np.eye(2))
         with pytest.raises(errors.ParseError):
-            build_market((0.1, 0.1), ((1.0, "x"), (0.0, 1.0)))
+            MarketModel((0.1, 0.1), ((1.0, "x"), (0.0, 1.0)))
         with pytest.raises(errors.ParseError):
-            build_market((0.1, 0.1), ((1.0, 0.0), (0.0,)))
+            MarketModel((0.1, 0.1), ((1.0, 0.0), (0.0,)))
 
     def test_rejected_nested_value_is_shown_short(self):
         # reprlib abridges each list but not the nesting: 6 x 6 integers of
         # 40 shown digits each would make an error line of about 1.5 kB
         huge = [[10**400] * 6] * 6
-        for bad in (lambda: build_market((0.1, 0.1), huge), lambda: build_group(huge, 1, 0)):
+        for bad in (lambda: MarketModel((0.1, 0.1), huge), lambda: InvestorGroup(huge, 1, 0)):
             with pytest.raises(errors.ParseError) as caught:
                 bad()
             assert len(str(caught.value)) < 150
@@ -142,12 +142,21 @@ class TestMarketModel:
             ((0.1, 0.2), ((1.0, 10.0), (10.0 + 0.9e-11, 1.0)), errors.NotPositiveDefinite, "definite"),
             ((0.1, 0.2), ((1.0, -10.0), (-10.0 - 1.1e-11, 1.0)), errors.NotSymmetric, "symmetric"),
             ((0.1, 0.2), ((1.0, -10.0), (-10.0 - 0.9e-11, 1.0)), errors.NotPositiveDefinite, "definite"),
+            # numpy would read these as reals: drop the imaginary part, with a
+            # ComplexWarning, or count days and seconds; not a number comes before shape
+            (np.array([0.07 + 5j, 0.14]), np.eye(2), errors.ParseError, "mu is not an array"),
+            ([np.complex128(0.07), 0.14], np.eye(2), errors.ParseError, "mu is not an array"),
+            ((0.07, 0.14), np.array([[1j]]), errors.ParseError, "sigma is not an array"),
+            (np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[D]"), np.eye(2),
+             errors.ParseError, "mu is not an array"),
+            ((0.07, 0.14), np.eye(2).astype("timedelta64[s]"), errors.ParseError,
+             "sigma is not an array"),
         ],
     )
     def test_first_broken_rule_in_documented_order_raises(self, mu, sigma, error, message):
         # finite mu, sigma; k >= 2; symmetric sigma; positive definite sigma
         with pytest.raises(error, match=message):
-            build_market(mu, sigma)
+            MarketModel(mu, sigma)
 
     def test_summary_rejects_what_per_rule_passes_rejected(self):
         rng = np.random.default_rng(27)
@@ -167,7 +176,7 @@ class TestMarketModel:
                 sigma[rng.integers(k), rng.integers(k)] *= -1.0  # indefinite, or asymmetric
             inject_faults(rng, [mu, sigma], int(rng.integers(0, 2)) * int(rng.integers(1, 4)))
             want = outcome(per_rule_market, mu, sigma)
-            assert outcome(build_market, mu, sigma) == want
+            assert outcome(MarketModel, mu, sigma) == want
             seen.add(want and want[0])
         assert seen == {
             None, errors.NonFiniteValue, errors.TooFewAssets,
@@ -179,7 +188,7 @@ class TestMarketModel:
             textbook_market.mu[0] = 1.0
 
     def test_revalidation_is_idempotent(self, textbook_market):
-        again = build_market(textbook_market.mu, textbook_market.sigma)
+        again = MarketModel(textbook_market.mu, textbook_market.sigma)
         np.testing.assert_array_equal(again.sigma, textbook_market.sigma)
 
 
@@ -188,53 +197,53 @@ class TestInvestorGroup:
         assert base_group.n == 2
 
     def test_uniform_zero_penalty_group(self):
-        g = build_group((1.0, 1.0, 1.0), (1 / 3, 1 / 3, 1 / 3), (0.0, 0.0, 0.0))
+        g = InvestorGroup((1.0, 1.0, 1.0), (1 / 3, 1 / 3, 1 / 3), (0.0, 0.0, 0.0))
         assert g.n == 3
 
     def test_beta_must_sum_to_one(self):
         with pytest.raises(errors.BetaNotNormalized):
-            build_group((2.0, 4.0), (0.6, 0.6), (3.0, 3.0))
+            InvestorGroup((2.0, 4.0), (0.6, 0.6), (3.0, 3.0))
 
     def test_overflowing_beta_sum_rejected(self):
         # the wealth-share sum overflows to inf: typed, with no numpy warning
         with pytest.raises(errors.BetaNotNormalized, match="got inf"):
-            build_group((0.5, 0.5), (1e308, 1e308), (0.0, 0.0))
+            InvestorGroup((0.5, 0.5), (1e308, 1e308), (0.0, 0.0))
 
     def test_opposite_infinite_shares_rejected_without_a_warning(self):
         # finiteness is checked before the sum, which would be inf - inf = nan
         with pytest.raises(errors.NonFiniteValue, match="beta contains"):
-            build_group((2.0, 4.0), (np.inf, -np.inf), (3.0, 3.0))
+            InvestorGroup((2.0, 4.0), (np.inf, -np.inf), (3.0, 3.0))
 
     @pytest.mark.parametrize("alpha", [(0.0, 4.0), (-1.0, 4.0)])
     def test_non_positive_alpha_rejected(self, alpha):
         with pytest.raises(errors.NonPositiveAlpha):
-            build_group(alpha, (0.5, 0.5), (3.0, 3.0))
+            InvestorGroup(alpha, (0.5, 0.5), (3.0, 3.0))
 
     def test_non_positive_beta_rejected(self):
         with pytest.raises(errors.NonPositiveBeta):
-            build_group((2.0, 4.0), (1.0, 0.0), (3.0, 3.0))
+            InvestorGroup((2.0, 4.0), (1.0, 0.0), (3.0, 3.0))
 
     def test_negative_phi_rejected(self):
         with pytest.raises(errors.NegativePhi):
-            build_group((2.0, 4.0), (0.5, 0.5), (3.0, -1.0))
+            InvestorGroup((2.0, 4.0), (0.5, 0.5), (3.0, -1.0))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(errors.DimensionMismatch):
-            build_group((2.0, 4.0, 6.0), (0.5, 0.5), (3.0, 3.0))
+            InvestorGroup((2.0, 4.0, 6.0), (0.5, 0.5), (3.0, 3.0))
 
     def test_non_numeric_entries_rejected(self):
         with pytest.raises(errors.ParseError):
-            build_group("ab", (0.5, 0.5), (3.0, 3.0))
+            InvestorGroup("ab", (0.5, 0.5), (3.0, 3.0))
         with pytest.raises(errors.ParseError):
-            build_group((2.0, 4.0), (0.5, [0.5]), (3.0, 3.0))
+            InvestorGroup((2.0, 4.0), (0.5, [0.5]), (3.0, 3.0))
         # np.array(..., dtype=float) would turn strings and booleans into numbers
         for alpha in (["2", 4.0], [True, 4.0], [True, 2.0], np.array([True, True])):
             with pytest.raises(errors.ParseError, match="alpha is not an array of numbers"):
-                build_group(alpha, (0.5, 0.5), (3.0, 3.0))
+                InvestorGroup(alpha, (0.5, 0.5), (3.0, 3.0))
 
     def test_single_investor_rejected(self):
         with pytest.raises(errors.TooFewInvestors):
-            build_group((2.0,), (1.0,), (3.0,))
+            InvestorGroup((2.0,), (1.0,), (3.0,))
 
     @pytest.mark.parametrize(
         "alpha, beta, phi, error, message",
@@ -253,12 +262,17 @@ class TestInvestorGroup:
             ((2.0, 4.0), (-np.inf, 1.0), (np.inf, -1.0), errors.NonFiniteValue, "beta contains"),
             ((np.inf,), (1.0,), (3.0,), errors.NonFiniteValue, "alpha contains"),
             ((2.0, 4.0), (-0.0, 1.0), (3.0, 3.0), errors.NonPositiveBeta, "beta"),
+            # complex numbers, dates and durations are not numbers
+            ([np.complex64(2.0), 4.0], (0.5, 0.5), (3.0, 3.0), errors.ParseError, "alpha is not"),
+            ((2.0, 4.0), [np.timedelta64(1, "s"), 0.5], (3.0, 3.0), errors.ParseError, "beta is not"),
+            ((2.0, 4.0), (0.5, 0.5), np.array([3, 3], dtype="timedelta64[s]"), errors.ParseError,
+             "phi is not"),
         ],
     )
     def test_first_broken_rule_in_documented_order_raises(self, alpha, beta, phi, error, message):
         # finite alpha, beta, phi; n >= 2; alpha > 0; beta > 0; sum beta = 1; phi >= 0
         with pytest.raises(error, match=message):
-            build_group(alpha, beta, phi)
+            InvestorGroup(alpha, beta, phi)
 
     def test_summary_rejects_what_per_rule_passes_rejected(self):
         rng = np.random.default_rng(28)
@@ -272,7 +286,7 @@ class TestInvestorGroup:
                 beta[rng.integers(n)] += rng.choice([-2.0, 2.0]) * BETA_SUM_TOL
             inject_faults(rng, [alpha, beta, phi], int(rng.integers(0, 2)) * int(rng.integers(1, 4)))
             want = outcome(per_rule_group, alpha, beta, phi)
-            assert outcome(build_group, alpha, beta, phi) == want
+            assert outcome(InvestorGroup, alpha, beta, phi) == want
             seen.add(want and want[0])
         assert seen == {
             None, errors.NonFiniteValue, errors.TooFewInvestors, errors.NonPositiveAlpha,
@@ -280,7 +294,7 @@ class TestInvestorGroup:
         }
 
     def test_revalidation_is_idempotent(self, base_group):
-        again = build_group(base_group.alpha, base_group.beta, base_group.phi)
+        again = InvestorGroup(base_group.alpha, base_group.beta, base_group.phi)
         np.testing.assert_array_equal(again.alpha, base_group.alpha)
 
     @settings(max_examples=200, deadline=None)
@@ -293,7 +307,7 @@ class TestInvestorGroup:
         # every input either yields a value satisfying the invariants or a
         # typed validation error; nothing else escapes
         try:
-            g = build_group(alpha, beta, phi)
+            g = InvestorGroup(alpha, beta, phi)
         except errors.ValidationError:
             return
         assert g.n >= 2

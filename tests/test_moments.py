@@ -164,12 +164,17 @@ class TestLoadtxtFastPath:
             ("A,B\n" + ROWS[0] + "\r" + "\n".join(ROWS[1:]) + "\n", VALUES),
             ("A,B\n" + "\n".join(ROWS[:2] + ["\r"] + ROWS[2:]) + "\n",
              (errors.ParseError, "<path>: row 4: expected 2 fields, got 0")),
+            # rows are named by the physical line they start on
+            ('A,B\n"1\n",2\nx,3\n', (errors.ParseError, "<path>: row 4, column 1: not a number: 'x'")),
+            ('"A\nA",B\n0.1,0.2\n0.3,x\n',
+             (errors.ParseError, "<path>: row 4, column 2: not a number: 'x'")),
             *[("A,B\n" + "\n".join([ROWS[0].replace(",", char + ",")] + ROWS[1:]) + "\n", VALUES)
               for char in SPLITLINES_ONLY],
         ],
         ids=["underscore", "padded", "empty-cell", "ragged", "blank-line", "hash", "inf",
              "header-only", "repeated-name", "cr-line-ends", "header-quoting-a-newline", "crlf-header",
              "quoted-crlf-header", "lone-cr-between-rows", "cr-only-line",
+             "row-quoting-a-newline", "header-quoting-a-newline-then-a-bad-cell",
              *[f"{ord(char):#x}-in-a-row" for char in SPLITLINES_ONLY]],
     )
     def test_edge_cases_keep_the_cell_parser_result(self, tmp_path, monkeypatch, text, expected):

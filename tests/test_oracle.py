@@ -9,7 +9,7 @@ import pytest
 import support
 
 from mimicfund import (
-    build_group, build_market, cli, errors, markowitz, mimicking, oracle, sampling
+    InvestorGroup, MarketModel, cli, errors, markowitz, mimicking, oracle, sampling
 )
 
 
@@ -42,7 +42,7 @@ class TestKktSolve:
     def test_equal_means_give_gmvp_columns(self):
         rng = np.random.default_rng(83)
         sigma = sampling.random_market(rng, 4).sigma
-        market = build_market(np.full(4, 0.05), sigma)
+        market = MarketModel(np.full(4, 0.05), sigma)
         group = sampling.random_group(rng, 5)
         ctx = markowitz.context(market)
         checked = oracle.kkt_solve(market, group)
@@ -120,7 +120,7 @@ class TestKktSolve:
         alpha = (1.1218338495937625e-07, 1.1936607812265085e-06)
         beta = (0.23452292701757002, 0.7654770729824301)
         phi = (0.6637825244157214, 11.142218376608726)
-        market, group = build_market(mu, sigma), build_group(alpha, beta, phi)
+        market, group = MarketModel(mu, sigma), InvestorGroup(alpha, beta, phi)
         with pytest.raises(errors.SingularKkt, match="KKT weights fail their checks: column 0"):
             oracle.kkt_solve(market, group)
         closed = mimicking.solve(markowitz.context(market), group).w_star.weights
@@ -198,7 +198,7 @@ class TestAssembly:
 
 class TestLambdaClosedForm:
     def test_textbook_zero_penalty_values(self, textbook_ctx, textbook_market):
-        group = build_group((2.0, 4.0), (0.5, 0.5), (0.0, 0.0))
+        group = InvestorGroup((2.0, 4.0), (0.5, 0.5), (0.0, 0.0))
         lam = support.lambda_closed_form(textbook_ctx, group)
         np.testing.assert_allclose(lam, [-2111 / 70000, -1247 / 70000], rtol=1e-12)
         checked = oracle.kkt_solve(textbook_market, group)
@@ -216,7 +216,7 @@ class TestLambdaClosedForm:
     def test_equal_means_symbolic_form(self):
         rng = np.random.default_rng(92)
         c = 0.04
-        market = build_market(np.full(3, c), sampling.random_market(rng, 3).sigma)
+        market = MarketModel(np.full(3, c), sampling.random_market(rng, 3).sigma)
         group = sampling.random_group(rng, 4)
         ctx = markowitz.context(market)
         a = oracle.entrywise_mimicking_matrix(group.alpha, group.beta, group.phi)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimicfund import (
-    build_group, build_market, errors, markowitz, mimicking, oracle, sampling,
+    InvestorGroup, MarketModel, errors, markowitz, mimicking, oracle, sampling,
 )
 from mimicfund.study import (
     DEFAULT_MARKET,
@@ -28,7 +28,7 @@ HUGE = 1.7e308
 
 
 def study_group(a, phi, alpha1=2.0):
-    return build_group((alpha1, a * alpha1), STUDY_BETA, (phi, phi))
+    return InvestorGroup((alpha1, a * alpha1), STUDY_BETA, (phi, phi))
 
 
 def delta_omega(ctx, group):
@@ -87,7 +87,7 @@ def random_configs():
 
 
 def config_group(config, phi1, a):
-    return build_group(
+    return InvestorGroup(
         (config.alpha1, a * config.alpha1), STUDY_BETA, (phi1, phi1 * config.phi_ratio)
     )
 
@@ -314,7 +314,7 @@ class TestDeltaEu:
             # random_group's draws with alpha >= 0.5 and phi <= 5
             alpha = rng.uniform(0.5, sampling.ALPHA_HIGH, n)
             phi = rng.uniform(0.0, 5.0, n)
-            group = build_group(alpha, rng.dirichlet(np.ones(n)), phi)
+            group = InvestorGroup(alpha, rng.dirichlet(np.ones(n)), phi)
             d_omega, d_eu, eu_star = per_group_gains(market, group)
             assert delta_omega(ctx, group) == pytest.approx(d_omega, abs=1e-12)
             if eu_star <= 0:
@@ -329,7 +329,7 @@ class TestDeltaEu:
         assert checked >= 10 and rejected >= 10
 
     def test_non_positive_optimum_rejected(self):
-        market = build_market(
+        market = MarketModel(
             DEFAULT_MARKET.mu, 50.0 * np.asarray(DEFAULT_MARKET.sigma)
         )
         with pytest.raises(errors.NonPositiveOptimum):
@@ -448,7 +448,7 @@ class TestRunSweeps:
             record.delta_eu = 0.0
 
     def test_failures_carry_the_grid_coordinate(self):
-        market = build_market(
+        market = MarketModel(
             DEFAULT_MARKET.mu, 50.0 * np.asarray(DEFAULT_MARKET.sigma)
         )
         config = StudyConfig(market=market, grid_points=2)
@@ -501,7 +501,7 @@ class TestRunSweeps:
         # market is scaled by 4^j, with positive means so most optima are
         market = sampling.random_market(np.random.default_rng(seed), 2)
         try:
-            scaled = build_market(4.0**j * abs(market.mu), 4.0**j * market.sigma)
+            scaled = MarketModel(4.0**j * abs(market.mu), 4.0**j * market.sigma)
             config = StudyConfig(market=scaled, **fields)
             ctx = markowitz.context(scaled)
         except (errors.ValidationError, errors.NumericalBreakdown):
@@ -546,7 +546,7 @@ class TestRunSweeps:
 
     def test_non_positive_optimum_names_the_first_failing_point(self):
         # a riskier market turns the optimum negative part-way along phi = 3
-        market = build_market(DEFAULT_MARKET.mu, 3.0 * np.asarray(DEFAULT_MARKET.sigma))
+        market = MarketModel(DEFAULT_MARKET.mu, 3.0 * np.asarray(DEFAULT_MARKET.sigma))
         config = StudyConfig(market=market)
         ctx = markowitz.context(market)
         first = next(
