@@ -58,8 +58,10 @@ def _optimum(alpha: np.ndarray, beta: np.ndarray, phi: np.ndarray) -> tuple:
     ``alpha`` and ``phi`` are comparable, but about ``d^2 phi / alpha`` where
     ``alpha`` is far below ``phi`` (8.1e-4 at ``alpha = (1e-21, 1e-21)``,
     ``phi = (1, 1)``, ``beta = (0.5, 0.5 + 9e-13)``).  ``tau`` keeps a
-    trailing axis of length 1, like every per-group value, so a stack row
-    equals its group alone bit for bit.  Computed without floating-point
+    trailing axis of length 1, like every per-group value.  A row of a
+    C-ordered stack equals its group alone bit for bit; a row of an
+    investor-major stack, as :func:`study.run_sweeps` builds, only for
+    ``n < 8`` (see :func:`markowitz._sum`).  Computed without floating-point
     warnings.
 
     Below the normal range a ``g`` or a ``g alpha`` is off by up to ``u``,

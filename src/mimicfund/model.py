@@ -31,7 +31,8 @@ COLUMN_SUM_TOL = 1e-10
 
 # Entries that np.array(..., dtype=float) converts although they are not numbers:
 # strings and booleans, and dates and durations, which it counts in their unit
-# (an object array holds a datetime64 or timedelta64 array's entries as datetimes).
+# (an object array holds a datetime64 or timedelta64 array's entries as datetimes,
+# or as ints where the unit is finer than microseconds: _holds_dates sees those).
 _NOT_NUMBERS = (str, bytes, bool, np.bool_)
 _DATES = (np.datetime64, np.timedelta64, datetime.date, datetime.timedelta)
 # Entries it converts with a ComplexWarning, dropping their imaginary part.
@@ -60,6 +61,7 @@ def _checked_array(x, name: str, kind: str) -> np.ndarray:
     """:func:`_as_array`'s conversion of an ``x`` that is not an integer or float array."""
     kinds = set()
     arr = None
+    dated = False
     with contextlib.suppress(TypeError, ValueError, OverflowError):
         # look at each distinct entry type once, not at each entry; ravel, not
         # .flat, whose iterator stops at 32 dimensions where arrays reach 64
@@ -67,13 +69,22 @@ def _checked_array(x, name: str, kind: str) -> np.ndarray:
         kinds = set(map(type, entries))
         if kind not in "cmM" and not any(issubclass(entry, _COMPLEX) for entry in kinds):
             arr = np.array(x, dtype=float)
+            dated = _holds_dates(x)
     if arr is not None and any(issubclass(entry, _NOT_NUMBERS) for entry in kinds):
         bad = next(value for value in entries if isinstance(value, _NOT_NUMBERS))
         raise errors.ParseError(f"{name} is not an array of numbers: it holds {reprlib.repr(bad)}")
-    if arr is None or any(issubclass(entry, _DATES) for entry in kinds):
+    if arr is None or dated or any(issubclass(entry, _DATES) for entry in kinds):
         shown = reprlib.repr(x)[:100]
         raise errors.ParseError(f"{name} is not an array of numbers: {shown}")
     return arr
+
+
+def _holds_dates(x) -> bool:
+    """Whether numpy's dtype discovery finds dates or durations in ``x``, not ragged, or its items."""
+    kind = np.array(x).dtype.kind
+    if kind == "O" and isinstance(x, (list, tuple)):
+        return any(map(_holds_dates, x))
+    return kind in "mM"
 
 
 def _as_count(x, name: str, low: int) -> int:
@@ -84,18 +95,6 @@ def _as_count(x, name: str, low: int) -> int:
         )
     _as_array(x, name, 0)
     return int(x)
-
-
-def _frozen_matrix(x) -> bool:
-    """Whether ``x`` is a read-only, C-contiguous float64 matrix owning its data."""
-    return (
-        type(x) is np.ndarray
-        and x.dtype == np.float64
-        and x.ndim == 2
-        and x.base is None
-        and x.flags.c_contiguous
-        and not x.flags.writeable
-    )
 
 
 def _range(arr: np.ndarray, name: str) -> tuple[float, float]:
@@ -242,7 +241,9 @@ class PortfolioMatrix:
 
     def __post_init__(self):
         weights = self.weights
-        if not _frozen_matrix(weights):
+        if not (type(weights) is np.ndarray and weights.dtype == np.float64 and weights.ndim == 2
+                and weights.base is None and weights.flags.c_contiguous
+                and not weights.flags.writeable):
             weights = _as_array(weights, "weights", 2)
         with np.errstate(all="ignore"):
             sums = weights.sum(axis=0)

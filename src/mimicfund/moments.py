@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import errors
-from .model import MarketModel, _as_array, _as_count, _freeze, _frozen_matrix
+from .model import MarketModel, _as_array, _as_count, _freeze
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,19 +28,16 @@ class ReturnSample:
 
     Requires ``T >= k + 2`` (sample covariance is only generically positive
     definite for T > k; one extra row of margin) and finite entries.
-    ``returns`` passes :func:`model._as_array`, except that a read-only,
-    C-contiguous float64 matrix owning its data is kept without a copy;
-    ``asset_names`` must be a tuple or a list, since a string would be split
-    into its characters.
+    ``returns`` passes :func:`model._as_array`, which copies it, so the
+    caller's array stays writeable and unshared; ``asset_names`` must be a
+    tuple or a list, since a string would be split into its characters.
     """
 
     returns: np.ndarray
     asset_names: tuple[str, ...]
 
     def __post_init__(self):
-        arr = self.returns
-        if not _frozen_matrix(arr):
-            arr = _as_array(arr, "returns", 2)
+        arr = _as_array(self.returns, "returns", 2)
         names = self.asset_names
         if not isinstance(names, (tuple, list)):
             raise errors.ParseError(f"asset_names must be a tuple or a list, got {reprlib.repr(names)}")
@@ -103,8 +100,9 @@ def parse_csv(path, text: str) -> ReturnSample:
     error.  The header is the first line split at commas; ``csv`` reads it
     only when it holds a quote or a ``\r`` before its line ending.  Besides
     ``text``, a parse holds the body after the header, one list of the
-    body's lines and the array; the ``io.StringIO`` copies ``csv`` reads,
-    at up to four bytes a character, are made only on those two detours.
+    body's lines, the parsed array and the :class:`ReturnSample`'s copy of
+    it; the ``io.StringIO`` copies ``csv`` reads, at up to four bytes a
+    character, are made only on those two detours.
     """
     head, _, body = text.partition("\n")
     head = head.removesuffix("\r")
@@ -133,7 +131,7 @@ def parse_csv(path, text: str) -> ReturnSample:
 
 
 def _loadtxt(body: str, k: int) -> Optional[np.ndarray]:
-    r"""The data rows parsed by ``np.loadtxt``, frozen, or None to leave them to ``float``.
+    r"""The data rows parsed by ``np.loadtxt``, or None to leave them to ``float``.
 
     ``body`` is split at ``\n`` only, and the rows are kept only where they
     are exactly what the per-cell parser reads:
@@ -157,7 +155,6 @@ def _loadtxt(body: str, k: int) -> Optional[np.ndarray]:
         return None
     if returns.shape != (len(lines), k) or not np.isfinite(returns).all():
         return None
-    returns.setflags(write=False)
     return returns
 
 

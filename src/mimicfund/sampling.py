@@ -1,4 +1,7 @@
-"""Seeded random instance generation for cross-checks and property tests."""
+"""Seeded random instance generation for cross-checks and property tests.
+
+Each draw has one distribution; other ranges or equal wealth are the caller's to draw.
+"""
 
 from __future__ import annotations
 
@@ -22,31 +25,23 @@ def random_market(rng: np.random.Generator, k: int) -> MarketModel:
     return MarketModel(mu, sigma)
 
 
-def random_group(
-    rng: np.random.Generator,
-    n: int,
-    alpha_low: float = ALPHA_LOW,
-    uniform_wealth: bool = False,
-) -> InvestorGroup:
+def random_group(rng: np.random.Generator, n: int) -> InvestorGroup:
     """Random group: uniform ``alpha`` and ``phi``, Dirichlet(1, ..., 1) wealth shares.
 
     The shares are drawn as ``rng.dirichlet(np.ones(n))`` draws them, with
     the same bits: ``n`` standard exponentials (numpy's gamma variate of
     shape 1) times the reciprocal of their left-to-right sum.
     """
-    alpha = rng.uniform(alpha_low, ALPHA_HIGH, n)
+    alpha = rng.uniform(ALPHA_LOW, ALPHA_HIGH, n)
     phi = rng.uniform(0.0, PHI_HIGH, n)
-    if uniform_wealth:
-        beta = np.full(n, 1.0 / n)
-    else:
-        beta = rng.standard_exponential(n)
-        # the last partial sum, sliced so that n = 0 draws an empty vector
-        beta *= 1.0 / np.add.accumulate(beta)[-1:]
+    beta = rng.standard_exponential(n)
+    # the last partial sum, sliced so that n = 0 draws an empty vector
+    beta *= 1.0 / np.add.accumulate(beta)[-1:]
     return InvestorGroup(alpha, beta, phi)
 
 
 def random_instance(
-    rng: np.random.Generator, max_k: int = 10, max_n: int = 10
+    rng: np.random.Generator, max_k: int, max_n: int
 ) -> tuple[MarketModel, InvestorGroup]:
     """Random (market, group) pair with ``2 <= k <= max_k`` and ``2 <= n <= max_n``."""
     k = int(rng.integers(2, max_k + 1))

@@ -241,7 +241,7 @@ def _frontier_gains(
     return d_omega, d_eu, eu_star
 
 
-def _check_gains(d_omega, d_eu, eu_star, name=lambda point: "") -> None:
+def _check_gains(d_omega, d_eu, eu_star, name) -> None:
     """Raise at the first point, in C order, whose results fail a check.
 
     The checks, in order: a finite ``delta_omega``, a positive ``eu_star``

@@ -292,3 +292,15 @@ def unit_sum_columns(rng, k, n):
     w = rng.standard_normal((k, n))
     w -= (w.sum(axis=0) - 1.0) / k
     return w
+
+
+def group_draws(rng, n, alpha_low=0.1, uniform_wealth=False):
+    """``alpha, beta, phi`` drawn in ``sampling.random_group``'s order: alpha, phi, shares.
+
+    The defaults give that sampler's bits.  ``alpha_low`` widens the alpha
+    range; ``uniform_wealth`` gives every investor ``1/n`` and draws no shares.
+    """
+    alpha = rng.uniform(alpha_low, 20.0, n)
+    phi = rng.uniform(0.0, 20.0, n)
+    beta = np.full(n, 1.0 / n) if uniform_wealth else rng.dirichlet(np.ones(n))
+    return alpha, beta, phi

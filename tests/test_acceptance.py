@@ -74,7 +74,7 @@ def test_criterion_3_mimicking_matrix_positive_definite():
     ctx = markowitz.context(textbook)
     failures = 0
     for _ in range(1000):
-        group = sampling.random_group(rng, int(rng.integers(2, 51)), alpha_low=1e-3)
+        group = InvestorGroup(*support.group_draws(rng, int(rng.integers(2, 51)), alpha_low=1e-3))
         a = oracle.entrywise_mimicking_matrix(group.alpha, group.beta, group.phi)
         try:
             np.linalg.cholesky((a + a.T) / 2.0)
@@ -114,7 +114,7 @@ def test_criterion_5_special_case_suite():
         market = sampling.random_market(rng, int(rng.integers(2, 8)))
         ctx = markowitz.context(market)
         n = int(rng.integers(2, 11))
-        group = sampling.random_group(rng, n, uniform_wealth=True)
+        group = InvestorGroup(*support.group_draws(rng, n, uniform_wealth=True))
         scaled = support.equal_wealth_matrix(group.alpha, group.phi)
         general = oracle.entrywise_mimicking_matrix(group.alpha, group.beta, group.phi)
         worst_scale = max(worst_scale, support.rel_entry_err(scaled, n * n * general))
@@ -175,7 +175,7 @@ def large_group_sweep():
     ctx = markowitz.context(textbook)
     rows = []
     for _ in range(50):
-        group = sampling.random_group(rng, 1000, uniform_wealth=True)
+        group = InvestorGroup(*support.group_draws(rng, 1000, uniform_wealth=True))
         a = oracle.entrywise_mimicking_matrix(group.alpha, group.beta, group.phi)
         a_phi = (a + a.T) / 2.0
         tau = float(group.beta @ np.linalg.solve(a_phi, group.beta))

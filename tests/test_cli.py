@@ -485,6 +485,31 @@ class TestSolve:
         assert "SOURCE_DATE_EPOCH must be an integer count of seconds" in result.stderr
         assert repr(epoch) in result.stderr
 
+    def test_report_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # README's contract: at k = 20 the report does not depend on the BLAS
+        # thread count, set in each child's environment only (on the machine
+        # measured it did from k = 128, with LAPACK's Cholesky factor)
+        import numpy as np
+
+        from mimicfund import sampling
+
+        rng = np.random.default_rng(20)
+        market, group = sampling.random_market(rng, 20), sampling.random_group(rng, 50)
+        config = tmp_path / "config.json"
+        fields = {"mu": market.mu, "sigma": market.sigma,
+                  "alpha": group.alpha, "beta": group.beta, "phi": group.phi}
+        config.write_text(json.dumps({key: x.tolist() for key, x in fields.items()}),
+                          encoding="utf-8")
+        reports = []
+        for threads in ("1", "2"):
+            env = {"SOURCE_DATE_EPOCH": "0", "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            out = tmp_path / f"threads-{threads}.json"
+            result = run_cli("solve", "--config", str(config), "--output", str(out), env=env)
+            assert result.returncode == 0, result.stderr
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
 
 class TestVerify:
     def test_small_run_passes_and_is_deterministic(self):

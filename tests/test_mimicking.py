@@ -1,3 +1,4 @@
+import itertools
 import re
 import sys
 import warnings
@@ -90,7 +91,7 @@ class TestMimickingMatrix:
         # so its smallest eigenvalue is at least min alpha_i beta_i
         rng = np.random.default_rng(33)
         for _ in range(200):
-            g = sampling.random_group(rng, int(rng.integers(2, 51)), alpha_low=1e-3)
+            g = InvestorGroup(*support.group_draws(rng, int(rng.integers(2, 51)), alpha_low=1e-3))
             eigenvalues = np.linalg.eigvalsh(dense(g)[1])
             floor = np.min(g.alpha * g.beta)
             assert eigenvalues[0] >= floor - 1e-13 * eigenvalues[-1]
@@ -111,7 +112,7 @@ class TestStructuredOperator:
         rng = np.random.default_rng(34)
         for _ in range(200):
             n = int(rng.integers(2, 60))
-            g = sampling.random_group(rng, n, alpha_low=1e-3)
+            g = InvestorGroup(*support.group_draws(rng, n, alpha_low=1e-3))
             c, tau = mimicking._optimum(g.alpha, g.beta, g.phi)
             assert c.shape == (n,) and tau.shape == (1,)
             assert max_rel(c, np.linalg.solve(dense(g)[1], g.beta)) <= 1e-12
@@ -151,13 +152,18 @@ class TestStructuredOperator:
     def test_stack_rows_match_single_groups(self, textbook_ctx):
         # one group is a stack of one: c and tau of a stack row equal the
         # group alone bit for bit, and solve reads tau through the same
-        # reduction as the study
+        # reduction as the study; in the study's investor-major layout this
+        # holds for n < 8, where numpy's two summation orders agree
         rng = np.random.default_rng(37)
-        for _ in range(50):
-            m, n = int(rng.integers(1, 8)), int(rng.integers(2, 200))
+        # lazy, so each C-ordered size is drawn after the previous stack
+        c_ordered = ((int(rng.integers(1, 8)), int(rng.integers(2, 200)), False) for _ in range(50))
+        investor_major = ((m, n, True) for m in (3, 606) for n in range(2, 8))
+        for m, n, transposed in itertools.chain(c_ordered, investor_major):
             alpha = rng.uniform(0.1, 20, (m, n))
             beta = rng.dirichlet(np.ones(n), m)
             phi = rng.uniform(0, 20, (m, n))
+            if transposed:  # the transpose of a C-ordered (n, m) array
+                alpha, beta, phi = (np.ascontiguousarray(x.T).T for x in (alpha, beta, phi))
             stack = mimicking._optimum(alpha, beta, phi)
             for i in range(m):
                 group = InvestorGroup(alpha[i], beta[i], phi[i])
@@ -469,7 +475,7 @@ class TestPenalizedUtility:
         # must agree with both the trace form and the exact utility at w_star
         rng = np.random.default_rng(39)
         for _ in range(25):
-            market, group = sampling.random_instance(rng)
+            market, group = sampling.random_instance(rng, 10, 10)
             sol = mimicking.solve(markowitz.context(market), group)
             assert not sol.w_star.weights.flags.writeable
             got = mimicking.penalized_utility(market, group, sol.w_star)
@@ -502,7 +508,7 @@ class TestEqualWealthMatrix:
         rng = np.random.default_rng(61)
         for _ in range(50):
             n = int(rng.integers(2, 11))
-            g = sampling.random_group(rng, n, uniform_wealth=True)
+            g = InvestorGroup(*support.group_draws(rng, n, uniform_wealth=True))
             scaled = support.equal_wealth_matrix(g.alpha, g.phi)
             general, _ = dense(g)
             np.testing.assert_allclose(scaled, n * n * general, rtol=1e-12, atol=1e-13)
@@ -539,7 +545,7 @@ class TestAsymptoticAlpha:
         # strictly between the classical value and beta'alpha + beta'phi
         rng = np.random.default_rng(72)
         for _ in range(5):
-            g = sampling.random_group(rng, 1000, uniform_wealth=True)
+            g = InvestorGroup(*support.group_draws(rng, 1000, uniform_wealth=True))
             got = mimicking.asymptotic_alpha(g)
             alpha_star = mimicking.solve(textbook_ctx, g).alpha_star_f
             assert got.classical < alpha_star < got.upper
@@ -560,7 +566,7 @@ class TestAsymptoticAlpha:
     def test_exact_inverse_matches_solve(self, textbook_ctx, alpha_low):
         rng = np.random.default_rng(74)
         for _ in range(100):
-            g = sampling.random_group(rng, int(rng.integers(2, 200)), alpha_low=alpha_low)
+            g = InvestorGroup(*support.group_draws(rng, int(rng.integers(2, 200)), alpha_low))
             got = mimicking.asymptotic_alpha(g)
             alpha_star = mimicking.solve(textbook_ctx, g).alpha_star_f
             assert got.exact_inverse == pytest.approx(1.0 / alpha_star, rel=1e-12)
@@ -571,7 +577,7 @@ class TestAsymptoticAlpha:
         rng = np.random.default_rng(75)
         for _ in range(2000):
             market = sampling.random_market(rng, int(rng.integers(2, 8)))
-            g = sampling.random_group(rng, int(rng.integers(2, 60)), alpha_low=1e-3)
+            g = InvestorGroup(*support.group_draws(rng, int(rng.integers(2, 60)), alpha_low=1e-3))
             ctx = markowitz.context(market)
             got = mimicking.asymptotic_alpha(g)
             assert 1.0 / got.exact_inverse == mimicking.solve(ctx, g).alpha_star_f

@@ -151,6 +151,13 @@ class TestMarketModel:
              errors.ParseError, "mu is not an array"),
             ((0.07, 0.14), np.eye(2).astype("timedelta64[s]"), errors.ParseError,
              "sigma is not an array"),
+            # nested arrays of a unit finer than microseconds, held as ints in an object view
+            ((0.1, 0.2), [np.array([1, 0], "m8[ns]"), np.array([0, 1], "m8[ns]")],
+             errors.ParseError, "sigma is not an array"),
+            ((0.1, 0.2), [np.array([1, 0], "M8[ns]"), np.array([0, 1], "M8[ns]")],
+             errors.ParseError, "sigma is not an array"),
+            ((0.1, 0.2), [np.array([1, 0], "m8[ns]"), [0.0, 1.0]], errors.ParseError,
+             "sigma is not an array"),
         ],
     )
     def test_first_broken_rule_in_documented_order_raises(self, mu, sigma, error, message):
@@ -267,6 +274,16 @@ class TestInvestorGroup:
             ((2.0, 4.0), [np.timedelta64(1, "s"), 0.5], (3.0, 3.0), errors.ParseError, "beta is not"),
             ((2.0, 4.0), (0.5, 0.5), np.array([3, 3], dtype="timedelta64[s]"), errors.ParseError,
              "phi is not"),
+            ((2.0, 4.0), (0.5, 0.5), [np.array(3, "m8[ns]"), np.array(3, "m8[ns]")],
+             errors.ParseError, "phi is not"),
+            ([np.array(2, "M8[ns]"), np.array(4, "M8[ns]")], (0.5, 0.5), (3.0, 3.0),
+             errors.ParseError, "alpha is not"),
+            # README's 1e-12, as literals: shares off 1 by 0.9x of it pass the sum rule,
+            # by 1.1x fail it
+            ((2.0, 4.0), (0.5, 0.5 + 0.9e-12), (3.0, -1.0), errors.NegativePhi, "phi"),
+            ((2.0, 4.0), (0.5, 0.5 - 0.9e-12), (3.0, -1.0), errors.NegativePhi, "phi"),
+            ((2.0, 4.0), (0.5, 0.5 + 1.1e-12), (3.0, -1.0), errors.BetaNotNormalized, "got 1.0"),
+            ((2.0, 4.0), (0.5, 0.5 - 1.1e-12), (3.0, -1.0), errors.BetaNotNormalized, "got 0.9"),
         ],
     )
     def test_first_broken_rule_in_documented_order_raises(self, alpha, beta, phi, error, message):
@@ -321,12 +338,18 @@ class TestPortfolioMatrix:
     def test_unit_columns_accepted(self):
         w = PortfolioMatrix(((0.5, 1.5), (0.5, -0.5)))
         assert (w.k, w.n) == (2, 2)
+        # README's 1e-10, as literals: O(1) columns off 1 by 0.9x of it pass
+        assert PortfolioMatrix(((1.5 + 0.9e-10, 1.5 - 0.9e-10), (-0.5, -0.5))).n == 2
         # a matrix without columns has none off its sum
         assert PortfolioMatrix(np.zeros((2, 0))).n == 0
 
     def test_bad_column_sum_rejected(self):
         with pytest.raises(errors.ConstraintViolated):
             PortfolioMatrix(((0.5, 0.5), (0.5, 0.4)))
+        # ... and by 1.1x of it fail
+        for off in (1.1e-10, -1.1e-10):
+            with pytest.raises(errors.ConstraintViolated, match="column 1"):
+                PortfolioMatrix(((1.5, 1.5 + off), (-0.5, -0.5)))
 
     def test_non_finite_rejected(self):
         with pytest.raises(errors.NonFiniteValue):

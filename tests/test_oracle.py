@@ -18,7 +18,7 @@ class TestKktSolve:
         rng = np.random.default_rng(81)
         worst = 0.0
         for _ in range(100):
-            market, group = sampling.random_instance(rng)
+            market, group = sampling.random_instance(rng, 10, 10)
             ctx = markowitz.context(market)
             closed = mimicking.solve(ctx, group)
             checked = oracle.kkt_solve(market, group)
@@ -207,7 +207,7 @@ class TestLambdaClosedForm:
     def test_matches_kkt_multipliers(self):
         rng = np.random.default_rng(91)
         for _ in range(100):
-            market, group = sampling.random_instance(rng)
+            market, group = sampling.random_instance(rng, 10, 10)
             ctx = markowitz.context(market)
             lam = support.lambda_closed_form(ctx, group)
             checked = oracle.kkt_solve(market, group)

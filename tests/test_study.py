@@ -12,7 +12,6 @@ from mimicfund import (
 )
 from mimicfund.study import (
     DEFAULT_MARKET,
-    MAX_POINTS,
     STUDY_BETA,
     StudyConfig,
     SweepRecord,
@@ -39,7 +38,7 @@ def delta_omega(ctx, group):
 def delta_eu(market, group):
     """The study's relative utility gain of one group, with every check of a grid point."""
     gains = _frontier_gains(markowitz.context(market), group.alpha, group.beta, group.phi)
-    _check_gains(*gains)
+    _check_gains(*gains, lambda point: "")
     return gains[1].item()
 
 
@@ -212,11 +211,11 @@ class TestStudyConfig:
     def test_point_cap_is_checked_before_allocating(self):
         tracemalloc.start()
         try:
-            # the cap itself is accepted, one series more is not
-            series = MAX_POINTS // 5
-            assert StudyConfig(grid_points=series, phi_set=(1.0, 2.0)).grid_points == series
-            with pytest.raises(errors.ConstraintViolated, match="at most"):
-                StudyConfig(grid_points=series)
+            # README's cap, as literals: 5 series of 200,000 points are accepted,
+            # 6 of 166,667 (1,000,002 points) are not
+            assert StudyConfig(grid_points=200_000, phi_set=(1.0, 2.0)).grid_points == 200_000
+            with pytest.raises(errors.ConstraintViolated, match="1000002 points"):
+                StudyConfig(grid_points=166_667)
             with pytest.raises(errors.ConstraintViolated, match="60000000000000 points"):
                 StudyConfig(grid_points=10**13)
             with pytest.raises(errors.ConstraintViolated, match="points"):
