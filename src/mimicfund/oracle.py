@@ -40,7 +40,7 @@ class OracleSolution:
 
     Multipliers follow the convention in which the Lagrangian reads
     ``objective + lambda' (W' 1_k - 1_n)``; the symmetric system below solves
-    for their negation and :func:`solve_kkt_system` flips the sign on return.
+    for their negation and :func:`kkt_solve` flips the sign on return.
     """
 
     weights: PortfolioMatrix
@@ -49,14 +49,11 @@ class OracleSolution:
 
 
 def entrywise_mimicking_matrix(alpha, beta, phi) -> np.ndarray:
-    """Mimicking matrix from its entry formulas, independent of the matrix form.
+    """Mimicking matrix of float arrays from its entry formulas, independent of the matrix form.
 
     Diagonal: ``beta_i^2 (alpha_i/beta_i + (1/beta_i - 2) phi_i + phi_bar)``.
     Off-diagonal: ``beta_i beta_j (phi_bar - 2 phi_i)``.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
     phi_bar = float(beta @ phi)
     a = np.multiply.outer(beta, beta)
     a *= (phi_bar - 2.0 * phi)[:, None]
@@ -88,30 +85,25 @@ def _kkt_system(mu, sigma, a_phi, beta) -> tuple[np.ndarray, np.ndarray]:
     return kkt, rhs
 
 
-def _require_size(k: int, n: int) -> None:
+def kkt_solve(market: MarketModel, group: InvestorGroup) -> OracleSolution:
+    """Solve the penalized group problem through the KKT system alone.
+
+    The size cap is checked before the ``n x n`` mimicking matrix is built,
+    and the system is factored once.  A failed factorization, a residual
+    ``max |KKT @ x - rhs|`` beyond ``RESIDUAL_TOL`` scaled by the right-hand
+    side, or a ``W`` that fails :class:`PortfolioMatrix`'s checks (a column
+    sum off 1 by more than the tolerance on an ill-conditioned valid group)
+    is the oracle's failure, not the input's: it raises :class:`errors.SingularKkt`.
+    """
+    k, n = market.k, group.n
     size = k * n + n
     if size > MAX_UNKNOWNS:
         raise errors.SizeCapExceeded(
             f"KKT system has {size} unknowns, exceeding the cap of {MAX_UNKNOWNS}"
         )
-
-
-def solve_kkt_system(mu, sigma, a_phi, beta) -> tuple[np.ndarray, np.ndarray, float]:
-    """Assemble and solve the dense KKT system; returns ``(W, lambda, residual)``.
-
-    Accepts raw arrays so degenerate shapes (e.g. a single investor) can be
-    exercised directly in tests.  The system is factored once; the residual,
-    the max norm of ``KKT @ x - rhs``, is checked against ``RESIDUAL_TOL``
-    scaled by the right-hand side; a violation raises :class:`errors.SingularKkt`.
-    """
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    a_phi = np.asarray(a_phi, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    k = mu.shape[0]
-    n = beta.shape[0]
-    _require_size(k, n)
-    kkt, rhs = _kkt_system(mu, sigma, a_phi, beta)
+    a = entrywise_mimicking_matrix(group.alpha, group.beta, group.phi)
+    a_phi = (a + a.T) / 2.0
+    kkt, rhs = _kkt_system(market.mu, market.sigma, a_phi, group.beta)
     try:
         x = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError as exc:
@@ -124,25 +116,10 @@ def solve_kkt_system(mu, sigma, a_phi, beta) -> tuple[np.ndarray, np.ndarray, fl
         )
     # x[: k*n] is vec(W') = row-major flattening of W; the trailing block is
     # the negated multiplier under the plus-sign Lagrangian convention
-    w = x[: k * n].reshape(k, n)
-    return w, -x[k * n :], residual
-
-
-def kkt_solve(market: MarketModel, group: InvestorGroup) -> OracleSolution:
-    """Solve the penalized group problem through the KKT system alone.
-
-    The size cap is checked before the ``n x n`` mimicking matrix is built.
-    A ``W`` that fails :class:`PortfolioMatrix`'s checks (a column sum off 1
-    by more than the tolerance on an ill-conditioned valid group) is the
-    oracle's failure, not the input's: it raises :class:`errors.SingularKkt`.
-    """
-    _require_size(market.k, group.n)
-    a = entrywise_mimicking_matrix(group.alpha, group.beta, group.phi)
-    a_phi = (a + a.T) / 2.0
-    w, lam, residual = solve_kkt_system(market.mu, market.sigma, a_phi, group.beta)
     try:
-        weights = PortfolioMatrix(w)
+        weights = PortfolioMatrix(x[: k * n].reshape(k, n))
     except (errors.NonFiniteValue, errors.ConstraintViolated) as exc:
         raise errors.SingularKkt(f"KKT weights fail their checks: {exc}") from exc
+    lam = -x[k * n :]
     lam.setflags(write=False)
     return OracleSolution(weights=weights, multipliers=lam, residual=residual)

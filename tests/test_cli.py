@@ -881,6 +881,21 @@ class TestInputFiles:
         assert result.stderr == f"error: {cfg}: key '{key}' repeats\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [([1, 2], "{cfg}: expected a JSON object at top level"),
+         ({key: TEXTBOOK_CONFIG[key] for key in ("mu", "sigma")},
+          "config file lacks group keys: alpha, beta, phi")],
+        ids=["top-level-array", "market-only"],
+    )
+    def test_solve_config_without_a_group_exits_1(self, tmp_path, config, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        result = run_cli("solve", "--config", str(cfg))
+        assert result.returncode == 1
+        assert_one_short_error_line(result.stdout, result.stderr)
+        assert result.stderr == f"error: {message.format(cfg=cfg)}\n"
+
     @pytest.mark.parametrize("command", ["solve", "study", "estimate"])
     def test_each_file_is_read_once_and_digested_as_parsed(
         self, command, tmp_path, returns_csv, group_config, monkeypatch, capsys

@@ -177,11 +177,12 @@ class TestIndividualWeights:
             weights, _ = markowitz.frontier(ctx, 1.0 / alpha)
             reference = support.qp_individual(market.mu, market.sigma, alpha)
             assert support.rel_entry_err(weights, reference) <= 1e-10
-            # the stacked KKT path degenerates to the same single-investor QP
-            stacked, _, _ = oracle.solve_kkt_system(
-                market.mu, market.sigma, np.array([[alpha]]), np.array([1.0])
-            )
-            assert support.rel_entry_err(weights, stacked[:, 0]) <= 1e-10
+            # two equal investors with no penalty: the stacked KKT path
+            # degenerates to the same single-investor QP in each column
+            group = InvestorGroup((alpha, alpha), (0.5, 0.5), (0.0, 0.0))
+            stacked = oracle.kkt_solve(market, group).weights.weights
+            for i in range(group.n):
+                assert support.rel_entry_err(weights, stacked[:, i]) <= 1e-10
             assert abs(weights.sum() - 1.0) <= 1e-12
 
     def test_infinite_risk_aversion_limit_is_gmvp(self, textbook_ctx):

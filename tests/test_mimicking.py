@@ -419,6 +419,27 @@ def test_fund_scalars_are_accurate_or_raise(instance):
             assert "fund scalar" not in str(exc)
 
 
+# groups at 0.7 and 1.4 times each bound of _optimum's rounding rules, with
+# u / _LOSS = 2^-1074 / 2^-45: the smallest g against u / _LOSS, then, with
+# every g far above it, r / max(phi) against n u / _LOSS; a _LOSS four times
+# larger or smaller misjudges one group of each pair
+@pytest.mark.parametrize(
+    "alpha, beta, phi, raises",
+    [((1.0, 8.218e307), (0.99, 0.01), (1.0, 1.0), True),
+     ((1.0, 4.109e307), (0.99, 0.01), (1.0, 1.0), False),
+     ((1.0, 4.867e-10), (0.5, 0.5), (0.0, 1e300), True),
+     ((1.0, 9.735e-10), (0.5, 0.5), (0.0, 1e300), False)],
+    ids=["min-g-0.7", "min-g-1.4", "r-0.7", "r-1.4"],
+)
+def test_loss_share_is_pinned(textbook_ctx, alpha, beta, phi, raises):
+    group = InvestorGroup(alpha, beta, phi)
+    if raises:
+        with pytest.raises(errors.NumericalBreakdown, match="fund scalar tau is nan"):
+            mimicking.solve(textbook_ctx, group)
+    else:
+        assert np.isfinite(mimicking.solve(textbook_ctx, group).alpha_star_f)
+
+
 class TestPenalizedUtility:
     def test_zero_penalty_equals_weighted_plain_utilities(self, textbook_market):
         rng = np.random.default_rng(51)

@@ -50,17 +50,16 @@ class TestKktSolve:
             np.testing.assert_allclose(checked.weights.weights[:, i], ctx.gmvp, atol=1e-10)
 
     def test_single_investor_reduction(self):
-        # one investor, no penalty: the stacked system degenerates to the
-        # plain individual optimum (raw path; the group type requires n >= 2)
+        # two equal investors with no penalty: the stacked system decouples,
+        # and each column is that investor's plain individual optimum
         rng = np.random.default_rng(84)
         for alpha in (0.5, 2.0, 7.5):
             market = sampling.random_market(rng, 5)
-            a_phi = np.array([[alpha]])
-            w, _, _ = oracle.solve_kkt_system(
-                market.mu, market.sigma, a_phi, np.array([1.0])
-            )
+            group = InvestorGroup((alpha, alpha), (0.5, 0.5), (0.0, 0.0))
+            w = oracle.kkt_solve(market, group).weights.weights
             expected = support.qp_individual(market.mu, market.sigma, alpha)
-            np.testing.assert_allclose(w[:, 0], expected, atol=1e-10)
+            for i in range(group.n):
+                np.testing.assert_allclose(w[:, i], expected, atol=1e-10)
 
     def test_size_cap(self, textbook_market):
         # the cap is checked before the n x n mimicking matrix is built, so a
@@ -78,13 +77,12 @@ class TestKktSolve:
             tracemalloc.stop()
         assert peak < 0.1 * n * n * 8
 
-    def test_exactly_singular_system_raises_singular_kkt(self, textbook_market):
+    def test_exactly_singular_system_raises_singular_kkt(self, textbook_market, monkeypatch):
         # a zero mimicking matrix leaves the KKT matrix rank-deficient
-        n = 3
+        group = InvestorGroup((2.0, 4.0, 8.0), (0.25, 0.25, 0.5), (1.0, 1.0, 1.0))
+        monkeypatch.setattr(oracle, "entrywise_mimicking_matrix", lambda *_: np.zeros((3, 3)))
         with pytest.raises(errors.SingularKkt):
-            oracle.solve_kkt_system(
-                textbook_market.mu, textbook_market.sigma, np.zeros((n, n)), np.full(n, 1 / n)
-            )
+            oracle.kkt_solve(textbook_market, group)
 
     def test_wrong_solution_raises_singular_kkt(self, textbook_market, base_group, monkeypatch):
         # the residual check, not the factorization, rejects a wrong solution

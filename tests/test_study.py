@@ -289,6 +289,19 @@ class TestDeltaEu:
     def test_equal_preferences_gain_is_zero(self, textbook_market):
         assert delta_eu(textbook_market, study_group(1.0, 4.0)) == 0.0
 
+    @pytest.mark.parametrize("alpha2, clamped", [(2.0000067462, True), (2.0000095406, False)])
+    def test_gain_clamp_is_pinned(self, textbook_ctx, alpha2, clamped):
+        # gains at 0.7 and 1.4 times the clamp 1e-13 max(1, |eu*|), found by
+        # bisection on alpha2 / alpha1 with phi = 3: a clamp twice or half as
+        # large misjudges one of them
+        alpha, beta, phi = np.array([2.0, alpha2]), np.array(STUDY_BETA), np.array([3.0, 3.0])
+        _, d_eu, eu_star = (x.item() for x in _frontier_gains(textbook_ctx, alpha, beta, phi))
+        if clamped:
+            assert d_eu == 0.0
+        else:
+            gain = d_eu * eu_star
+            assert gain == pytest.approx(1.4e-13 * max(1.0, eu_star), rel=1e-4, abs=0)
+
     def test_textbook_gain_against_independent_evaluation(self, textbook_market):
         group = study_group(5.0, 5.0)
         got = delta_eu(textbook_market, group)
