@@ -68,7 +68,9 @@ class MarkowitzContext:
 def context(market: MarketModel) -> MarkowitzContext:
     """Compute the GMVP, the frontier tilt and the frontier constants.
 
-    With the market's Cholesky factor ``L`` (``sigma = L L'``), ``y1 = L^-1 1``
+    The market's Cholesky factor ``L`` (``sigma = L L'``) is inverted by one
+    ``np.linalg.inv`` call; a failed inversion raises
+    :class:`errors.NumericalBreakdown`.  ``y1 = L^-1 1``
     and ``ym = L^-1 mu`` give ``1' sigma^-1 1 = y1'y1``, ``mu_gmv = y1'ym / y1'y1``
     and ``slope = |excess|^2`` for the whitened excess mean
     ``excess = ym - mu_gmv y1 = L^-1 (mu - mu_gmv 1)``, a sum of squares.
@@ -84,7 +86,7 @@ def context(market: MarketModel) -> MarkowitzContext:
     :class:`errors.NumericalBreakdown`.
     """
     try:
-        l_inv = np.linalg.solve(market.cholesky, np.eye(market.k))
+        l_inv = np.linalg.inv(market.cholesky)
     except np.linalg.LinAlgError as exc:
         raise errors.NumericalBreakdown(f"covariance solve failed: {exc}") from exc
     with np.errstate(all="ignore"):

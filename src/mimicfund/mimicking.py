@@ -20,14 +20,14 @@ from three sums of positive terms, for one group or a stack of groups, so
 :func:`solve`, :func:`asymptotic_alpha` and :mod:`mimicfund.study` agree
 bit for bit; no ``n x n`` array is formed.  :func:`solve` costs O(n k) for
 ``k`` assets, the size of the weight matrix it returns.
-:func:`penalized_utility`, which evaluates any ``W``, costs O(n k^2).
+:func:`penalized_utility` costs O(n k^2) for any :class:`PortfolioMatrix` ``W``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,18 +152,15 @@ def solve(ctx: MarkowitzContext, group: InvestorGroup) -> MimickingSolution:
                              alpha_star_f=1.0 / tau, point=point, eu_star=eu_star)
 
 
-def penalized_utility(
-    market: MarketModel, group: InvestorGroup, weights: Union[PortfolioMatrix, np.ndarray]
-) -> float:
+def penalized_utility(market: MarketModel, group: InvestorGroup, weights: PortfolioMatrix) -> float:
     """Penalized aggregate utility ``beta' W' mu - tr(a_phi W' sigma W) / 2``.
 
     Equals the wealth-weighted sum of the individual penalized objectives for
-    any unit-column-sum ``W``.  The trace is evaluated through the split of
-    ``a_phi`` as ``sum_i beta_i [alpha_i w_i' sigma w_i + phi_i v_i' sigma v_i]``
+    any ``W``, whose unit column sums :class:`PortfolioMatrix` has checked.
+    The trace is evaluated through the split of ``a_phi`` as
+    ``sum_i beta_i [alpha_i w_i' sigma w_i + phi_i v_i' sigma v_i]``
     with ``v_i = w_i - W beta``, with no ``n x n`` Gram matrix.
     """
-    if not isinstance(weights, PortfolioMatrix):
-        weights = PortfolioMatrix(weights)
     if weights.k != market.k or weights.n != group.n:
         raise errors.DimensionMismatch(
             f"weights are {weights.k}x{weights.n}, expected {market.k}x{group.n}"

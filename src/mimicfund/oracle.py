@@ -48,12 +48,13 @@ class OracleSolution:
     residual: float
 
 
-def entrywise_mimicking_matrix(alpha, beta, phi) -> np.ndarray:
-    """Mimicking matrix of float arrays from its entry formulas, independent of the matrix form.
+def entrywise_mimicking_matrix(group: InvestorGroup) -> np.ndarray:
+    """Mimicking matrix of ``group`` from its entry formulas, independent of the matrix form.
 
     Diagonal: ``beta_i^2 (alpha_i/beta_i + (1/beta_i - 2) phi_i + phi_bar)``.
     Off-diagonal: ``beta_i beta_j (phi_bar - 2 phi_i)``.
     """
+    alpha, beta, phi = group.alpha, group.beta, group.phi
     phi_bar = float(beta @ phi)
     a = np.multiply.outer(beta, beta)
     a *= (phi_bar - 2.0 * phi)[:, None]
@@ -101,7 +102,7 @@ def kkt_solve(market: MarketModel, group: InvestorGroup) -> OracleSolution:
         raise errors.SizeCapExceeded(
             f"KKT system has {size} unknowns, exceeding the cap of {MAX_UNKNOWNS}"
         )
-    a = entrywise_mimicking_matrix(group.alpha, group.beta, group.phi)
+    a = entrywise_mimicking_matrix(group)
     a_phi = (a + a.T) / 2.0
     kkt, rhs = _kkt_system(market.mu, market.sigma, a_phi, group.beta)
     try:

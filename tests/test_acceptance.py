@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 import support
 
-from mimicfund import InvestorGroup, MarketModel, errors, markowitz, mimicking, oracle, sampling
+from mimicfund import (
+    InvestorGroup, MarketModel, PortfolioMatrix, errors, markowitz, mimicking, oracle, sampling,
+)
 from mimicfund.study import STUDY_BETA, StudyConfig, run_sweeps
 
 SEED = 1729
@@ -59,7 +61,7 @@ def test_criterion_2_trace_form_matches_direct_sum():
     for _ in range(200):
         market, group = sampling.random_instance(rng, max_k=10, max_n=10)
         w = support.unit_sum_columns(rng, market.k, group.n)
-        trace_form = mimicking.penalized_utility(market, group, w)
+        trace_form = mimicking.penalized_utility(market, group, PortfolioMatrix(w))
         direct = support.penalized_direct(
             market.mu, market.sigma, group.alpha, group.beta, group.phi, w
         )
@@ -75,7 +77,7 @@ def test_criterion_3_mimicking_matrix_positive_definite():
     failures = 0
     for _ in range(1000):
         group = InvestorGroup(*support.group_draws(rng, int(rng.integers(2, 51)), alpha_low=1e-3))
-        a = oracle.entrywise_mimicking_matrix(group.alpha, group.beta, group.phi)
+        a = oracle.entrywise_mimicking_matrix(group)
         try:
             np.linalg.cholesky((a + a.T) / 2.0)
             mimicking.solve(ctx, group)
@@ -116,7 +118,7 @@ def test_criterion_5_special_case_suite():
         n = int(rng.integers(2, 11))
         group = InvestorGroup(*support.group_draws(rng, n, uniform_wealth=True))
         scaled = support.equal_wealth_matrix(group.alpha, group.phi)
-        general = oracle.entrywise_mimicking_matrix(group.alpha, group.beta, group.phi)
+        general = oracle.entrywise_mimicking_matrix(group)
         worst_scale = max(worst_scale, support.rel_entry_err(scaled, n * n * general))
         scaled_sym = (scaled + scaled.T) / 2
         tau = float(np.ones(n) @ np.linalg.solve(scaled_sym, np.ones(n)))
@@ -139,7 +141,7 @@ def test_criterion_5_special_case_suite():
         expected = np.diag((group.alpha + phi) * group.beta) - phi * np.outer(
             group.beta, group.beta
         )
-        a = oracle.entrywise_mimicking_matrix(group.alpha, group.beta, group.phi)
+        a = oracle.entrywise_mimicking_matrix(group)
         worst_equal = max(worst_equal, support.rel_entry_err(a, expected))
     assert worst_equal <= 1e-12
 
@@ -176,7 +178,7 @@ def large_group_sweep():
     rows = []
     for _ in range(50):
         group = InvestorGroup(*support.group_draws(rng, 1000, uniform_wealth=True))
-        a = oracle.entrywise_mimicking_matrix(group.alpha, group.beta, group.phi)
+        a = oracle.entrywise_mimicking_matrix(group)
         a_phi = (a + a.T) / 2.0
         tau = float(group.beta @ np.linalg.solve(a_phi, group.beta))
         diagnostics = mimicking.asymptotic_alpha(group)

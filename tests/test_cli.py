@@ -434,7 +434,7 @@ class TestSolve:
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(np.linalg, "inv", singular)
         code = cli.main(["solve", "--config", str(solve_config)])
         err = capsys.readouterr().err
         assert code == 3
@@ -951,6 +951,13 @@ class TestEstimate:
         assert report["observations"] == 60
         assert len(report["mu"]) == 2
         assert len(report["sigma"]) == 2
+
+    def test_reruns_print_the_same_bytes(self, returns_csv):
+        args = ("estimate", "--returns", str(returns_csv), "--annualize", "12")
+        first = run_cli(*args, env={"SOURCE_DATE_EPOCH": "0"})
+        second = run_cli(*args, env={"SOURCE_DATE_EPOCH": "0"})
+        assert first.returncode == 0, first.stderr
+        assert first.stdout == second.stdout
 
     def test_missing_file_exits_2(self, tmp_path):
         result = run_cli("estimate", "--returns", str(tmp_path / "missing.csv"))

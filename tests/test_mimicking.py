@@ -31,7 +31,7 @@ LARGEST_ALPHA = {
 
 def dense(group):
     """Dense ``(a, a_phi)`` of a group from the oracle's entry formulas."""
-    a = oracle.entrywise_mimicking_matrix(group.alpha, group.beta, group.phi)
+    a = oracle.entrywise_mimicking_matrix(group)
     return a, (a + a.T) / 2.0
 
 
@@ -141,7 +141,7 @@ class TestStructuredOperator:
             dense_value = float(
                 g.beta @ (w.T @ market.mu) - 0.5 * np.sum(a_phi * (w.T @ market.sigma @ w))
             )
-            got = mimicking.penalized_utility(market, g, w)
+            got = mimicking.penalized_utility(market, g, PortfolioMatrix(w))
             assert abs(got - dense_value) <= 1e-12 * max(1.0, abs(dense_value))
 
     def test_single_group_arrays_are_read_only(self, textbook_ctx, base_group):
@@ -233,7 +233,7 @@ class TestSolve:
             bump = rng.standard_normal(s.w_star.weights.shape) * 0.1
             bump -= bump.sum(axis=0) / s.w_star.k  # keep columns feasible
             perturbed = s.w_star.weights + bump
-            value = mimicking.penalized_utility(textbook_market, g, perturbed)
+            value = mimicking.penalized_utility(textbook_market, g, PortfolioMatrix(perturbed))
             assert value < s.eu_star
         # no-op perturbation changes nothing
         assert mimicking.penalized_utility(textbook_market, g, s.w_star) == pytest.approx(
@@ -445,7 +445,7 @@ class TestPenalizedUtility:
         rng = np.random.default_rng(51)
         g = InvestorGroup((2.0, 4.0, 6.0), (0.5, 0.3, 0.2), (0.0, 0.0, 0.0))
         w = support.unit_sum_columns(rng, textbook_market.k, g.n)
-        got = mimicking.penalized_utility(textbook_market, g, w)
+        got = mimicking.penalized_utility(textbook_market, g, PortfolioMatrix(w))
         expected = sum(
             b * support.mv_utility(textbook_market.mu, textbook_market.sigma, w[:, i], a)
             for i, (a, b) in enumerate(zip(g.alpha, g.beta))
@@ -455,7 +455,7 @@ class TestPenalizedUtility:
     def test_identical_columns_kill_the_penalty(self, textbook_market, base_group):
         common = np.array([0.3, 0.7])
         w = np.column_stack([common, common])
-        got = mimicking.penalized_utility(textbook_market, base_group, w)
+        got = mimicking.penalized_utility(textbook_market, base_group, PortfolioMatrix(w))
         expected = sum(
             b * support.mv_utility(textbook_market.mu, textbook_market.sigma, common, a)
             for a, b in zip(base_group.alpha, base_group.beta)
@@ -472,24 +472,19 @@ class TestPenalizedUtility:
             market = sampling.random_market(rng, k)
             g = sampling.random_group(rng, n)
             w = support.unit_sum_columns(rng, k, n)
-            got = mimicking.penalized_utility(market, g, w)
+            got = mimicking.penalized_utility(market, g, PortfolioMatrix(w))
             expected = support.penalized_direct(
                 market.mu, market.sigma, g.alpha, g.beta, g.phi, w
             )
             assert abs(got - expected) <= 1e-12 * max(1.0, abs(got), abs(expected))
 
     def test_rejects_bad_matrices(self, textbook_market, base_group):
-        with pytest.raises(errors.ConstraintViolated):
-            mimicking.penalized_utility(
-                textbook_market, base_group, np.array([[0.5, 0.5], [0.4, 0.5]])
-            )
         with pytest.raises(errors.DimensionMismatch):
             mimicking.penalized_utility(
                 textbook_market,
                 base_group,
                 PortfolioMatrix(np.full((3, 2), 1 / 3)),
             )
-
 
     def test_solution_weights_are_read_only_and_reproduce_eu_star(self):
         # eu_star comes from tau alone, not from the trace form at w_star; it
@@ -505,11 +500,6 @@ class TestPenalizedUtility:
                 market.mu, market.sigma, group.alpha, group.beta, group.phi, sol.w_star.weights
             )
             assert abs(Fraction(sol.eu_star) - exact) / max(1, abs(exact)) <= 1e-13
-            arr = np.array(sol.w_star.weights)
-            before = arr.copy()
-            assert mimicking.penalized_utility(market, group, arr) == got
-            assert arr.flags.writeable
-            assert np.array_equal(arr, before)
 
 
 class TestEqualWealthMatrix:

@@ -189,7 +189,7 @@ class TestAssembly:
         rng = np.random.default_rng(87)
         for _ in range(200):
             group = sampling.random_group(rng, int(rng.integers(2, 20)))
-            a = oracle.entrywise_mimicking_matrix(group.alpha, group.beta, group.phi)
+            a = oracle.entrywise_mimicking_matrix(group)
             expected = support.entrywise_by_loop(group.alpha, group.beta, group.phi)
             assert np.all(np.abs(a - expected) <= np.spacing(np.abs(expected)))
 
@@ -217,7 +217,7 @@ class TestLambdaClosedForm:
         market = MarketModel(np.full(3, c), sampling.random_market(rng, 3).sigma)
         group = sampling.random_group(rng, 4)
         ctx = markowitz.context(market)
-        a = oracle.entrywise_mimicking_matrix(group.alpha, group.beta, group.phi)
+        a = oracle.entrywise_mimicking_matrix(group)
         a_phi = (a + a.T) / 2
         expected = ctx.v_gmv * (a_phi @ np.ones(4)) - c * group.beta
         np.testing.assert_allclose(

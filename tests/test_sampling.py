@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import support
@@ -71,3 +73,29 @@ def test_too_few_investors_are_drawn_then_rejected(n):
         sampling.random_group(rng, n)
     support.group_draws(twin, n)
     assert_same_state(rng, twin)
+
+
+@pytest.mark.parametrize("draw, args, message", [
+    (sampling.random_instance, (1, 5), "max_k must be an integer >= 2, got 1"),
+    (sampling.random_instance, (5, 1), "max_n must be an integer >= 2, got 1"),
+    (sampling.random_instance, (2.5, 5), "max_k must be an integer >= 2, got 2.5"),
+    (sampling.random_instance, (5, np.float64(3.0)), "max_n must be an integer >= 2"),
+    (sampling.random_instance, (True, 5), "max_k must be an integer >= 2, got True"),
+    (sampling.random_market, (-1,), "k must be an integer >= 0, got -1"),
+    (sampling.random_market, (2.0,), "k must be an integer >= 0, got 2.0"),
+    (sampling.random_group, (-2,), "n must be an integer >= 0, got -2"),
+    (sampling.random_group, ("3",), "n must be an integer >= 0, got '3'"),
+])
+def test_bad_sizes_are_rejected_before_the_first_draw(draw, args, message):
+    rng, twin = twins(5)
+    with pytest.raises(errors.ConstraintViolated, match=re.escape(message)):
+        draw(rng, *args)
+    assert_same_state(rng, twin)
+
+
+def test_numpy_integer_sizes_draw_and_one_asset_reaches_the_market_rule():
+    rng, twin = twins(6)
+    market, group = sampling.random_instance(rng, np.int64(2), np.int32(2))
+    assert np.array_equal(market.sigma, sampling.random_instance(twin, 2, 2)[0].sigma)
+    with pytest.raises(errors.TooFewAssets):
+        sampling.random_market(rng, 1)

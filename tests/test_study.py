@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimicfund import (
-    InvestorGroup, MarketModel, errors, markowitz, mimicking, oracle, sampling,
+    InvestorGroup, MarketModel, PortfolioMatrix, errors, markowitz, mimicking, oracle, sampling,
 )
 from mimicfund.study import (
     DEFAULT_MARKET,
@@ -53,7 +53,7 @@ def per_group_gains(market, group):
     base_weights, _, _ = markowitz.fund_aggregate(ctx, group)
     d_omega = float(solution.fund_weights[0] - base_weights[0])
     classical = np.column_stack([markowitz.frontier(ctx, 1.0 / a)[0] for a in group.alpha])
-    baseline = mimicking.penalized_utility(market, group, classical)
+    baseline = mimicking.penalized_utility(market, group, PortfolioMatrix(classical))
     gain = solution.eu_star - baseline
     if abs(gain) <= 1e-13 * max(1.0, abs(solution.eu_star)):
         gain = 0.0
