@@ -2,8 +2,8 @@
 
 Construction is total: every constructor either returns a value satisfying
 all invariants or raises a typed :mod:`mimicfund.errors` exception.  Every
-number from outside, here and in the study and moments modules, passes
-:func:`_as_array` or, for an integer, :func:`_as_count`.  All
+number from outside, here and in the study, moments and sampling modules,
+passes :func:`_as_array` or, for an integer, :func:`_as_count`.  All
 values are immutable after construction (frozen dataclasses over read-only
 arrays), so they are safe to share across threads.  Types that hold arrays
 compare and hash by identity (``eq=False``), since an array comparison has
@@ -47,8 +47,7 @@ def _as_array(x, name: str, ndim: int) -> np.ndarray:
     :class:`errors.DimensionMismatch`.  Complex numbers are rejected before
     the conversion, as entries it cannot convert are; strings and booleans,
     then dates and durations, which it does convert, after it.  A rejected
-    value is shown through ``reprlib.repr``, cut to 100 characters since it
-    abridges each list but not their nesting, so the message stays short.
+    value is shown by :func:`_shown`.
     """
     kind = x.dtype.kind if isinstance(x, np.ndarray) else "O"
     arr = np.array(x, dtype=float) if kind in "iuf" else _checked_array(x, name, kind)
@@ -72,10 +71,9 @@ def _checked_array(x, name: str, kind: str) -> np.ndarray:
             dated = _holds_dates(x)
     if arr is not None and any(issubclass(entry, _NOT_NUMBERS) for entry in kinds):
         bad = next(value for value in entries if isinstance(value, _NOT_NUMBERS))
-        raise errors.ParseError(f"{name} is not an array of numbers: it holds {reprlib.repr(bad)}")
+        raise errors.ParseError(f"{name} is not an array of numbers: it holds {_shown(bad)}")
     if arr is None or dated or any(issubclass(entry, _DATES) for entry in kinds):
-        shown = reprlib.repr(x)[:100]
-        raise errors.ParseError(f"{name} is not an array of numbers: {shown}")
+        raise errors.ParseError(f"{name} is not an array of numbers: {_shown(x)}")
     return arr
 
 
@@ -88,13 +86,52 @@ def _holds_dates(x) -> bool:
 
 
 def _as_count(x, name: str, low: int) -> int:
-    """``x`` as an ``int >= low`` within the float range; a bool or a float is not a count."""
+    """``x`` as an ``int >= low`` within the float range; a bool or a float is not a count.
+
+    The float range is ``float(x)``'s, which rounds to nearest: from
+    ``2**1024 - 2**970`` up it overflows, and :class:`errors.ParseError`
+    says so as :func:`_as_array` would.
+    """
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < low:
-        raise errors.ConstraintViolated(
-            f"{name} must be an integer >= {low}, got {reprlib.repr(x)[:100]}"
-        )
-    _as_array(x, name, 0)
+        raise errors.ConstraintViolated(f"{name} must be an integer >= {low}, got {_shown(x)}")
+    try:
+        float(x)
+    except OverflowError:
+        raise errors.ParseError(f"{name} is not an array of numbers: {_shown(x)}") from None
     return int(x)
+
+
+class _Repr(reprlib.Repr):
+    """``reprlib``'s abridgement, without its failures and object addresses.
+
+    ``repr`` raises for an int past the interpreter's digit limit (4300
+    digits by default), and ``reprlib`` shows an object whose ``repr``
+    raises by its id.  Here such an int is shown by its sign and size in
+    bits, and such an object by its type, so the message is reproducible.
+    """
+
+    def repr_int(self, x, level):
+        try:
+            repr(x)
+        except ValueError:
+            return f"<{'negative ' if x < 0 else ''}int of {x.bit_length()} bits>"
+        return super().repr_int(x, level)
+
+    def repr_instance(self, x, level):
+        try:
+            repr(x)
+        except Exception:
+            return f"<{type(x).__name__} instance>"
+        return super().repr_instance(x, level)
+
+
+def _shown(value) -> str:
+    """``value`` abridged for an error message, cut to 100 characters.
+
+    ``reprlib`` abridges each list but not their nesting, so the cut keeps
+    the message short however deep the value is.
+    """
+    return _Repr().repr(value)[:100]
 
 
 def _range(arr: np.ndarray, name: str) -> tuple[float, float]:

@@ -11,7 +11,6 @@ import csv
 import hashlib
 import io
 import math
-import reprlib
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -19,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import errors
-from .model import MarketModel, _as_array, _as_count, _freeze
+from .model import MarketModel, _as_array, _as_count, _freeze, _shown
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +39,7 @@ class ReturnSample:
         arr = _as_array(self.returns, "returns", 2)
         names = self.asset_names
         if not isinstance(names, (tuple, list)):
-            raise errors.ParseError(f"asset_names must be a tuple or a list, got {reprlib.repr(names)}")
+            raise errors.ParseError(f"asset_names must be a tuple or a list, got {_shown(names)}")
         names = tuple(str(s) for s in names)
         if len(names) != arr.shape[1]:
             raise errors.DimensionMismatch(

@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import collections
 import itertools
-import reprlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -124,7 +123,7 @@ class StudyConfig:
     def __post_init__(self):
         if not isinstance(self.market, MarketModel):
             raise errors.ConstraintViolated(
-                f"market must be a MarketModel, got {reprlib.repr(self.market)}"
+                f"market must be a MarketModel, got {model._shown(self.market)}"
             )
         grid_points = model._as_count(self.grid_points, "grid_points", 2)
         arrays = {}
@@ -155,7 +154,7 @@ class StudyConfig:
         points = (phi_set.size + a_set.size) * grid_points
         if points > MAX_POINTS:
             raise errors.ConstraintViolated(
-                f"the study has {reprlib.repr(points)} points (series times grid_points); "
+                f"the study has {model._shown(points)} points (series times grid_points); "
                 f"at most {MAX_POINTS} are allowed"
             )
         # as Python floats an overflow is inf, without a numpy warning
@@ -205,8 +204,7 @@ class SweepTable:
         g = self.coordinate.shape[1]
         labels = itertools.chain.from_iterable(itertools.repeat(s, g) for s in self.series)
         columns = (x.ravel().tolist() for x in (self.coordinate, self.delta_omega, self.delta_eu))
-        # tuple.__new__ skips the named tuple's Python-level constructor
-        return tuple(map(tuple.__new__, itertools.repeat(SweepRecord), zip(labels, *columns)))
+        return tuple(itertools.starmap(SweepRecord, zip(labels, *columns)))
 
     def to_csv(self) -> str:
         lines = [self.CSV_HEADER]

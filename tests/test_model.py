@@ -119,12 +119,22 @@ class TestMarketModel:
 
     def test_rejected_nested_value_is_shown_short(self):
         # reprlib abridges each list but not the nesting: 6 x 6 integers of
-        # 40 shown digits each would make an error line of about 1.5 kB
+        # 40 shown digits each would make an error line of about 1.5 kB;
+        # past the 4300-digit str limit an integer is shown by its size, and
+        # an array whose repr raises by its type, never by an object address
         huge = [[10**400] * 6] * 6
-        for bad in (lambda: MarketModel((0.1, 0.1), huge), lambda: InvestorGroup(huge, 1, 0)):
-            with pytest.raises(errors.ParseError) as caught:
+        for bad, shown in (
+            (lambda: MarketModel((0.1, 0.1), huge), "[[1000"),
+            (lambda: InvestorGroup(huge, 1, 0), "[[1000"),
+            (lambda: MarketModel([10**4301, 1], np.eye(2)), "[<int of 14288 bits>, 1]"),
+            (lambda: InvestorGroup([[10**4301]], 1, 0), "[[<int of 14288 bits>]]"),
+            (lambda: PortfolioMatrix([[10**4301, 1]]), "[[<int of 14288 bits>, 1]]"),
+            (lambda: PortfolioMatrix(np.array([[10**4301, 1]], dtype=object)), "<ndarray instance>"),
+        ):
+            with pytest.raises(errors.ParseError, match="is not an array of numbers: ") as caught:
                 bad()
             assert len(str(caught.value)) < 150
+            assert str(caught.value).split(": ", 1)[1].startswith(shown)
 
     @pytest.mark.parametrize(
         "mu, sigma, error, message",

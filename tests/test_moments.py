@@ -1,4 +1,5 @@
 import csv
+import enum
 import hashlib
 import io
 from unittest import mock
@@ -240,7 +241,7 @@ class TestReturnSample:
 
     def test_asset_names_must_be_a_tuple_or_list(self):
         returns = np.zeros((6, 2))
-        for names in (5, "AB"):
+        for names in (5, "AB", 10**4301):
             with pytest.raises(errors.ParseError, match="asset_names must be a tuple or a list"):
                 ReturnSample(returns=returns, asset_names=names)
         assert ReturnSample(returns=returns, asset_names=["A", "B"]).asset_names == ("A", "B")
@@ -340,6 +341,24 @@ class TestEstimate:
             estimate(sample, periods_per_year=True)
         with pytest.raises(errors.ParseError, match="periods_per_year is not an array of numbers"):
             estimate(sample, periods_per_year=10**400)
+
+    @pytest.mark.parametrize("periods, error", [
+        (2**1024 - 2**970 - 1, None),  # the largest int that rounds to a float
+        (2**1024 - 2**970, errors.ParseError),  # halfway, rounds to infinity
+        (np.uint64(2**64 - 1), None),
+        (enum.IntEnum("Periods", {"MONTHLY": 12}).MONTHLY, None),
+        (10**4301, errors.ParseError),  # past the 4300-digit str limit
+        (-10**4301, errors.ConstraintViolated),
+    ], ids=["below-halfway", "halfway", "uint64-max", "int-enum", "digit-limit", "negative-digit-limit"])
+    def test_count_rule_at_the_ends_of_the_float_range(self, periods, error):
+        returns = np.array([[1, 2], [-2, 1], [3, -1], [0, 4], [2, 0], [-1, 3]]) * 1e-150
+        sample = ReturnSample(returns=returns, asset_names=("A", "B"))
+        if error is not None:
+            with pytest.raises(error, match="^periods_per_year (is not an array|must be an integer)"):
+                estimate(sample, periods_per_year=periods)
+            return
+        market = estimate(sample, periods_per_year=periods)
+        np.testing.assert_array_equal(market.mu, returns.mean(axis=0) * float(periods))
 
     def test_overflowing_moments_rejected_without_a_warning(self):
         # 1e200 returns overflow the covariance; 10**300 periods overflow

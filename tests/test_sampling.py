@@ -1,3 +1,4 @@
+import enum
 import re
 
 import numpy as np
@@ -93,9 +94,34 @@ def test_bad_sizes_are_rejected_before_the_first_draw(draw, args, message):
     assert_same_state(rng, twin)
 
 
+@pytest.mark.parametrize("draw, args, error, message", [
+    (sampling.random_market, (10**400,), errors.ParseError, "k is not an array of numbers: 1000"),
+    (sampling.random_group, (10**4301,), errors.ParseError,
+     "n is not an array of numbers: <int of 14288 bits>"),
+    (sampling.random_group, (-10**4301,), errors.ConstraintViolated,
+     "n must be an integer >= 0, got <negative int of 14288 bits>"),
+    (sampling.random_instance, (10**400, 5), errors.ParseError, "max_k is not an array of numbers"),
+    (sampling.random_instance, (5, -10**4301), errors.ConstraintViolated,
+     "max_n must be an integer >= 2, got <negative int of 14288 bits>"),
+])
+def test_sizes_beyond_the_float_range_are_rejected_before_the_first_draw(
+    draw, args, error, message
+):
+    rng, twin = twins(5)
+    with pytest.raises(error, match=re.escape(message)):
+        draw(rng, *args)
+    assert_same_state(rng, twin)
+
+
+class Size(enum.IntEnum):
+    TWO = 2
+
+
 def test_numpy_integer_sizes_draw_and_one_asset_reaches_the_market_rule():
     rng, twin = twins(6)
     market, group = sampling.random_instance(rng, np.int64(2), np.int32(2))
     assert np.array_equal(market.sigma, sampling.random_instance(twin, 2, 2)[0].sigma)
+    group = sampling.random_instance(rng, Size.TWO, np.uint64(2))[1]
+    assert np.array_equal(group.beta, sampling.random_instance(twin, 2, 2)[1].beta)
     with pytest.raises(errors.TooFewAssets):
         sampling.random_market(rng, 1)

@@ -190,6 +190,9 @@ class TestStudyConfig:
             ({"alpha1": 10**400}, errors.ParseError),
             # its point count would have more digits than str() may print
             ({"grid_points": int("9" * 4300)}, errors.ParseError),
+            # values past the 4300-digit str limit raise what small ones raise
+            ({"grid_points": -10**4301}, errors.ConstraintViolated),
+            ({"market": 10**4301}, errors.ConstraintViolated),
         ):
             with pytest.raises(error):
                 StudyConfig(**bad)
@@ -203,7 +206,8 @@ class TestStudyConfig:
         deep = 2.0
         for _ in range(900):
             deep = [deep]
-        for bad in ({"alpha1": 10**400}, {"phi_set": (deep,)}, {"a_set": ("x" * 500,)}):
+        for bad in ({"alpha1": 10**400}, {"phi_set": (deep,)}, {"a_set": ("x" * 500,)},
+                    {"alpha1": 10**4301}, {"grid_points": 10**4301}):
             with pytest.raises(errors.ParseError, match="is not an array of numbers") as info:
                 StudyConfig(**bad)
             assert len(str(info.value)) <= 80
