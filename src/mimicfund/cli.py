@@ -15,13 +15,12 @@ import errno
 import gc
 import json
 import os
-import reprlib
 import stat
 import sys
 
 import numpy as np
 
-from . import __version__, errors, markowitz, mimicking
+from . import __version__, errors, markowitz, mimicking, model
 from .model import InvestorGroup, MarketModel
 from .moments import estimate, load_csv, parse_csv, read_input
 
@@ -322,9 +321,9 @@ def _int_at_least(low: int):
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid integer {reprlib.repr(text)}") from None
+            raise argparse.ArgumentTypeError(f"invalid integer {model._shown(text)}") from None
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {reprlib.repr(value)}")
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {model._shown(value)}")
         return value
 
     return parse

@@ -42,10 +42,12 @@ and ``beta``, the same for every point, is the ``(n,)`` vector of shares.
 A sum over investors then adds ``n`` whole rows, where a C-ordered
 ``(points, n)`` stack would run numpy's inner loop once per point; with
 ``n = 2`` both layouts add the same two terms, so the bits are those of
-each group alone (see :func:`markowitz._sum`).  A study has at most
-:data:`MAX_POINTS` points, and every one of them is a valid group;
-:class:`StudyConfig` checks both from its fields, before anything is
-allocated; :func:`_check_gains` makes every number in the tables finite.
+each group alone (see :func:`markowitz._sum`).  Every input rule belongs
+to :class:`StudyConfig`, which checks from its fields, before anything is
+allocated, that a study has at most :data:`MAX_POINTS` points, that every
+one of them is a valid group and that no two series share a label;
+:func:`run_sweeps` only computes, and :func:`_check_gains` makes every
+number in the tables finite.
 
 The tables are columnar.  A :class:`SweepTable` holds one label per series
 and its coordinate and result columns as read-only ``(series,
@@ -102,13 +104,18 @@ class StudyConfig:
 
     ``market`` must be a :class:`MarketModel`, ``grid_points`` passes
     :func:`model._as_count`, and the other fields pass :func:`model._as_array`
-    and must be finite.  The 1-D fields are stored as tuples of the values given.
+    and must be finite.  Each field is converted once and stored in that
+    form: ``grid_points`` as an ``int``, ``alpha1`` and ``phi_ratio`` as
+    floats and the 1-D fields as tuples of floats, with ``-0.0`` stored as
+    ``0.0``; every rule reads the stored values.
 
     These checks make every grid point ``alpha = (alpha1, a alpha1)``,
     ``phi = (phi_1, phi_1 phi_ratio)`` a valid group.  Rounding is
     monotone, so ``alpha1`` times the largest ``a`` and ``phi_ratio`` times
     the largest ``phi`` bound the products; either beyond the float range
-    raises :class:`errors.NonFiniteValue`.
+    raises :class:`errors.NonFiniteValue`.  The last rule gives each series
+    its own label in :attr:`series`: two members of ``phi_set``, or of
+    ``a_set``, that print alike raise :class:`errors.ConstraintViolated`.
     """
 
     market: MarketModel = DEFAULT_MARKET
@@ -125,33 +132,30 @@ class StudyConfig:
             raise errors.ConstraintViolated(
                 f"market must be a MarketModel, got {model._shown(self.market)}"
             )
-        grid_points = model._as_count(self.grid_points, "grid_points", 2)
-        arrays = {}
+        object.__setattr__(self, "grid_points", model._as_count(self.grid_points, "grid_points", 2))
         for name, ndim in (("alpha1", 0), ("phi_ratio", 0), ("phi_set", 1),
                            ("a_set", 1), ("a_range", 1), ("phi_range", 1)):
-            value = getattr(self, name)
-            arrays[name] = model._as_array(value, name, ndim)
-            model._range(arrays[name], name)
-            if ndim:
-                object.__setattr__(self, name, tuple(value))
-        alpha1, phi_ratio, phi_set, a_set, a_range, phi_range = arrays.values()
-        for name, pair in (("a_range", a_range), ("phi_range", phi_range)):
-            if pair.shape != (2,):
+            arr = model._as_array(getattr(self, name), name, ndim)
+            model._range(arr, name)
+            arr += 0.0  # -0.0 is stored as 0.0, which labels its series phi=0
+            object.__setattr__(self, name, tuple(arr.tolist()) if ndim else arr.item())
+        for name in ("a_range", "phi_range"):
+            if len(getattr(self, name)) != 2:
                 raise errors.ConstraintViolated(f"{name} must be a pair lo, hi")
-            lo, hi = pair.tolist()
+            lo, hi = getattr(self, name)
             if not lo < hi:
                 raise errors.ConstraintViolated(f"{name} must be a nonempty interval, got {lo!r}..{hi!r}")
-        if alpha1 <= 0:
-            raise errors.NonPositiveAlpha(f"alpha1 must be > 0, got {alpha1.item()!r}")
-        if a_range[0] < 1.0 or (a_set < 1.0).any():
+        if self.alpha1 <= 0:
+            raise errors.NonPositiveAlpha(f"alpha1 must be > 0, got {self.alpha1!r}")
+        if min((self.a_range[0], *self.a_set)) < 1.0:
             raise errors.ConstraintViolated("risk-aversion ratios must satisfy a >= 1")
-        if phi_range[0] < 0.0 or (phi_set < 0.0).any():
+        if min((self.phi_range[0], *self.phi_set)) < 0.0:
             raise errors.ConstraintViolated("mimicking strengths must satisfy phi >= 0")
-        if not phi_set.size or not a_set.size:
+        if not self.phi_set or not self.a_set:
             raise errors.ConstraintViolated("phi_set and a_set must be nonempty")
-        if phi_ratio < 0:
-            raise errors.ConstraintViolated(f"phi_ratio must be >= 0, got {phi_ratio.item()!r}")
-        points = (phi_set.size + a_set.size) * grid_points
+        if self.phi_ratio < 0:
+            raise errors.ConstraintViolated(f"phi_ratio must be >= 0, got {self.phi_ratio!r}")
+        points = (len(self.phi_set) + len(self.a_set)) * self.grid_points
         if points > MAX_POINTS:
             raise errors.ConstraintViolated(
                 f"the study has {model._shown(points)} points (series times grid_points); "
@@ -159,13 +163,22 @@ class StudyConfig:
             )
         # as Python floats an overflow is inf, without a numpy warning
         for name, scale, label, top in (
-            ("alpha1", alpha1.item(), "a", max(a_range[1], a_set.max()).item()),
-            ("phi_ratio", phi_ratio.item(), "phi", max(phi_range[1], phi_set.max()).item()),
+            ("alpha1", self.alpha1, "a", max(self.a_range[1], *self.a_set)),
+            ("phi_ratio", self.phi_ratio, "phi", max(self.phi_range[1], *self.phi_set)),
         ):
             if not np.isfinite(scale * top):
                 raise errors.NonFiniteValue(
                     f"{name} {scale!r} times the largest {label} {top!r} is beyond the float range"
                 )
+        repeated = [label for label, count in collections.Counter(self.series).items() if count > 1]
+        if repeated:
+            raise errors.ConstraintViolated(f"series label {repeated[0]!r} repeats: two members of "
+                                            "phi_set or of a_set agree to 6 significant digits")
+
+    @property
+    def series(self) -> tuple[str, ...]:
+        """The series labels, ``phi=`` each of ``phi_set`` then ``a=`` each of ``a_set``."""
+        return tuple(f"phi={p:g}" for p in self.phi_set) + tuple(f"a={x:g}" for x in self.a_set)
 
 
 class SweepRecord(NamedTuple):
@@ -269,16 +282,11 @@ def run_sweeps(config: StudyConfig) -> tuple[SweepTable, SweepTable]:
     """Run both default sweeps; output ordering is series then coordinate.
 
     All points of both tables form one stack of groups, evaluated together;
-    :class:`StudyConfig` has made each a valid group.  Two series with one
-    label raise :class:`errors.ConstraintViolated` before the stack is
-    allocated.  A failed check of the results names the first failing point
-    in output order.
+    :class:`StudyConfig` has made each a valid group and given each series
+    its own label, so no input is checked here.  A failed check of the
+    results names the first failing point in output order.
     """
-    series = tuple(f"phi={p:g}" for p in config.phi_set) + tuple(f"a={x:g}" for x in config.a_set)
-    if len(set(series)) < len(series):
-        repeated = next(label for label, count in collections.Counter(series).items() if count > 1)
-        raise errors.ConstraintViolated(f"series label {repeated!r} repeats: two members of "
-                                        "phi_set or of a_set agree to 6 significant digits")
+    series = config.series
     ctx = markowitz.context(config.market)
     g = config.grid_points
     n_phi, n_a = len(config.phi_set), len(config.a_set)
@@ -290,8 +298,8 @@ def run_sweeps(config: StudyConfig) -> tuple[SweepTable, SweepTable]:
     a, phi1 = alpha[1], phi[0]
     # figure 1 sweeps a along each phi series, figure 2 phi along each a series
     a[:split].reshape(n_phi, g)[...] = np.linspace(*config.a_range, g)
-    a[split:].reshape(n_a, g)[...] = np.asarray(config.a_set, dtype=float)[:, None]
-    phi1[:split].reshape(n_phi, g)[...] = np.asarray(config.phi_set, dtype=float)[:, None]
+    a[split:].reshape(n_a, g)[...] = np.asarray(config.a_set)[:, None]
+    phi1[:split].reshape(n_phi, g)[...] = np.asarray(config.phi_set)[:, None]
     phi1[split:].reshape(n_a, g)[...] = np.linspace(*config.phi_range, g)
     coords = np.concatenate([a[:split], phi1[split:]])
     alpha[0] = config.alpha1

@@ -663,6 +663,39 @@ class TestStudy:
         assert echo["mu"] == given["mu"]
         assert echo["sigma"] == given["sigma"]
 
+    def test_manifest_echoes_the_stored_floats_of_an_integer_config(self, monkeypatch, tmp_path):
+        # the echo is the config as stored: integers in float fields are
+        # floats, grid_points stays an integer; == cannot tell, since 2 == 2.0
+        from mimicfund import __version__, cli
+
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        cfg = tmp_path / "study.json"
+        cfg.write_bytes(b'{"alpha1": 2, "phi_set": [1, 2.5], "grid_points": 3}')
+        out = tmp_path / "study"
+        assert cli.main(["study", "--config", str(cfg), "--output-dir", str(out)]) == 0
+        text = (out / "figure1.manifest.json").read_text(encoding="utf-8")
+        expected = {
+            "command": "study",
+            "config": {
+                "mu": [0.07, 0.14],
+                "sigma": [[0.0144, 0.0048], [0.0048, 0.04]],
+                "alpha1": 2.0,
+                "phi_set": [1.0, 2.5],
+                "a_set": [2.0, 5.0, 10.0],
+                "a_range": [1.0, 10.0],
+                "phi_range": [0.0, 5.0],
+                "grid_points": 3,
+                "phi_ratio": 1.0,
+            },
+            "inputs": {str(cfg): hashlib.sha256(cfg.read_bytes()).hexdigest()},
+            "version": __version__,
+            "timestamp": "1970-01-01T00:00:00+00:00",
+        }
+        assert text == json.dumps(expected, indent=2) + "\n"
+        assert '"alpha1": 2.0,' in text and '"grid_points": 3,' in text
+        assert '"phi_set": [\n      1.0,\n      2.5\n    ],' in text
+        assert (out / "figure2.manifest.json").read_text(encoding="utf-8") == text
+
     def test_malformed_source_date_epoch_writes_nothing(self, tmp_path):
         out = tmp_path / "study"
         result = run_cli("study", "--output-dir", str(out), env={"SOURCE_DATE_EPOCH": "abc"})

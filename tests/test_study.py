@@ -1,4 +1,6 @@
+import enum
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -142,6 +144,28 @@ def exact_gains(mu, sigma, alpha, beta, phi):
     )
 
 
+# a float-valued grid whose every value has an exact decimal form
+FLOAT_FIELDS = {
+    "alpha1": 2.0,
+    "phi_ratio": 0.1,
+    "phi_set": (1.0, 2.5),
+    "a_set": (2.0, 4.0),
+    "a_range": (1.0, 3.0),
+    "phi_range": (0.0, 5.0),
+}
+
+
+def in_type(convert, value):
+    """``value``, or each entry of a tuple ``value``, as ``convert(repr(entry))``."""
+    if isinstance(value, tuple):
+        return tuple(convert(repr(x)) for x in value)
+    return convert(repr(value))
+
+
+class Count(enum.IntEnum):
+    FIVE = 5
+
+
 class TestStudyConfig:
     def test_defaults_are_valid(self):
         cfg = StudyConfig()
@@ -212,6 +236,41 @@ class TestStudyConfig:
                 StudyConfig(**bad)
             assert len(str(info.value)) <= 80
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {name: in_type(Fraction, value) for name, value in FLOAT_FIELDS.items()},
+            {name: in_type(Decimal, value) for name, value in FLOAT_FIELDS.items()},
+            {"grid_points": np.int64(5)},
+            {"grid_points": Count.FIVE},
+        ],
+        ids=["Fraction", "Decimal", "np.int64", "IntEnum"],
+    )
+    def test_every_number_type_is_stored_as_the_float_config(self, fields):
+        # each field is stored in one form, so any number the converter
+        # takes runs as the plain float config does, to the byte
+        plain = StudyConfig(grid_points=5, **FLOAT_FIELDS)
+        config = StudyConfig(**{"grid_points": 5, **FLOAT_FIELDS, **fields})
+        for table, expected in zip(run_sweeps(config), run_sweeps(plain)):
+            assert table.series == expected.series
+            assert table.to_csv() == expected.to_csv()
+        assert type(config.grid_points) is int and config.grid_points == 5
+        for name, value in FLOAT_FIELDS.items():
+            stored = getattr(config, name)
+            assert stored == value, name
+            if isinstance(value, tuple):
+                assert type(stored) is tuple and all(type(x) is float for x in stored), name
+            else:
+                assert type(stored) is float, name
+
+    def test_label_rule_is_the_last_rule(self):
+        # two series labelled phi=3 raise when the config is built, and only
+        # once every other rule has passed
+        with pytest.raises(errors.ConstraintViolated, match="^series label 'phi=3' repeats"):
+            StudyConfig(phi_set=(3, 3.0))
+        with pytest.raises(errors.NonFiniteValue, match="^phi_ratio "):
+            StudyConfig(phi_set=(3, 3.0), phi_ratio=1e308)
+
     def test_point_cap_is_checked_before_allocating(self):
         tracemalloc.start()
         try:
@@ -252,14 +311,22 @@ class TestStudyConfig:
         grid_points=st.integers(2, 5),
     )
     def test_every_point_of_a_config_is_a_valid_group(self, **fields):
-        # what lets run_sweeps skip the group rules: a config that constructs
-        # makes a valid group of every point, with no overflow on the way
+        # what lets run_sweeps skip every input rule: a config that constructs
+        # makes a valid group of every point, with no overflow on the way and
+        # one label per series, so run_sweeps fails only in its results check
         try:
             config = StudyConfig(**fields)
         except errors.NonFiniteValue:
             return
+        except errors.ConstraintViolated as exc:
+            assert "repeats" in str(exc)
+            return
         for phi1, a in sweep_inputs(config):
             config_group(config, phi1, a)
+        try:
+            run_sweeps(config)
+        except (errors.NumericalError, errors.NonPositiveOptimum):
+            pass
 
 
 class TestDeltaOmega:
@@ -361,7 +428,7 @@ class TestRunSweeps:
     @pytest.mark.parametrize(
         "fields, label",
         [({"phi_set": (3.0, 3.0000001)}, "phi=3"), ({"phi_set": (3, 3.0)}, "phi=3"),
-         ({"a_set": (2.0, 5.0, 2.0)}, "a=2")],
+         ({"a_set": (2.0, 5.0, 2.0)}, "a=2"), ({"phi_set": (0.0, -0.0)}, "phi=0")],
     )
     def test_repeated_series_label_is_rejected(self, fields, label):
         # two series under one label would read as one series in the CSV
@@ -369,6 +436,16 @@ class TestRunSweeps:
             run_sweeps(StudyConfig(grid_points=2, **fields))
         # a phi series and an a series never share a label
         assert len(run_sweeps(StudyConfig(phi_set=(2.0,), a_set=(2.0,), grid_points=2))[0]) == 2
+
+    def test_negative_zero_is_stored_and_labelled_as_zero(self):
+        config = StudyConfig(phi_set=(-0.0, 1.0), phi_range=(-0.0, 5.0), phi_ratio=-0.0,
+                             grid_points=3)
+        for zero in (config.phi_set[0], config.phi_range[0], config.phi_ratio):
+            assert np.copysign(1.0, zero) == 1.0
+        assert config.series[:2] == ("phi=0", "phi=1")
+        figure1, _ = run_sweeps(config)
+        assert figure1.series == ("phi=0", "phi=1")
+        assert figure1.to_csv().splitlines()[1].startswith("phi=0,1,")
 
     def test_cardinality_and_labels(self, default_tables):
         figure1, figure2 = default_tables
@@ -416,7 +493,7 @@ class TestRunSweeps:
         assert float(coord) == 1.0
         edge_configs = (
             StudyConfig(phi_range=(-0.0, 5.0)),  # linspace writes its start as 0
-            StudyConfig(phi_set=(-0.0,), grid_points=3),  # the label phi=-0
+            StudyConfig(phi_set=(-0.0,), grid_points=3),  # stored as 0.0, the label phi=0
             StudyConfig(grid_points=2),
             StudyConfig(phi_set=(4.0,), a_set=(3.0,)),
             # e * e overflows below alpha1 ~ 1e-154; here results reach 1e+150
