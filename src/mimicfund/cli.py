@@ -49,12 +49,12 @@ def _timestamp() -> str:
     else:
         try:
             moment = datetime.datetime.fromtimestamp(int(epoch), tz=datetime.timezone.utc)
-        except (ValueError, OverflowError, OSError) as exc:
+        except (ValueError, OverflowError, OSError):
             # int() rejects the text; fromtimestamp rejects a time outside
             # the platform's time_t or datetime's years 1..9999
             raise errors.ValidationError(
-                f"SOURCE_DATE_EPOCH must be an integer count of seconds in years 1..9999, "
-                f"got {epoch!r} ({exc})"
+                "SOURCE_DATE_EPOCH must be an integer count of seconds in years 1..9999, "
+                f"got {model._shown(epoch)}"
             ) from None
     return moment.isoformat(timespec="seconds")
 
@@ -93,7 +93,7 @@ def _config(command: str, path, keys) -> tuple[dict, dict]:
         obj = {}
         for key, value in pairs:
             if key in obj:
-                raise errors.ParseError(f"{path}: key {key!r} repeats")
+                raise errors.ParseError(f"{path}: key {model._shown(key)} repeats")
             obj[key] = value
         return obj
 
@@ -109,7 +109,7 @@ def _config(command: str, path, keys) -> tuple[dict, dict]:
         raise errors.ParseError(f"{path}: expected a JSON object at top level")
     unknown = set(config) - set(keys)
     if unknown:
-        raise errors.ValidationError(f"unknown {command} config keys: {', '.join(sorted(unknown))}")
+        raise errors.ValidationError(f"unknown {command} config keys: {model._shown(sorted(unknown))}")
     if ("mu" in config) != ("sigma" in config):
         raise errors.ValidationError(f"{command} config must give mu and sigma together")
     return config, {path: digest}

@@ -81,8 +81,8 @@ def _optimum(alpha: np.ndarray, beta: np.ndarray, phi: np.ndarray) -> tuple:
         r = _dot(g_alpha, phi)
         tau = s0 / (t * t + s0 * r)
         c = tau * (t / s0 + phi) / alpha_phi
-        tau[np.minimum.reduce(g, axis=-1, keepdims=True) < _U / _LOSS] = np.nan
-        tau[r / np.maximum.reduce(phi, axis=-1, keepdims=True) < g.shape[-1] * _U / _LOSS] = np.nan
+        tau[(np.minimum.reduce(g, axis=-1, keepdims=True) < _U / _LOSS)
+            | (r / np.maximum.reduce(phi, axis=-1, keepdims=True) < g.shape[-1] * _U / _LOSS)] = np.nan
     return c, tau
 
 

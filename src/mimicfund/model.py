@@ -85,12 +85,13 @@ def _holds_dates(x) -> bool:
     return kind in "mM"
 
 
-def _as_count(x, name: str, low: int) -> int:
+def _as_count(x, name: str, low: int, high=None) -> int:
     """``x`` as an ``int >= low`` within the float range; a bool or a float is not a count.
 
     The float range is ``float(x)``'s, which rounds to nearest: from
     ``2**1024 - 2**970`` up it overflows, and :class:`errors.ParseError`
-    says so as :func:`_as_array` would.
+    says so as :func:`_as_array` would.  A ``high`` ceiling, checked last,
+    raises :class:`errors.ConstraintViolated` for an ``int`` above it.
     """
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < low:
         raise errors.ConstraintViolated(f"{name} must be an integer >= {low}, got {_shown(x)}")
@@ -98,6 +99,8 @@ def _as_count(x, name: str, low: int) -> int:
         float(x)
     except OverflowError:
         raise errors.ParseError(f"{name} is not an array of numbers: {_shown(x)}") from None
+    if high is not None and int(x) > high:
+        raise errors.ConstraintViolated(f"{name} must be an integer <= {high}, got {_shown(x)}")
     return int(x)
 
 
@@ -129,7 +132,11 @@ def _shown(value) -> str:
     """``value`` abridged for an error message, cut to 100 characters.
 
     ``reprlib`` abridges each list but not their nesting, so the cut keeps
-    the message short however deep the value is.
+    the message short however deep the value is.  The one way an error
+    message shows a value from outside: the library's arguments, the CLI's
+    flags, config values and keys, CSV asset names and cells, and
+    ``SOURCE_DATE_EPOCH``.  A file path is shown in full, since the OS
+    bounds its length, and a number computed here by ``repr``.
     """
     return _Repr().repr(value)[:100]
 

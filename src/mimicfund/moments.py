@@ -120,8 +120,9 @@ def parse_csv(path, text: str) -> ReturnSample:
     if not header or any(not name for name in header):
         raise errors.ParseError(f"{path}: row 1: header must name every column")
     if len(set(header)) < len(header):
-        name = next(name for index, name in enumerate(header) if name in header[:index])
-        raise errors.ParseError(f"{path}: row 1: asset name {name!r} repeats")
+        seen = set()  # add returns None, so the first name met twice is found in one pass
+        name = next(name for name in header if name in seen or seen.add(name))
+        raise errors.ParseError(f"{path}: row 1: asset name {_shown(name)} repeats")
     k = len(header)
     returns = _loadtxt(body, k)
     if returns is None:
@@ -179,13 +180,11 @@ def _parse_cells(path, body: str, k: int, first: int) -> np.ndarray:
             try:
                 value = float(text)
             except ValueError:
-                raise errors.ParseError(
-                    f"{path}: row {line_no}, column {col_no}: not a number: {text!r}"
-                ) from None
+                raise errors.ParseError(f"{path}: row {line_no}, column {col_no}: not a number: "
+                                        f"{_shown(text)}") from None
             if not math.isfinite(value):
-                raise errors.NonFiniteValue(
-                    f"{path}: row {line_no}, column {col_no}: non-finite value {text!r}"
-                )
+                raise errors.NonFiniteValue(f"{path}: row {line_no}, column {col_no}: "
+                                            f"non-finite value {_shown(text)}")
             parsed.append(value)
         values.append(parsed)
         line_no = first + rows.line_num

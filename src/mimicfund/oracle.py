@@ -73,7 +73,7 @@ def _kkt_system(mu, sigma, a_phi, beta) -> tuple[np.ndarray, np.ndarray]:
     k = mu.shape[0]
     n = beta.shape[0]
     kn = k * n
-    kkt = np.empty((kn + n, kn + n))
+    kkt = np.zeros((kn + n, kn + n))
     # reshaping a slice only to split its axes always gives a view, so the
     # products land in kkt itself
     np.multiply(
@@ -81,7 +81,6 @@ def _kkt_system(mu, sigma, a_phi, beta) -> tuple[np.ndarray, np.ndarray]:
     )
     kkt[:kn, kn:].reshape(k, n, n)[...] = np.eye(n)
     kkt[kn:, :kn] = kkt[:kn, kn:].T
-    kkt[kn:, kn:] = 0.0
     rhs = np.concatenate([np.multiply.outer(mu, beta).ravel(), np.ones(n)])
     return kkt, rhs
 

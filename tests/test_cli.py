@@ -334,7 +334,7 @@ class TestSolve:
         path.write_text(json.dumps({**TEXTBOOK_CONFIG, "extra": 1}), encoding="utf-8")
         result = run_cli("solve", "--config", str(path))
         assert_validation_error(result)
-        assert "error: unknown solve config keys: extra" in result.stderr
+        assert "error: unknown solve config keys: ['extra']" in result.stderr
 
     def test_overflowing_frontier_exits_3(self, tmp_path):
         # sigma^-1 mu is about 1e312: a numerical failure, not invalid input
@@ -1059,6 +1059,40 @@ def test_malformed_integer_flag_is_shown_truncated(argv, text, capsys):
     lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
     assert len(lines) == 1 and len(lines[0]) < 300
     assert f"argument {argv[-1]}:" in lines[0]
+
+
+# 100 000-character values of period 10; float() reads the digits as inf,
+# and int() rejects them past its digit limit
+LONG_TEXT = "abcdefghij" * 10_000
+LONG_DIGITS = "1234567890" * 10_000
+RETURN_ROWS = "0.01,0.02\n-0.02,0.01\n0.03,-0.01\n0.00,0.04\n0.02,0.00\n"
+
+
+@pytest.mark.parametrize(
+    "command, flag, text, value, env",
+    [
+        ("solve", "--config", f'{{"{LONG_TEXT}": 1, "{LONG_TEXT}": 2}}', LONG_TEXT, None),
+        ("solve", "--config", json.dumps({**TEXTBOOK_CONFIG, LONG_TEXT: 1}), LONG_TEXT, None),
+        ("estimate", "--returns", f"{LONG_TEXT},{LONG_TEXT}\n{RETURN_ROWS}", LONG_TEXT, None),
+        ("estimate", "--returns", f"A,B\n{RETURN_ROWS}{LONG_TEXT},0\n", LONG_TEXT, None),
+        ("estimate", "--returns", f"A,B\n{RETURN_ROWS}{LONG_DIGITS},0\n", LONG_DIGITS, None),
+        ("study", "--output-dir", None, LONG_DIGITS, {"SOURCE_DATE_EPOCH": LONG_DIGITS}),
+    ],
+    ids=["repeated-key", "unknown-key", "asset-name", "non-number-cell", "non-finite-cell",
+         "source-date-epoch"],
+)
+def test_long_outside_value_is_shown_truncated(command, flag, text, value, env, tmp_path):
+    # README: every rejected value is shown by model._shown, so the error
+    # line stays short however long the value is
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    result = run_cli(command, flag, str(path), env=env)
+    assert result.returncode == 1
+    assert_one_short_error_line(result.stdout, result.stderr)
+    assert value[:10] in result.stderr
+    # the value has period 10, so these are all of its 101-character runs
+    assert not any(value[start:start + 101] in result.stderr for start in range(10))
 
 
 # entries a config may hold in place of a number: extremes of the float

@@ -157,6 +157,9 @@ class TestLoadtxtFastPath:
              (errors.TooFewObservations, "need at least k + 2 = 4 observations, got 0")),
             ("A, A \n" + "\n".join(ROWS) + "\n",
              (errors.ParseError, "<path>: row 1: asset name 'A' repeats")),
+            # the name named is the first one met a second time
+            ("A,B,B,A\n" + "\n".join(ROWS) + "\n",
+             (errors.ParseError, "<path>: row 1: asset name 'B' repeats")),
             ("A,B\r" + "\r".join(ROWS) + "\r", VALUES),
             ('"A\n0.5",B\n' + "\n".join(ROWS) + "\n", VALUES),
             ("A,B\r\n" + "\r\n".join(ROWS) + "\r\n", VALUES),
@@ -172,7 +175,8 @@ class TestLoadtxtFastPath:
               for char in SPLITLINES_ONLY],
         ],
         ids=["underscore", "padded", "empty-cell", "ragged", "blank-line", "hash", "inf",
-             "header-only", "repeated-name", "cr-line-ends", "header-quoting-a-newline", "crlf-header",
+             "header-only", "repeated-name", "first-name-met-twice", "cr-line-ends",
+             "header-quoting-a-newline", "crlf-header",
              "quoted-crlf-header", "lone-cr-between-rows", "cr-only-line",
              "row-quoting-a-newline", "header-quoting-a-newline-then-a-bad-cell",
              *[f"{ord(char):#x}-in-a-row" for char in SPLITLINES_ONLY]],

@@ -86,6 +86,20 @@ def test_too_few_investors_are_drawn_then_rejected(n):
     (sampling.random_market, (2.0,), "k must be an integer >= 0, got 2.0"),
     (sampling.random_group, (-2,), "n must be an integer >= 0, got -2"),
     (sampling.random_group, ("3",), "n must be an integer >= 0, got '3'"),
+    # above numpy's index range (2**63 - 1 here) for rng.integers, or its
+    # largest array in bytes for the floats drawn: n of them, or k * k
+    (sampling.random_instance, (2**63, 5),
+     "max_k must be an integer <= 9223372036854775807, got 9223372036854775808"),
+    (sampling.random_instance, (5, np.uint64(2**64 - 1)),
+     "max_n must be an integer <= 9223372036854775807, got "),
+    (sampling.random_instance, (np.uint64(2**64 - 1), 5),
+     "max_k must be an integer <= 9223372036854775807, got "),
+    (sampling.random_market, (10**300,), "k must be an integer <= 1073741823, got 1000"),
+    (sampling.random_market, (2**30,), "k must be an integer <= 1073741823, got 1073741824"),
+    (sampling.random_group, (2**63,),
+     "n must be an integer <= 1152921504606846975, got 9223372036854775808"),
+    (sampling.random_group, (2**60,),
+     "n must be an integer <= 1152921504606846975, got 1152921504606846976"),
 ])
 def test_bad_sizes_are_rejected_before_the_first_draw(draw, args, message):
     rng, twin = twins(5)
@@ -111,6 +125,24 @@ def test_sizes_beyond_the_float_range_are_rejected_before_the_first_draw(
     with pytest.raises(error, match=re.escape(message)):
         draw(rng, *args)
     assert_same_state(rng, twin)
+
+
+def test_the_largest_max_k_draws_then_the_market_rejects_its_k():
+    # rng.integers(2, max_k, endpoint=True) reaches 2**63 - 1 without
+    # overflow; the k drawn is above random_market's ceiling
+    rng, twin = twins(5)
+    with pytest.raises(errors.ConstraintViolated, match="^k must be an integer <= 1073741823, got "):
+        sampling.random_instance(rng, 2**63 - 1, 5)
+    twin.integers(2, 2**63 - 1, endpoint=True)
+    twin.integers(2, 5, endpoint=True)
+    assert_same_state(rng, twin)
+
+
+@pytest.mark.parametrize("k", [*range(2, 40), 100, 300, 1000])
+def test_market_covariance_is_exactly_symmetric(k):
+    # F F' is formed symmetric, so the sampler does not symmetrize it
+    sigma = sampling.random_market(np.random.default_rng(k), k).sigma
+    assert np.array_equal(sigma, sigma.T)
 
 
 class Size(enum.IntEnum):
