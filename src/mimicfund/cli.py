@@ -25,8 +25,9 @@ from .model import InvestorGroup, MarketModel
 from .moments import estimate, load_csv, parse_csv, read_input
 
 # oracle, sampling and study are imported by the commands that use them, so
-# that solve and estimate skip them at start-up.  The commands parse with
-# parse_csv; load_csv stays importable from here for perfbench's self-test.
+# that solve and estimate skip them at start-up.  The commands read with
+# read_input and parse with parse_csv, whose (names, returns) pair load_csv
+# also returns; load_csv stays importable from here for perfbench's self-test.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -167,7 +168,7 @@ def _resolve_market(args, config: dict, inputs: dict) -> MarketModel:
     if in_config:
         return MarketModel(config["mu"], config["sigma"])
     text, inputs[args.returns] = read_input(args.returns)
-    return estimate(parse_csv(args.returns, text), args.annualize)
+    return estimate(parse_csv(args.returns, text)[1], args.annualize)
 
 
 def _cmd_solve(args) -> int:
@@ -295,12 +296,12 @@ def _cmd_study(args) -> int:
 
 def _cmd_estimate(args) -> int:
     text, digest = read_input(args.returns)
-    sample = parse_csv(args.returns, text)
-    market = estimate(sample, args.annualize)
+    names, returns = parse_csv(args.returns, text)
+    market = estimate(returns, args.annualize)
     report = {
         "manifest": _manifest("estimate", {"annualize": args.annualize}, {args.returns: digest}),
-        "asset_names": list(sample.asset_names),
-        "observations": sample.t,
+        "asset_names": list(names),
+        "observations": returns.shape[0],
         "mu": market.mu.tolist(),
         "sigma": market.sigma.tolist(),
     }

@@ -12,59 +12,12 @@ import hashlib
 import io
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import errors
-from .model import MarketModel, _as_array, _as_count, _freeze, _shown
-
-
-@dataclass(frozen=True, eq=False)
-class ReturnSample:
-    """A ``T x k`` matrix of observed per-period returns with asset names.
-
-    Requires ``T >= k + 2`` (sample covariance is only generically positive
-    definite for T > k; one extra row of margin) and finite entries.
-    ``returns`` passes :func:`model._as_array`, which copies it, so the
-    caller's array stays writeable and unshared; ``asset_names`` must be a
-    tuple or a list, since a string would be split into its characters.
-    """
-
-    returns: np.ndarray
-    asset_names: tuple[str, ...]
-
-    def __post_init__(self):
-        arr = _as_array(self.returns, "returns", 2)
-        names = self.asset_names
-        if not isinstance(names, (tuple, list)):
-            raise errors.ParseError(f"asset_names must be a tuple or a list, got {_shown(names)}")
-        names = tuple(str(s) for s in names)
-        if len(names) != arr.shape[1]:
-            raise errors.DimensionMismatch(
-                f"{len(names)} asset names for {arr.shape[1]} return columns"
-            )
-        if not np.all(np.isfinite(arr)):
-            row, col = np.argwhere(~np.isfinite(arr))[0]
-            raise errors.NonFiniteValue(
-                f"non-finite return at observation {row + 1}, column {col + 1}"
-            )
-        if arr.shape[0] < arr.shape[1] + 2:
-            raise errors.TooFewObservations(
-                f"need at least k + 2 = {arr.shape[1] + 2} observations, got {arr.shape[0]}"
-            )
-        _freeze(self, returns=arr, asset_names=names)
-
-    @property
-    def t(self) -> int:
-        """Observation count."""
-        return self.returns.shape[0]
-
-    @property
-    def k(self) -> int:
-        """Asset count."""
-        return self.returns.shape[1]
+from .model import MarketModel, _as_array, _as_count, _shown
 
 
 def read_input(path) -> tuple[str, str]:
@@ -83,13 +36,17 @@ def read_input(path) -> tuple[str, str]:
         raise errors.ParseError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def load_csv(path) -> ReturnSample:
+def load_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
     """:func:`parse_csv` of the return-history CSV at ``path``, read by :func:`read_input`."""
     return parse_csv(path, read_input(path)[0])
 
 
-def parse_csv(path, text: str) -> ReturnSample:
-    r"""Parse ``text``, the return-history CSV read from ``path``, into a :class:`ReturnSample`.
+def parse_csv(path, text: str) -> tuple[tuple[str, ...], np.ndarray]:
+    r"""Parse ``text``, the return-history CSV read from ``path``, into names and returns.
+
+    Returns the header's asset names, stripped, as a tuple, and the ``T x k``
+    float matrix of the data rows, one column per name.  Whether there are
+    enough rows is :func:`estimate`'s rule, not the parser's.
 
     Parse failures name ``path``, the offending row by the 1-based physical
     line it starts on (the header starts on line 1; a quoted newline or a
@@ -99,9 +56,9 @@ def parse_csv(path, text: str) -> ReturnSample:
     error.  The header is the first line split at commas; ``csv`` reads it
     only when it holds a quote or a ``\r`` before its line ending.  Besides
     ``text``, a parse holds the body after the header, one list of the
-    body's lines, the parsed array and the :class:`ReturnSample`'s copy of
-    it; the ``io.StringIO`` copies ``csv`` reads, at up to four bytes a
-    character, are made only on those two detours.
+    body's lines and the parsed array; the ``io.StringIO`` copies ``csv``
+    reads, at up to four bytes a character, are made only on those two
+    detours.
     """
     head, _, body = text.partition("\n")
     head = head.removesuffix("\r")
@@ -127,7 +84,7 @@ def parse_csv(path, text: str) -> ReturnSample:
     returns = _loadtxt(body, k)
     if returns is None:
         returns = _parse_cells(path, body, k, first)
-    return ReturnSample(returns=returns, asset_names=tuple(header))
+    return tuple(header), returns
 
 
 def _loadtxt(body: str, k: int) -> Optional[np.ndarray]:
@@ -191,19 +148,31 @@ def _parse_cells(path, body: str, k: int, first: int) -> np.ndarray:
     return np.array(values, dtype=float).reshape(len(values), k)
 
 
-def estimate(sample: ReturnSample, periods_per_year: Optional[int] = None) -> MarketModel:
-    """Sample moments of a return history, optionally annualized.
+def estimate(returns, periods_per_year: Optional[int] = None) -> MarketModel:
+    """Sample moments of a ``T x k`` return history, optionally annualized.
 
-    Means are column averages, the covariance uses the unbiased ``T - 1``
-    divisor; with ``periods_per_year = P`` both moments are scaled by ``P``
-    (i.i.d. convention); ``P`` passes :func:`model._as_count`.  The result
-    passes full market validation, so degenerate data surfaces as
+    ``returns`` passes :func:`model._as_array` as a 2-D matrix, which copies
+    it, and must then hold finite entries (the first bad one is named by
+    observation and column) and ``T >= k + 2`` rows (a sample covariance is
+    only generically positive definite for ``T > k``; one extra row of
+    margin), else :class:`errors.TooFewObservations`.  Means are column
+    averages, the covariance uses the unbiased ``T - 1`` divisor; with
+    ``periods_per_year = P`` both moments are scaled by ``P`` (i.i.d.
+    convention); ``P`` passes :func:`model._as_count`.  The result passes
+    full market validation, so degenerate data surfaces as
     :class:`errors.NotPositiveDefinite` and an overflowing moment as
     :class:`errors.NonFiniteValue`, with no warning.
     """
+    returns = _as_array(returns, "returns", 2)
+    if not np.isfinite(returns).all():
+        row, col = np.argwhere(~np.isfinite(returns))[0]
+        raise errors.NonFiniteValue(f"non-finite return at observation {row + 1}, column {col + 1}")
+    t, k = returns.shape
+    if t < k + 2:
+        raise errors.TooFewObservations(f"need at least k + 2 = {k + 2} observations, got {t}")
     scale = (1.0 if periods_per_year is None
              else float(_as_count(periods_per_year, "periods_per_year", 1)))
     with np.errstate(all="ignore"):  # a non-finite moment fails the market's check
-        mu = sample.returns.mean(axis=0) * scale
-        sigma = np.atleast_2d(np.cov(sample.returns, rowvar=False, ddof=1)) * scale
+        mu = returns.mean(axis=0) * scale
+        sigma = np.atleast_2d(np.cov(returns, rowvar=False, ddof=1)) * scale
     return MarketModel(mu, sigma)

@@ -26,6 +26,12 @@ ALPHA_LOW = 0.1
 ALPHA_HIGH = 20.0
 PHI_HIGH = 20.0
 
+# the size ceilings: numpy's index range, the floats that fit in it in bytes,
+# and the order of the largest square matrix of such floats
+_INDEX_MAX = np.iinfo(np.intp).max
+_FLOATS_MAX = _INDEX_MAX // 8
+_ORDER_MAX = math.isqrt(_FLOATS_MAX)
+
 
 def random_market(rng: np.random.Generator, k: int) -> MarketModel:
     """Random market with covariance ``F F' + SIGMA_RIDGE I`` and standard-normal means.
@@ -33,7 +39,7 @@ def random_market(rng: np.random.Generator, k: int) -> MarketModel:
     ``F F'`` is exactly symmetric: numpy computes a matrix times its own
     transpose as one triangle (BLAS ``syrk``) and mirrors it.
     """
-    k = _as_count(k, "k", 0, math.isqrt(np.iinfo(np.intp).max // 8))
+    k = _as_count(k, "k", 0, _ORDER_MAX)
     f = rng.standard_normal((k, k))
     sigma = f @ f.T
     sigma.flat[:: k + 1] += SIGMA_RIDGE
@@ -43,7 +49,7 @@ def random_market(rng: np.random.Generator, k: int) -> MarketModel:
 
 def random_group(rng: np.random.Generator, n: int) -> InvestorGroup:
     """Random group: uniform ``alpha`` and ``phi``, then Dirichlet(1, ..., 1) wealth shares."""
-    n = _as_count(n, "n", 0, np.iinfo(np.intp).max // 8)
+    n = _as_count(n, "n", 0, _FLOATS_MAX)
     alpha = rng.uniform(ALPHA_LOW, ALPHA_HIGH, n)
     phi = rng.uniform(0.0, PHI_HIGH, n)
     return InvestorGroup(alpha, rng.dirichlet(np.ones(n)), phi)
@@ -53,8 +59,8 @@ def random_instance(
     rng: np.random.Generator, max_k: int, max_n: int
 ) -> tuple[MarketModel, InvestorGroup]:
     """Random (market, group) pair with ``2 <= k <= max_k`` and ``2 <= n <= max_n``."""
-    max_k = _as_count(max_k, "max_k", 2, np.iinfo(np.intp).max)
-    max_n = _as_count(max_n, "max_n", 2, np.iinfo(np.intp).max)
+    max_k = _as_count(max_k, "max_k", 2, _INDEX_MAX)
+    max_n = _as_count(max_n, "max_n", 2, _INDEX_MAX)
     k = int(rng.integers(2, max_k, endpoint=True))
     n = int(rng.integers(2, max_n, endpoint=True))
     return random_market(rng, k), random_group(rng, n)

@@ -7,7 +7,7 @@ import support
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimicfund import InvestorGroup, MarketModel, errors, mimicking, moments, oracle
+from mimicfund import InvestorGroup, MarketModel, errors, mimicking, oracle
 from mimicfund.model import BETA_SUM_TOL, COLUMN_SUM_TOL, SYMMETRY_RTOL, PortfolioMatrix
 
 
@@ -478,7 +478,6 @@ def test_array_holding_types_compare_and_hash_by_identity(textbook_market, textb
         textbook_ctx,
         mimicking.solve(textbook_ctx, base_group),
         oracle.kkt_solve(textbook_market, base_group),
-        moments.ReturnSample(np.eye(4, 2), ("A", "B")),
     ]
     for value in values:
         twin = copy.copy(value)

@@ -2,6 +2,7 @@ import csv
 import enum
 import hashlib
 import io
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimicfund import errors, moments
-from mimicfund.moments import ReturnSample, estimate, load_csv
+from mimicfund.moments import estimate, load_csv
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -21,10 +22,12 @@ def write_csv(tmp_path, text, name="data.csv"):
 
 class TestLoadCsv:
     def test_well_formed_file(self, returns_csv):
-        sample = load_csv(returns_csv)
-        assert sample.k == 2
-        assert sample.t == 60
-        assert sample.asset_names == ("A", "B")
+        names, returns = load_csv(returns_csv)
+        assert names == ("A", "B")
+        assert returns.shape == (60, 2) and returns.dtype == np.float64
+        parsed_names, parsed = moments.parse_csv(returns_csv, returns_csv.read_text())
+        assert parsed_names == names
+        np.testing.assert_array_equal(parsed, returns)
 
     def test_blank_cell_names_its_row(self, tmp_path):
         lines = ["A,B"] + ["0.01,0.02"] * 20
@@ -61,10 +64,13 @@ class TestLoadCsv:
             load_csv(path)
 
     def test_too_few_observations(self, tmp_path):
-        # T == k violates T >= k + 2
+        # T == k violates T >= k + 2: the parse keeps the rows, estimate rejects them
         path = write_csv(tmp_path, "A,B\n0.01,0.02\n0.03,0.04\n")
-        with pytest.raises(errors.TooFewObservations):
-            load_csv(path)
+        names, returns = load_csv(path)
+        assert names == ("A", "B") and returns.shape == (2, 2)
+        message = "^need at least k \\+ 2 = 4 observations, got 2$"
+        with pytest.raises(errors.TooFewObservations, match=message):
+            estimate(returns)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(errors.IoError):
@@ -79,8 +85,8 @@ class TestLoadCsv:
         data = b"\xef\xbb\xbf" + returns_csv.read_bytes()
         path = tmp_path / "bom.csv"
         path.write_bytes(data)
-        plain, marked = load_csv(returns_csv), load_csv(path)
-        assert marked.asset_names == plain.asset_names == ("A", "B")
+        (plain_names, plain), (marked_names, marked) = load_csv(returns_csv), load_csv(path)
+        assert marked_names == plain_names == ("A", "B")
         want, got = estimate(plain), estimate(marked)
         np.testing.assert_array_equal(got.mu, want.mu)
         np.testing.assert_array_equal(got.sigma, want.sigma)
@@ -105,11 +111,14 @@ def fell_back(*args):
 
 
 def outcome(load, path):
+    """The rows ``load`` parses and :func:`estimate` accepts, as the CLI
+    reads them, or the error class and message of either."""
     try:
-        sample = load(path)
+        _, returns = load(path)
+        estimate(returns)
     except errors.ValidationError as exc:
         return type(exc), str(exc).replace(str(path), "<path>")
-    return sample.returns.tolist()
+    return returns.tolist()
 
 
 ROWS = ["0.01,0.02", "0.03,-0.01", "0.00,0.05", "-0.02,0.01"]
@@ -133,8 +142,8 @@ class TestLoadtxtFastPath:
         path = write_csv(tmp_path, header + newline + body)
         with monkeypatch.context() as patch:
             patch.setattr(moments, "_parse_cells", fell_back)
-            fast = load_csv(path).returns
-        np.testing.assert_array_equal(fast, load_by_cells(monkeypatch, path).returns)
+            fast = load_csv(path)[1]
+        np.testing.assert_array_equal(fast, load_by_cells(monkeypatch, path)[1])
         np.testing.assert_array_equal(fast, [[float(c) for c in row] for row in cells])
 
     @pytest.mark.parametrize(
@@ -217,12 +226,12 @@ def csv_texts(draw):
 def parsed(text):
     """``parse_csv``'s value bits and names, or its error class and message."""
     try:
-        sample = moments.parse_csv("<path>", text)
+        names, returns = moments.parse_csv("<path>", text)
     except errors.ValidationError as exc:
         return type(exc), str(exc)
     header = next(csv.reader(io.StringIO(text, newline="")))
-    assert sample.asset_names == tuple(name.strip() for name in header)
-    return sample.asset_names, sample.returns.shape, sample.returns.tobytes()
+    assert names == tuple(name.strip() for name in header)
+    return names, returns.shape, returns.tobytes()
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -233,69 +242,64 @@ def test_fast_path_matches_the_cell_parser(text):
     assert parsed(text) == by_cells
 
 
-class TestReturnSample:
+class TestEstimate:
     def test_non_numeric_returns_rejected(self):
         # np.array(..., dtype=float) would fail untyped on text and convert
         # booleans and numeric strings
         for returns in ("abc", [[True, False]] * 6, [["0.1", "0.2"]] * 6):
             with pytest.raises(errors.ParseError, match="returns is not an array of numbers"):
-                ReturnSample(returns=returns, asset_names=("A", "B"))
+                estimate(returns)
         with pytest.raises(errors.DimensionMismatch, match="returns must be a 2-D matrix"):
-            ReturnSample(returns=[0.1, 0.2], asset_names=("A", "B"))
+            estimate([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
 
-    def test_asset_names_must_be_a_tuple_or_list(self):
-        returns = np.zeros((6, 2))
-        for names in (5, "AB", 10**4301):
-            with pytest.raises(errors.ParseError, match="asset_names must be a tuple or a list"):
-                ReturnSample(returns=returns, asset_names=names)
-        assert ReturnSample(returns=returns, asset_names=["A", "B"]).asset_names == ("A", "B")
-
-    def test_infinite_entry_and_name_count_rejected(self):
+    def test_non_finite_entry_named(self):
+        # the first bad entry in row-major order is the one named
         returns = np.full((6, 2), 0.01)
-        returns[3, 1] = np.inf
-        message = "^non-finite return at observation 4, column 2$"
+        returns[2, 1] = np.nan
+        returns[3, 0] = np.inf
+        message = "^non-finite return at observation 3, column 2$"
         with pytest.raises(errors.NonFiniteValue, match=message):
-            ReturnSample(returns=returns, asset_names=("A", "B"))
-        with pytest.raises(errors.DimensionMismatch, match="^1 asset names for 2 return columns$"):
-            ReturnSample(returns=np.zeros((6, 2)), asset_names=("A",))
+            estimate(returns)
 
-    def test_copies_every_input(self):
-        frozen = np.zeros((6, 2))
+    def test_observation_floor_is_k_plus_2(self):
+        # with k = 2, 3 rows are too few and 4 enough
+        returns = [[0.01, 0.02], [-0.02, 0.01], [0.03, -0.01], [0.00, 0.04]]
+        message = "^need at least k \\+ 2 = 4 observations, got 3$"
+        with pytest.raises(errors.TooFewObservations, match=message):
+            estimate(returns[:3])
+        assert estimate(returns).k == 2
+
+    def test_reads_any_layout_and_leaves_the_input_alone(self):
+        rng = np.random.default_rng(4)
+        writeable = rng.normal(0.0, 0.02, (6, 2))
+        frozen = writeable.copy()
         frozen.setflags(write=False)
-        writeable = np.zeros((6, 2))
-        for returns in (frozen, writeable, np.zeros((2, 6)).T, frozen[::1]):
-            kept = ReturnSample(returns=returns, asset_names=("A", "B")).returns
-            assert kept is not returns and kept.base is None and not kept.flags.writeable
-        assert writeable.flags.writeable
+        want = estimate(writeable)
+        for returns in (frozen, np.asfortranarray(writeable), np.repeat(writeable, 2, axis=0)[::2]):
+            got = estimate(returns)
+            np.testing.assert_array_equal(got.mu, want.mu)
+            np.testing.assert_array_equal(got.sigma, want.sigma)
+        assert writeable.flags.writeable and not frozen.flags.writeable
 
-
-class TestEstimate:
     def test_unbiased_divisor_by_hand(self):
         # column A: {0, 2r, 0, 2r}: mean r, squared deviations all r^2,
         # unbiased variance 4 r^2 / 3
         r = 0.05
-        sample = ReturnSample(
-            returns=[[0.0, 0.01], [2 * r, 0.03], [0.0, 0.02], [2 * r, 0.00]],
-            asset_names=("A", "B"),
-        )
-        market = estimate(sample)
+        market = estimate([[0.0, 0.01], [2 * r, 0.03], [0.0, 0.02], [2 * r, 0.00]])
         assert market.sigma[0, 0] == pytest.approx(4 * r * r / 3, rel=1e-14)
         assert market.mu[0] == pytest.approx(r, rel=1e-14)
 
     def test_anti_correlated_columns_rejected(self):
         base = np.linspace(-0.05, 0.05, 10)
-        sample = ReturnSample(
-            returns=np.column_stack([base, -base]), asset_names=("A", "B")
-        )
         with pytest.raises(errors.NotPositiveDefinite):
-            estimate(sample)
+            estimate(np.column_stack([base, -base]))
 
     def test_constant_column_rejected(self):
         # 0.03125 is binary-exact, so the sample variance is exactly zero
         rng = np.random.default_rng(3)
         returns = np.column_stack([np.full(20, 0.03125), rng.normal(0, 0.02, 20)])
         with pytest.raises(errors.NotPositiveDefinite):
-            estimate(ReturnSample(returns=returns, asset_names=("A", "B")))
+            estimate(returns)
 
     def test_estimates_converge_with_sample_size(self):
         rng = np.random.default_rng(12345)
@@ -306,7 +310,7 @@ class TestEstimate:
         errs = {}
         for t in (100, 100_000):
             draws = rng.multivariate_normal(true_mu, true_sigma, size=t)
-            market = estimate(ReturnSample(returns=draws, asset_names=("A", "B", "C")))
+            market = estimate(draws)
             errs[t] = max(
                 np.max(np.abs(market.mu - true_mu)),
                 np.max(np.abs(market.sigma - true_sigma)),
@@ -316,12 +320,9 @@ class TestEstimate:
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(9)
         returns = rng.normal(0.001, 0.02, size=(40, 4))
-        names = ("A", "B", "C", "D")
         perm = np.array([2, 0, 3, 1])
-        direct = estimate(ReturnSample(returns=returns, asset_names=names))
-        permuted = estimate(
-            ReturnSample(returns=returns[:, perm], asset_names=tuple(names[i] for i in perm))
-        )
+        direct = estimate(returns)
+        permuted = estimate(returns[:, perm])
         # entries may differ by a few ulps (summation-order reassociation)
         np.testing.assert_allclose(permuted.mu, direct.mu[perm], rtol=1e-14, atol=0)
         np.testing.assert_allclose(
@@ -329,22 +330,22 @@ class TestEstimate:
         )
 
     def test_annualization_scales_both_moments(self, returns_csv):
-        sample = load_csv(returns_csv)
-        plain = estimate(sample)
-        yearly = estimate(sample, periods_per_year=12)
+        _, returns = load_csv(returns_csv)
+        plain = estimate(returns)
+        yearly = estimate(returns, periods_per_year=12)
         np.testing.assert_allclose(yearly.mu, 12 * plain.mu, rtol=1e-14)
         np.testing.assert_allclose(yearly.sigma, 12 * plain.sigma, rtol=1e-14)
 
     def test_bad_annualization_rejected(self, returns_csv):
-        sample = load_csv(returns_csv)
+        _, returns = load_csv(returns_csv)
         with pytest.raises(errors.ConstraintViolated):
-            estimate(sample, periods_per_year=0)
+            estimate(returns, periods_per_year=0)
         with pytest.raises(errors.ConstraintViolated):
-            estimate(sample, periods_per_year=2.5)
+            estimate(returns, periods_per_year=2.5)
         with pytest.raises(errors.ConstraintViolated):
-            estimate(sample, periods_per_year=True)
+            estimate(returns, periods_per_year=True)
         with pytest.raises(errors.ParseError, match="periods_per_year is not an array of numbers"):
-            estimate(sample, periods_per_year=10**400)
+            estimate(returns, periods_per_year=10**400)
 
     @pytest.mark.parametrize("periods, error", [
         (2**1024 - 2**970 - 1, None),  # the largest int that rounds to a float
@@ -356,12 +357,11 @@ class TestEstimate:
     ], ids=["below-halfway", "halfway", "uint64-max", "int-enum", "digit-limit", "negative-digit-limit"])
     def test_count_rule_at_the_ends_of_the_float_range(self, periods, error):
         returns = np.array([[1, 2], [-2, 1], [3, -1], [0, 4], [2, 0], [-1, 3]]) * 1e-150
-        sample = ReturnSample(returns=returns, asset_names=("A", "B"))
         if error is not None:
             with pytest.raises(error, match="^periods_per_year (is not an array|must be an integer)"):
-                estimate(sample, periods_per_year=periods)
+                estimate(returns, periods_per_year=periods)
             return
-        market = estimate(sample, periods_per_year=periods)
+        market = estimate(returns, periods_per_year=periods)
         np.testing.assert_array_equal(market.mu, returns.mean(axis=0) * float(periods))
 
     def test_overflowing_moments_rejected_without_a_warning(self):
@@ -369,11 +369,24 @@ class TestEstimate:
         # the annualized mean of returns near 1e10
         base = np.column_stack([np.linspace(-1.0, 1.0, 10), np.linspace(1.0, 2.0, 10)])
         for returns, periods in ((base * 1e200, None), (base * 1e10, 10**300)):
-            sample = ReturnSample(returns=returns, asset_names=("A", "B"))
             with pytest.raises(errors.NonFiniteValue):
-                estimate(sample, periods_per_year=periods)
+                estimate(returns, periods_per_year=periods)
 
     def test_output_is_a_validated_market(self, returns_csv):
-        market = estimate(load_csv(returns_csv))
+        market = estimate(load_csv(returns_csv)[1])
         assert market.k == 2
         np.testing.assert_allclose(market.sigma, market.sigma.T)
+
+
+def test_readme_csv_example(returns_csv, monkeypatch):
+    # README's second "Library example" block runs as written beside a returns.csv
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library example", 1)[1].split("```python\n")[2].split("```", 1)[0]
+    monkeypatch.chdir(returns_csv.parent)
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["names"] == ("A", "B")
+    assert namespace["digest"] == hashlib.sha256(returns_csv.read_bytes()).hexdigest()
+    want = estimate(load_csv(returns_csv)[1], periods_per_year=252)
+    np.testing.assert_array_equal(namespace["market"].mu, want.mu)
+    np.testing.assert_array_equal(namespace["market"].sigma, want.sigma)
