@@ -5,7 +5,10 @@ all invariants or raises a typed :mod:`mimicfund.errors` exception.  Every
 number from outside, here and in the study, moments and sampling modules,
 passes :func:`_as_array` or, for an integer, :func:`_as_count`.  All
 values are immutable after construction (frozen dataclasses over read-only
-arrays), so they are safe to share across threads.  Types that hold arrays
+arrays), so they are safe to share across threads, provided that a caller
+handing :class:`PortfolioMatrix` an array to keep without a copy holds no
+writeable view of it; :func:`mimicking.solve` is the package's one such
+caller.  Types that hold arrays
 compare and hash by identity (``eq=False``), since an array comparison has
 no single truth value.  Each type checks the one value it holds; the
 study's grid of groups is checked as a grid, by :class:`study.StudyConfig`.
@@ -277,8 +280,11 @@ class PortfolioMatrix:
     overflowing to ``inf`` and ``-inf``) is rejected, no numpy warning
     escapes, and a matrix without columns has none to reject.  A
     read-only, C-contiguous float64 2-D array that owns its data is kept
-    as it is: its owner has frozen it and hands it over.  Every other
-    input is copied, so the caller's array stays writeable and unshared.
+    as it is: its owner has frozen it and hands it over, and must hold no
+    writeable view of it, made before the freeze, through which the kept
+    weights would change.  :func:`mimicking.solve`, which builds ``W``
+    fresh, is the package's one such caller.  Every other input is copied,
+    so the caller's array stays writeable and unshared.
     """
 
     weights: np.ndarray

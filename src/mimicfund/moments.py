@@ -11,7 +11,6 @@ import csv
 import hashlib
 import io
 import math
-import warnings
 from typing import Optional
 
 import numpy as np
@@ -99,15 +98,19 @@ def _loadtxt(body: str, k: int) -> Optional[np.ndarray]:
     * with no quote and no comment character it fails on a quoted cell, a
       ``#`` or an empty cell, and parses a plain decimal to the value
       ``float`` gives;
-    * a non-finite value is left to ``float`` for its error message.
+    * a non-finite value is left to ``float`` for its error message;
+    * a body with no line, or whose first line is empty or a lone ``\r``,
+      goes to the per-cell parser unread: ``np.loadtxt`` would skip that
+      line, and on a body of only such lines it would warn.  So no warning
+      is raised and no warning filter is touched.
     """
     lines = body.split("\n")
+    if lines[0] in ("", "\r"):  # also a body with no line, where lines == [""]
+        return None
     if not lines[-1]:
         lines.pop()  # the empty rest after a final \n is no line
     try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            returns = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+        returns = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
     except ValueError:
         return None
     if returns.shape != (len(lines), k) or not np.isfinite(returns).all():

@@ -11,7 +11,8 @@ import support
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mimicfund import InvestorGroup, MarketModel, errors, markowitz, mimicking, oracle, sampling
+from mimicfund import (InvestorGroup, MarketModel, errors, markowitz, mimicking, model, oracle,
+                       sampling)
 from mimicfund.model import PortfolioMatrix
 
 TEXTBOOK_A = np.array([[1.75, -0.75], [-0.75, 2.75]])
@@ -195,6 +196,21 @@ class TestSolve:
             assert np.max(np.abs(w.sum(axis=0) - 1.0)) <= 1e-10
             np.testing.assert_allclose(s.fund_weights, w @ g.beta, atol=1e-12)
             assert s.alpha_star_f > 0
+
+    def test_hands_its_frozen_weights_over_without_a_copy(self, monkeypatch):
+        # solve is PortfolioMatrix's one caller that hands over a frozen array
+        # it owns; a copy would go through _as_array
+        rng = np.random.default_rng(20)
+        ctx = markowitz.context(sampling.random_market(rng, 20))
+        group = sampling.random_group(rng, 1000)
+
+        def copied(*args):
+            raise AssertionError("solve's weights were copied")
+
+        monkeypatch.setattr(model, "_as_array", copied)
+        weights = mimicking.solve(ctx, group).w_star.weights
+        assert weights.shape == (20, 1000)
+        assert weights.base is None and not weights.flags.writeable
 
     def test_equal_preferences_recover_classical_fund(self, textbook_ctx):
         g = InvestorGroup((3.0, 3.0, 3.0, 3.0), (0.1, 0.2, 0.3, 0.4), (5.0, 5.0, 5.0, 5.0))

@@ -2,6 +2,7 @@ import csv
 import enum
 import hashlib
 import io
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -164,6 +165,12 @@ class TestLoadtxtFastPath:
              (errors.NonFiniteValue, "<path>: row 3, column 2: non-finite value 'inf'")),
             ("A,B\n",
              (errors.TooFewObservations, "need at least k + 2 = 4 observations, got 0")),
+            # the one body on which np.loadtxt's matrix was kept: no line, k = 1
+            ("A\n", (errors.TooFewObservations, "need at least k + 2 = 3 observations, got 0")),
+            # bodies of blank lines only, on which np.loadtxt would warn
+            ("A,B\n\n\n", (errors.ParseError, "<path>: row 2: expected 2 fields, got 0")),
+            ("A,B\r\n\r\n", (errors.ParseError, "<path>: row 2: expected 2 fields, got 0")),
+            ("A\n\n", (errors.ParseError, "<path>: row 2: expected 1 fields, got 0")),
             ("A, A \n" + "\n".join(ROWS) + "\n",
              (errors.ParseError, "<path>: row 1: asset name 'A' repeats")),
             # the name named is the first one met a second time
@@ -184,7 +191,8 @@ class TestLoadtxtFastPath:
               for char in SPLITLINES_ONLY],
         ],
         ids=["underscore", "padded", "empty-cell", "ragged", "blank-line", "hash", "inf",
-             "header-only", "repeated-name", "first-name-met-twice", "cr-line-ends",
+             "header-only", "one-name-header-only", "blank-lines-only", "crlf-blank-line-only",
+             "one-name-blank-line-only", "repeated-name", "first-name-met-twice", "cr-line-ends",
              "header-quoting-a-newline", "crlf-header",
              "quoted-crlf-header", "lone-cr-between-rows", "cr-only-line",
              "row-quoting-a-newline", "header-quoting-a-newline-then-a-bad-cell",
@@ -240,6 +248,21 @@ def test_fast_path_matches_the_cell_parser(text):
     with mock.patch.object(moments, "_loadtxt", lambda body, k: None):
         by_cells = parsed(text)
     assert parsed(text) == by_cells
+
+
+def _host_warning():
+    warnings.warn("a host program's warning", UserWarning)
+
+
+def test_parsing_leaves_the_host_warning_registry_alone():
+    # under the default action a warning from one line is shown once; a
+    # parse that swapped the filter list would reset the registry
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("default")
+        _host_warning()
+        moments.parse_csv("<path>", "A,B\n0.1,0.2\n0.3,0.4\n")
+        _host_warning()
+    assert [str(w.message) for w in shown] == ["a host program's warning"]
 
 
 class TestEstimate:
