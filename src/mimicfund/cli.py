@@ -91,12 +91,10 @@ def _config(command: str, path, keys) -> tuple[dict, dict]:
 
     def unique(pairs):
         # json.loads keeps a repeated key's last value without a word
-        obj = {}
-        for key, value in pairs:
-            if key in obj:
-                raise errors.ParseError(f"{path}: key {model._shown(key)} repeats")
-            obj[key] = value
-        return obj
+        key = model._repeated(key for key, _ in pairs)
+        if key is not None:
+            raise errors.ParseError(f"{path}: key {model._shown(key)} repeats")
+        return dict(pairs)
 
     try:
         config = json.loads(text, object_pairs_hook=unique)
@@ -122,10 +120,11 @@ def _write(files: dict) -> None:
     A path is written through a symlink to the file it resolves to, which
     must be a regular file if it exists: a directory, FIFO or device is
     refused, and so are an empty path and two paths that resolve to one
-    file.  Each text goes to a temporary file beside that target, and the
-    temporaries are renamed over their targets only once every one of them
-    is written.  A failure removes the temporaries and names the path it
-    was writing.
+    file.  Each text goes to a new temporary file beside that target, named
+    by the target and the process id; a file or link already at that name
+    fails the write.  The temporaries are renamed over their targets only
+    once every one of them is written.  A failure removes the temporaries
+    this call made and names the path it was writing.
     """
     temps = {}
     try:
@@ -144,8 +143,8 @@ def _write(files: dict) -> None:
             if target in temps:
                 raise OSError("resolves to the same file as another output")
             temp = f"{target}.{os.getpid()}.tmp"
-            temps[target] = path, temp
-            with open(temp, "w", encoding="utf-8", newline="") as handle:
+            with open(temp, "x", encoding="utf-8", newline="") as handle:
+                temps[target] = path, temp  # only a temporary made here is removed
                 handle.write(text)
         for target, (path, temp) in temps.items():
             os.replace(temp, target)

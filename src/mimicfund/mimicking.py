@@ -132,11 +132,8 @@ def solve(ctx: MarkowitzContext, group: InvestorGroup) -> MimickingSolution:
     """
     c, tau = _optimum(group.alpha, group.beta, group.phi)
     tau = markowitz._fund_scalar(tau, "tau")
-    coords = np.empty((2, c.shape[0]))
-    coords[0] = 1.0
-    coords[1] = c
     with np.errstate(all="ignore"):  # an overflow is a non-finite entry, rejected below
-        w = np.array((ctx.gmvp, ctx.tilt)).T @ coords
+        w = np.array((ctx.gmvp, ctx.tilt)).T @ np.array((np.ones_like(c), c))
     w.setflags(write=False)
     try:
         w_star = PortfolioMatrix(w)

@@ -3,15 +3,16 @@
 Construction is total: every constructor either returns a value satisfying
 all invariants or raises a typed :mod:`mimicfund.errors` exception.  Every
 number from outside, here and in the study, moments and sampling modules,
-passes :func:`_as_array` or, for an integer, :func:`_as_count`.  All
-values are immutable after construction (frozen dataclasses over read-only
-arrays), so they are safe to share across threads, provided that a caller
-handing :class:`PortfolioMatrix` an array to keep without a copy holds no
-writeable view of it; :func:`mimicking.solve` is the package's one such
-caller.  Types that hold arrays
-compare and hash by identity (``eq=False``), since an array comparison has
-no single truth value.  Each type checks the one value it holds; the
-study's grid of groups is checked as a grid, by :class:`study.StudyConfig`.
+passes :func:`_as_array` or, for an integer, :func:`_as_count`.  Every
+value is a frozen dataclass over arrays made read-only after its checks,
+and nothing in the package writes to a value's arrays.  The read-only
+rule goes no further than that: numpy lets whoever holds an owning array
+turn writing back on, so a caller that re-enables writing on a value's
+array, or writes through a view made before the freeze, breaks the
+value's checks.  Types that hold arrays compare and hash by identity
+(``eq=False``), since an array comparison has no single truth value.  Each
+type checks the one value it holds; the study's grid of groups is checked
+as a grid, by :class:`study.StudyConfig`.
 """
 
 from __future__ import annotations
@@ -142,6 +143,17 @@ def _shown(value) -> str:
     bounds its length, and a number computed here by ``repr``.
     """
     return _Repr().repr(value)[:100]
+
+
+def _repeated(names):
+    """The first of ``names`` met a second time, or None if none is.
+
+    The one way a repeated name is found: a JSON key within one object, a
+    CSV asset name and a study series label.  The names are strings, so
+    None names no repeat.
+    """
+    seen = set()  # add returns None, so the walk stops at the first name met twice
+    return next((name for name in names if name in seen or seen.add(name)), None)
 
 
 def _range(arr: np.ndarray, name: str) -> tuple[float, float]:
@@ -280,11 +292,10 @@ class PortfolioMatrix:
     overflowing to ``inf`` and ``-inf``) is rejected, no numpy warning
     escapes, and a matrix without columns has none to reject.  A
     read-only, C-contiguous float64 2-D array that owns its data is kept
-    as it is: its owner has frozen it and hands it over, and must hold no
-    writeable view of it, made before the freeze, through which the kept
-    weights would change.  :func:`mimicking.solve`, which builds ``W``
-    fresh, is the package's one such caller.  Every other input is copied,
-    so the caller's array stays writeable and unshared.
+    as it is: its owner has frozen it and hands it over, under the module's
+    read-only rule.  :func:`mimicking.solve`, which builds ``W`` fresh, is
+    the package's one such caller.  Every other input is copied, so the
+    caller's array stays writeable and unshared.
     """
 
     weights: np.ndarray

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import errors
-from .model import MarketModel, _as_array, _as_count, _shown
+from .model import MarketModel, _as_array, _as_count, _repeated, _shown
 
 
 def read_input(path) -> tuple[str, str]:
@@ -75,9 +75,8 @@ def parse_csv(path, text: str) -> tuple[tuple[str, ...], np.ndarray]:
     header = [cell.strip() for cell in header]
     if not header or any(not name for name in header):
         raise errors.ParseError(f"{path}: row 1: header must name every column")
-    if len(set(header)) < len(header):
-        seen = set()  # add returns None, so the first name met twice is found in one pass
-        name = next(name for name in header if name in seen or seen.add(name))
+    name = _repeated(header)
+    if name is not None:
         raise errors.ParseError(f"{path}: row 1: asset name {_shown(name)} repeats")
     k = len(header)
     returns = _loadtxt(body, k)

@@ -61,8 +61,6 @@ when read.  On a 2-vCPU VM the default 606-point grid takes 0.16 ms, and
 
 from __future__ import annotations
 
-import collections
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -115,7 +113,8 @@ class StudyConfig:
     the largest ``phi`` bound the products; either beyond the float range
     raises :class:`errors.NonFiniteValue`.  The last rule gives each series
     its own label in :attr:`series`: two members of ``phi_set``, or of
-    ``a_set``, that print alike raise :class:`errors.ConstraintViolated`.
+    ``a_set``, that print alike raise :class:`errors.ConstraintViolated`,
+    which names the first label met twice (:func:`model._repeated`).
     """
 
     market: MarketModel = DEFAULT_MARKET
@@ -170,9 +169,9 @@ class StudyConfig:
                 raise errors.NonFiniteValue(
                     f"{name} {scale!r} times the largest {label} {top!r} is beyond the float range"
                 )
-        repeated = [label for label, count in collections.Counter(self.series).items() if count > 1]
-        if repeated:
-            raise errors.ConstraintViolated(f"series label {repeated[0]!r} repeats: two members of "
+        label = model._repeated(self.series)
+        if label is not None:
+            raise errors.ConstraintViolated(f"series label {label!r} repeats: two members of "
                                             "phi_set or of a_set agree to 6 significant digits")
 
     @property
@@ -214,10 +213,9 @@ class SweepTable:
     @property
     def records(self) -> tuple[SweepRecord, ...]:
         """The points in output order, built anew on each read."""
-        g = self.coordinate.shape[1]
-        labels = itertools.chain.from_iterable(itertools.repeat(s, g) for s in self.series)
-        columns = (x.ravel().tolist() for x in (self.coordinate, self.delta_omega, self.delta_eu))
-        return tuple(itertools.starmap(SweepRecord, zip(labels, *columns)))
+        rows = zip(self.series, self.coordinate, self.delta_omega, self.delta_eu)
+        return tuple(SweepRecord(label, *point) for label, *columns in rows
+                     for point in zip(*(x.tolist() for x in columns)))
 
     def to_csv(self) -> str:
         lines = [self.CSV_HEADER]

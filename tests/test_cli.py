@@ -146,6 +146,25 @@ class TestSolve:
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert sorted(tmp_path.iterdir()) == before
 
+    def test_link_at_the_temporary_name_is_not_written_through(
+        self, solve_config, tmp_path, monkeypatch, capsys
+    ):
+        from mimicfund import cli
+
+        monkeypatch.chdir(tmp_path)
+        victim = tmp_path / "victim.txt"
+        victim.write_text("kept", encoding="utf-8")
+        temp = Path(f"{os.path.realpath('out.json')}.{os.getpid()}.tmp")
+        temp.symlink_to(victim)
+        assert cli.main(["solve", "--config", str(solve_config), "--output", "out.json"]) == 2
+        out, err = capsys.readouterr()
+        assert_one_short_error_line(out, err)
+        assert err == "error: cannot write out.json: File exists\n"
+        # nothing written through the link, no output made, the link not removed
+        assert victim.read_text(encoding="utf-8") == "kept"
+        assert not os.path.lexists("out.json")
+        assert temp.is_symlink() and temp.resolve() == victim
+
     def test_empty_output_path_exits_2(self, solve_config, tmp_path, monkeypatch, capsys):
         from mimicfund import cli
 
@@ -841,6 +860,26 @@ class TestStudy:
         del before["figure2.manifest.json"]
         assert after == before
 
+    def test_link_at_a_temporary_name_keeps_earlier_output(self, tmp_path, capsys):
+        from mimicfund import cli
+
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "figure1.csv").write_text("old", encoding="utf-8")
+        victim = tmp_path / "victim.txt"
+        victim.write_text("kept", encoding="utf-8")
+        temp = Path(f"{os.path.realpath(out / 'figure2.csv')}.{os.getpid()}.tmp")
+        temp.symlink_to(victim)
+        assert cli.main(["study", "--output-dir", str(out)]) == 2
+        out_text, err = capsys.readouterr()
+        assert_one_short_error_line(out_text, err)
+        assert err == f"error: cannot write {out / 'figure2.csv'}: File exists\n"
+        # figure1's temporaries were made and removed; the planted link stays
+        assert (out / "figure1.csv").read_text(encoding="utf-8") == "old"
+        assert victim.read_text(encoding="utf-8") == "kept"
+        assert sorted(p.name for p in out.iterdir()) == ["figure1.csv", temp.name]
+        assert temp.is_symlink()
+
     def test_tiny_covariance_solves(self, tmp_path):
         # the frontier constants scale like sigma^-1 at most, so a valid
         # covariance near the bottom of the float range still solves
@@ -899,13 +938,19 @@ class TestStudy:
 
 
 class TestInputFiles:
-    @pytest.mark.parametrize("command", ["solve", "study"])
-    def test_repeated_config_key_exits_1(self, command, tmp_path):
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [("solve", '{"phi": [0, 0], ' + json.dumps(TEXTBOOK_CONFIG)[1:], "phi"),
+         ("study", '{"phi_set": [0, 0], "phi_set": [3]}', "phi_set"),
+         # the key named is the first one met a second time, as in the
+         # CSV header and study label rules
+         ("solve", '{"a": 1, "b": 2, "b": 3, "a": 4}', "b")],
+        ids=["solve", "study", "first-key-met-twice"],
+    )
+    def test_repeated_config_key_exits_1(self, command, text, key, tmp_path):
         # the last phi would otherwise win, unseen in a report that digests the file
         cfg = tmp_path / "config.json"
-        body = json.dumps(TEXTBOOK_CONFIG if command == "solve" else {"phi_set": [3]})[1:]
-        key = "phi" if command == "solve" else "phi_set"
-        cfg.write_text(f'{{"{key}": [0, 0], {body}', encoding="utf-8")
+        cfg.write_text(text, encoding="utf-8")
         out = tmp_path / "study"
         extra = ["--output-dir", str(out)] if command == "study" else []
         result = run_cli(command, "--config", str(cfg), *extra)
@@ -1019,6 +1064,14 @@ def test_version():
     result = run_cli("--version")
     assert result.returncode == 0
     assert result.stdout == "mimicfund 0.1.0\n"
+
+
+def test_cli_module_runs_as_a_script():
+    # the module's own __main__ guard, not the package's __main__.py
+    result = subprocess.run([sys.executable, "-m", "mimicfund.cli", "--version"],
+                            capture_output=True, text=True)
+    assert result.returncode == 0
+    assert (result.stdout, result.stderr) == ("mimicfund 0.1.0\n", "")
 
 
 def test_output_is_ascii_for_a_non_utf8_stdout(solve_config, returns_csv):

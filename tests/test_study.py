@@ -428,7 +428,9 @@ class TestRunSweeps:
     @pytest.mark.parametrize(
         "fields, label",
         [({"phi_set": (3.0, 3.0000001)}, "phi=3"), ({"phi_set": (3, 3.0)}, "phi=3"),
-         ({"a_set": (2.0, 5.0, 2.0)}, "a=2"), ({"phi_set": (0.0, -0.0)}, "phi=0")],
+         ({"a_set": (2.0, 5.0, 2.0)}, "a=2"), ({"phi_set": (0.0, -0.0)}, "phi=0"),
+         # the label named is the first one met a second time
+         ({"phi_set": (1, 2, 2, 1)}, "phi=2")],
     )
     def test_repeated_series_label_is_rejected(self, fields, label):
         # two series under one label would read as one series in the CSV
@@ -529,6 +531,21 @@ class TestRunSweeps:
         records = figure1.records + figure2.records
         assert type(records) is tuple
         assert all(type(r) is SweepRecord for r in records)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{}, {"market": MarketModel((0.05, 0.07, 0.1, 0.14), np.diag((0.01, 0.02, 0.04, 0.09))),
+              "phi_set": (0.5, 1.0, 2.0), "a_set": (3.0, 7.0), "grid_points": 17}],
+        ids=["default", "four-assets-five-series"],
+    )
+    def test_records_rebuild_the_columns_point_by_point(self, fields):
+        for table in run_sweeps(StudyConfig(**fields)):
+            rows, g = table.coordinate.shape
+            assert table.records == tuple(
+                SweepRecord(table.series[s], *(x[s, j].item() for x in
+                                               (table.coordinate, table.delta_omega, table.delta_eu)))
+                for s in range(rows) for j in range(g)
+            )
 
     def test_records_are_immutable_named_fields(self, default_tables):
         record = default_tables[0].records[0]
