@@ -22,12 +22,10 @@ import numpy as np
 
 from . import __version__, errors, markowitz, mimicking, model
 from .model import InvestorGroup, MarketModel
-from .moments import estimate, load_csv, parse_csv, read_input
+from .moments import estimate, load_csv, read_input
 
 # oracle, sampling and study are imported by the commands that use them, so
-# that solve and estimate skip them at start-up.  The commands read with
-# read_input and parse with parse_csv, whose (names, returns) pair load_csv
-# also returns; load_csv stays importable from here for perfbench's self-test.
+# that solve and estimate skip them at start-up.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -148,11 +146,12 @@ def _write(files: dict) -> None:
                 handle.write(text)
         for target, (path, temp) in temps.items():
             os.replace(temp, target)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # a ValueError: the path holds a NUL
         for _, temp in temps.values():
             with contextlib.suppress(OSError):
                 os.remove(temp)
-        raise errors.IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        reason = getattr(exc, "strerror", None) or exc
+        raise errors.IoError(f"cannot write {path}: {reason}") from exc
 
 
 def _resolve_market(args, config: dict, inputs: dict) -> MarketModel:
@@ -166,8 +165,8 @@ def _resolve_market(args, config: dict, inputs: dict) -> MarketModel:
         )
     if in_config:
         return MarketModel(config["mu"], config["sigma"])
-    text, inputs[args.returns] = read_input(args.returns)
-    return estimate(parse_csv(args.returns, text)[1], args.annualize)
+    _, returns, inputs[args.returns] = load_csv(args.returns)
+    return estimate(returns, args.annualize)
 
 
 def _cmd_solve(args) -> int:
@@ -279,7 +278,7 @@ def _cmd_study(args) -> int:
     sidecar = _dumps(manifest)
     try:
         os.makedirs(args.output_dir, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # a ValueError: the path holds a NUL
         raise errors.IoError(f"cannot create {args.output_dir}: {exc}") from exc
     tables = {os.path.join(args.output_dir, name): table
               for name, table in (("figure1", figure1), ("figure2", figure2))}
@@ -294,8 +293,7 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    text, digest = read_input(args.returns)
-    names, returns = parse_csv(args.returns, text)
+    names, returns, digest = load_csv(args.returns)
     market = estimate(returns, args.annualize)
     report = {
         "manifest": _manifest("estimate", {"annualize": args.annualize}, {args.returns: digest}),

@@ -22,22 +22,29 @@ from .model import MarketModel, _as_array, _as_count, _repeated, _shown
 def read_input(path) -> tuple[str, str]:
     """The UTF-8 text of an input file and the sha256 of the very bytes it decodes.
 
-    The one reader of the package's input files, the CLI's configs included.
+    The one reader of the package's input files: the CLI's JSON configs,
+    and return files through :func:`load_csv`.
     A leading UTF-8 byte-order mark is not text; the digest still covers it.
     """
     try:
         with open(path, "rb") as handle:
             data = handle.read()
         return data.decode("utf-8-sig"), hashlib.sha256(data).hexdigest()
-    except OSError as exc:
-        raise errors.IoError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise errors.ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    except (OSError, ValueError) as exc:  # open raises a ValueError for a NUL in the path
+        raise errors.IoError(f"cannot read {path}: {exc}") from exc
 
 
-def load_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
-    """:func:`parse_csv` of the return-history CSV at ``path``, read by :func:`read_input`."""
-    return parse_csv(path, read_input(path)[0])
+def load_csv(path) -> tuple[tuple[str, ...], np.ndarray, str]:
+    """The asset names, ``T x k`` returns and sha256 of the return-history CSV at ``path``.
+
+    The one reader of a return file: :func:`read_input` reads its bytes
+    once, :func:`parse_csv` parses their text, and the digest is of the very
+    bytes parsed.
+    """
+    text, digest = read_input(path)
+    return (*parse_csv(path, text), digest)
 
 
 def parse_csv(path, text: str) -> tuple[tuple[str, ...], np.ndarray]:
@@ -49,11 +56,13 @@ def parse_csv(path, text: str) -> tuple[tuple[str, ...], np.ndarray]:
 
     Parse failures name ``path``, the offending row by the 1-based physical
     line it starts on (the header starts on line 1; a quoted newline or a
-    ``\r`` ends a line too), and the column.  One ``np.loadtxt`` call parses
-    the data rows; a file it does not read as exactly the rows the per-cell
-    parser would goes to that parser, which then decides the value or the
-    error.  The header is the first line split at commas; ``csv`` reads it
-    only when it holds a quote or a ``\r`` before its line ending.  Besides
+    ``\r`` ends a line too), and the column.  A row that ``csv`` cannot read
+    (a field past ``csv.field_size_limit()``, or a NUL before Python 3.11)
+    fails with ``csv``'s message.  One ``np.loadtxt`` call parses the data
+    rows; a file it does not read as exactly the rows the per-cell parser
+    would goes to that parser, which then decides the value or the error.
+    The header is the first line split at commas; ``csv`` reads it only
+    when it holds a quote or a ``\r`` before its line ending.  Besides
     ``text``, a parse holds the body after the header, one list of the
     body's lines and the parsed array; the ``io.StringIO`` copies ``csv``
     reads, at up to four bytes a character, are made only on those two
@@ -65,7 +74,10 @@ def parse_csv(path, text: str) -> tuple[tuple[str, ...], np.ndarray]:
     if '"' in head or "\r" in head:  # csv decides where a quoted or \r-ended header ends
         stream = io.StringIO(text, newline="")
         reader = csv.reader(stream)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:  # a field past csv.field_size_limit(), or a NUL before 3.11
+            raise errors.ParseError(f"{path}: row 1: {exc}") from None
         body = stream.read()
         first = reader.line_num + 1
     else:
@@ -126,27 +138,30 @@ def _parse_cells(path, body: str, k: int, first: int) -> np.ndarray:
     rows = csv.reader(io.StringIO(body, newline=""))
     values = []
     line_no = first
-    for row in rows:
-        if len(row) != k:
-            raise errors.ParseError(
-                f"{path}: row {line_no}: expected {k} fields, got {len(row)}"
-            )
-        parsed = []
-        for col_no, cell in enumerate(row, start=1):
-            text = cell.strip()
-            if not text:
-                raise errors.ParseError(f"{path}: row {line_no}, column {col_no}: empty cell")
-            try:
-                value = float(text)
-            except ValueError:
-                raise errors.ParseError(f"{path}: row {line_no}, column {col_no}: not a number: "
-                                        f"{_shown(text)}") from None
-            if not math.isfinite(value):
-                raise errors.NonFiniteValue(f"{path}: row {line_no}, column {col_no}: "
-                                            f"non-finite value {_shown(text)}")
-            parsed.append(value)
-        values.append(parsed)
-        line_no = first + rows.line_num
+    try:
+        for row in rows:
+            if len(row) != k:
+                raise errors.ParseError(
+                    f"{path}: row {line_no}: expected {k} fields, got {len(row)}"
+                )
+            parsed = []
+            for col_no, cell in enumerate(row, start=1):
+                text = cell.strip()
+                if not text:
+                    raise errors.ParseError(f"{path}: row {line_no}, column {col_no}: empty cell")
+                try:
+                    value = float(text)
+                except ValueError:
+                    raise errors.ParseError(f"{path}: row {line_no}, column {col_no}: "
+                                            f"not a number: {_shown(text)}") from None
+                if not math.isfinite(value):
+                    raise errors.NonFiniteValue(f"{path}: row {line_no}, column {col_no}: "
+                                                f"non-finite value {_shown(text)}")
+                parsed.append(value)
+            values.append(parsed)
+            line_no = first + rows.line_num
+    except csv.Error as exc:  # raised by the row starting on line_no
+        raise errors.ParseError(f"{path}: row {line_no}: {exc}") from None
     return np.array(values, dtype=float).reshape(len(values), k)
 
 

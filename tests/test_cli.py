@@ -1019,6 +1019,54 @@ class TestInputFiles:
             name: hashlib.sha256(data).hexdigest() for name, data in parsed.items()
         }
 
+    @pytest.mark.parametrize("command", ["solve", "estimate"])
+    def test_return_file_is_read_by_load_csv_alone(
+        self, command, returns_csv, group_config, monkeypatch, capsys
+    ):
+        # each call is counted by function and by the module that made it
+        from mimicfund import cli, moments
+
+        calls = collections.Counter()
+
+        def spy(fn):
+            def wrapper(*args):
+                calls[fn.__name__, sys._getframe(1).f_globals["__name__"]] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for module, name in ((cli, "load_csv"), (cli, "read_input"),
+                             (moments, "read_input"), (moments, "parse_csv")):
+            monkeypatch.setattr(module, name, spy(getattr(module, name)))
+        config = ["--config", str(group_config)] if command == "solve" else []
+        assert cli.main([command, *config, "--returns", str(returns_csv)]) == 0
+        capsys.readouterr()
+        expected = {("load_csv", "mimicfund.cli"): 1, ("read_input", "mimicfund.moments"): 1,
+                    ("parse_csv", "mimicfund.moments"): 1}
+        if command == "solve":
+            expected["read_input", "mimicfund.cli"] = 1  # the config, in _config
+        assert calls == expected
+        assert "parse_csv" not in vars(cli)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["estimate", "--returns", "a\x00b.csv"],
+         ["solve", "--config", "{cfg}", "--output", "o\x00.json"],
+         ["study", "--output-dir", "d\x00ir"]],
+        ids=["estimate-returns", "solve-output", "study-output-dir"],
+    )
+    def test_path_holding_a_nul_exits_2(self, argv, solve_config, tmp_path, monkeypatch, capsys):
+        # no shell passes a NUL in argv, but an in-process call can
+        from mimicfund import cli
+
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        assert cli.main([arg.format(cfg=solve_config) for arg in argv]) == 2
+        out, err = capsys.readouterr()
+        assert_one_short_error_line(out, err)
+        assert "embedded null byte" in err
+        assert sorted(tmp_path.iterdir()) == before
+
 
 class TestEstimate:
     def test_prints_moments(self, returns_csv):
@@ -1058,6 +1106,21 @@ class TestEstimate:
         assert result.returncode == 1
         assert "Traceback" not in result.stderr
         assert "not UTF-8" in result.stderr
+
+    @pytest.mark.parametrize(
+        "text, row",
+        [("A,B\n0.1,0.2\n{big},0.3\n", 3),
+         ('"{big}",B\n0.1,0.2\n', 1),
+         ('A,B\n0.1,0.2\n"{big}",0.3\n', 3)],
+        ids=["unquoted-cell", "quoted-name", "quoted-cell"],
+    )
+    def test_field_past_the_csv_limit_exits_1(self, tmp_path, text, row):
+        path = tmp_path / "big.csv"
+        path.write_text(text.format(big="1" * (csv.field_size_limit() + 1)), encoding="utf-8")
+        result = run_cli("estimate", "--returns", str(path))
+        assert result.returncode == 1
+        assert_one_short_error_line(result.stdout, result.stderr)
+        assert result.stderr.startswith(f"error: {path}: row {row}: field larger than field limit")
 
 
 def test_version():

@@ -2,6 +2,7 @@ import csv
 import enum
 import hashlib
 import io
+import sys
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -23,7 +24,7 @@ def write_csv(tmp_path, text, name="data.csv"):
 
 class TestLoadCsv:
     def test_well_formed_file(self, returns_csv):
-        names, returns = load_csv(returns_csv)
+        names, returns, _ = load_csv(returns_csv)
         assert names == ("A", "B")
         assert returns.shape == (60, 2) and returns.dtype == np.float64
         parsed_names, parsed = moments.parse_csv(returns_csv, returns_csv.read_text())
@@ -67,7 +68,7 @@ class TestLoadCsv:
     def test_too_few_observations(self, tmp_path):
         # T == k violates T >= k + 2: the parse keeps the rows, estimate rejects them
         path = write_csv(tmp_path, "A,B\n0.01,0.02\n0.03,0.04\n")
-        names, returns = load_csv(path)
+        names, returns, _ = load_csv(path)
         assert names == ("A", "B") and returns.shape == (2, 2)
         message = "^need at least k \\+ 2 = 4 observations, got 2$"
         with pytest.raises(errors.TooFewObservations, match=message):
@@ -86,18 +87,49 @@ class TestLoadCsv:
         data = b"\xef\xbb\xbf" + returns_csv.read_bytes()
         path = tmp_path / "bom.csv"
         path.write_bytes(data)
-        (plain_names, plain), (marked_names, marked) = load_csv(returns_csv), load_csv(path)
+        plain_names, plain, _ = load_csv(returns_csv)
+        marked_names, marked, digest = load_csv(path)
         assert marked_names == plain_names == ("A", "B")
         want, got = estimate(plain), estimate(marked)
         np.testing.assert_array_equal(got.mu, want.mu)
         np.testing.assert_array_equal(got.sigma, want.sigma)
-        assert moments.read_input(path)[1] == hashlib.sha256(data).hexdigest()
+        assert digest == hashlib.sha256(data).hexdigest()
 
     def test_non_utf8_bytes(self, tmp_path):
         path = tmp_path / "latin.csv"
         path.write_bytes(b"A,B\n\xff\xfe,1\n")
         with pytest.raises(errors.ParseError, match="latin.csv: not UTF-8"):
             load_csv(path)
+
+
+def oversized_field_texts():
+    """CSV texts, each with one field past ``csv``'s limit, and the row that holds it."""
+    big = "1" * (csv.field_size_limit() + 1)
+    return [
+        # np.loadtxt reads the digits as inf, so the per-cell parser reads the row
+        ("A,B\n0.1,0.2\n" + big + ",0.3\n0.1,0.2\n", 3),
+        ('"' + big + '",B\n0.1,0.2\n', 1),
+        ('A,B\n0.1,0.2\n"' + big + '",0.3\n', 3),
+        ('A,B\n"0.1\n",0.2\n' + big + ",0.3\n", 4),
+    ]
+
+
+class TestCsvFailures:
+    @pytest.mark.parametrize(
+        "text, row", oversized_field_texts(),
+        ids=["unquoted-cell", "quoted-name", "quoted-cell", "after-a-quoted-newline"],
+    )
+    def test_oversized_field_names_its_row(self, text, row):
+        message = f"^<path>: row {row}: field larger than field limit \\({csv.field_size_limit()}\\)$"
+        with pytest.raises(errors.ParseError, match=message):
+            moments.parse_csv("<path>", text)
+
+    def test_nul_in_a_cell_names_its_row(self):
+        # csv before Python 3.11 fails on the line; later ones hand the cell to float
+        message = ("row 3: line contains NUL" if sys.version_info < (3, 11)
+                   else "row 3, column 2: not a number")
+        with pytest.raises(errors.ParseError, match=f"^<path>: {message}"):
+            moments.parse_csv("<path>", "A,B\n0.1,0.2\n0.3,0.4\x00\n0.5,0.6\n")
 
 
 def load_by_cells(monkeypatch, path):
@@ -115,7 +147,7 @@ def outcome(load, path):
     """The rows ``load`` parses and :func:`estimate` accepts, as the CLI
     reads them, or the error class and message of either."""
     try:
-        _, returns = load(path)
+        returns = load(path)[1]
         estimate(returns)
     except errors.ValidationError as exc:
         return type(exc), str(exc).replace(str(path), "<path>")
@@ -353,14 +385,14 @@ class TestEstimate:
         )
 
     def test_annualization_scales_both_moments(self, returns_csv):
-        _, returns = load_csv(returns_csv)
+        returns = load_csv(returns_csv)[1]
         plain = estimate(returns)
         yearly = estimate(returns, periods_per_year=12)
         np.testing.assert_allclose(yearly.mu, 12 * plain.mu, rtol=1e-14)
         np.testing.assert_allclose(yearly.sigma, 12 * plain.sigma, rtol=1e-14)
 
     def test_bad_annualization_rejected(self, returns_csv):
-        _, returns = load_csv(returns_csv)
+        returns = load_csv(returns_csv)[1]
         with pytest.raises(errors.ConstraintViolated):
             estimate(returns, periods_per_year=0)
         with pytest.raises(errors.ConstraintViolated):
