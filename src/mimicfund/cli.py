@@ -37,7 +37,8 @@ VERIFY_TOL = 1e-10
 
 
 def _log(message: str) -> None:
-    print(message, file=sys.stderr)
+    """Write ``message`` to stderr as one line: each non-printable character is escaped."""
+    print("".join(ch if ch.isprintable() else repr(ch)[1:-1] for ch in message), file=sys.stderr)
 
 
 def _timestamp() -> str:
@@ -311,7 +312,8 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+        _log(f"{self.prog}: error: {message}")
+        self.exit(EXIT_VALIDATION)
 
 
 def _int_at_least(low: int):

@@ -140,7 +140,8 @@ def _shown(value) -> str:
     message shows a value from outside: the library's arguments, the CLI's
     flags, config values and keys, CSV asset names and cells, and
     ``SOURCE_DATE_EPOCH``.  A file path is shown in full, since the OS
-    bounds its length, and a number computed here by ``repr``.
+    bounds its length, and ``cli._log`` escapes what would break its line;
+    a number computed here is shown by ``repr``.
     """
     return _Repr().repr(value)[:100]
 

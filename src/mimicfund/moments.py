@@ -11,7 +11,6 @@ import csv
 import hashlib
 import io
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -39,22 +38,25 @@ def read_input(path) -> tuple[str, str]:
 def load_csv(path) -> tuple[tuple[str, ...], np.ndarray, str]:
     """The asset names, ``T x k`` returns and sha256 of the return-history CSV at ``path``.
 
-    The one reader of a return file: :func:`read_input` reads its bytes
-    once, :func:`parse_csv` parses their text, and the digest is of the very
-    bytes parsed.
+    The one reader of a return file: :func:`read_input` reads its bytes once,
+    :func:`parse_csv` parses their text, and the digest is of the very bytes
+    parsed.  A parse error is raised again with ``path`` before its message.
     """
     text, digest = read_input(path)
-    return (*parse_csv(path, text), digest)
+    try:
+        return (*parse_csv(text), digest)
+    except (errors.ParseError, errors.NonFiniteValue) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
-def parse_csv(path, text: str) -> tuple[tuple[str, ...], np.ndarray]:
-    r"""Parse ``text``, the return-history CSV read from ``path``, into names and returns.
+def parse_csv(text: str) -> tuple[tuple[str, ...], np.ndarray]:
+    r"""Parse ``text``, a return-history CSV, into names and returns.
 
     Returns the header's asset names, stripped, as a tuple, and the ``T x k``
     float matrix of the data rows, one column per name.  Whether there are
     enough rows is :func:`estimate`'s rule, not the parser's.
 
-    Parse failures name ``path``, the offending row by the 1-based physical
+    Parse failures name no file, but the offending row by the 1-based physical
     line it starts on (the header starts on line 1; a quoted newline or a
     ``\r`` ends a line too), and the column.  A row that ``csv`` cannot read
     (a field past ``csv.field_size_limit()``, or a NUL before Python 3.11)
@@ -77,27 +79,27 @@ def parse_csv(path, text: str) -> tuple[tuple[str, ...], np.ndarray]:
         try:
             header = next(reader, None)
         except csv.Error as exc:  # a field past csv.field_size_limit(), or a NUL before 3.11
-            raise errors.ParseError(f"{path}: row 1: {exc}") from None
+            raise errors.ParseError(f"row 1: {exc}") from None
         body = stream.read()
         first = reader.line_num + 1
     else:
         header = head.split(",") if text else None
     if header is None:
-        raise errors.ParseError(f"{path}: file is empty")
+        raise errors.ParseError("file is empty")
     header = [cell.strip() for cell in header]
     if not header or any(not name for name in header):
-        raise errors.ParseError(f"{path}: row 1: header must name every column")
+        raise errors.ParseError("row 1: header must name every column")
     name = _repeated(header)
     if name is not None:
-        raise errors.ParseError(f"{path}: row 1: asset name {_shown(name)} repeats")
+        raise errors.ParseError(f"row 1: asset name {_shown(name)} repeats")
     k = len(header)
     returns = _loadtxt(body, k)
     if returns is None:
-        returns = _parse_cells(path, body, k, first)
+        returns = _parse_cells(body, k, first)
     return tuple(header), returns
 
 
-def _loadtxt(body: str, k: int) -> Optional[np.ndarray]:
+def _loadtxt(body: str, k: int) -> np.ndarray | None:
     r"""The data rows parsed by ``np.loadtxt``, or None to leave them to ``float``.
 
     ``body`` is split at ``\n`` only, and the rows are kept only where they
@@ -129,7 +131,7 @@ def _loadtxt(body: str, k: int) -> Optional[np.ndarray]:
     return returns
 
 
-def _parse_cells(path, body: str, k: int, first: int) -> np.ndarray:
+def _parse_cells(body: str, k: int, first: int) -> np.ndarray:
     """Data rows parsed cell by cell; the reference parser and its errors.
 
     ``body`` starts on physical line ``first``, and an error names a row by
@@ -141,31 +143,29 @@ def _parse_cells(path, body: str, k: int, first: int) -> np.ndarray:
     try:
         for row in rows:
             if len(row) != k:
-                raise errors.ParseError(
-                    f"{path}: row {line_no}: expected {k} fields, got {len(row)}"
-                )
+                raise errors.ParseError(f"row {line_no}: expected {k} fields, got {len(row)}")
             parsed = []
             for col_no, cell in enumerate(row, start=1):
                 text = cell.strip()
                 if not text:
-                    raise errors.ParseError(f"{path}: row {line_no}, column {col_no}: empty cell")
+                    raise errors.ParseError(f"row {line_no}, column {col_no}: empty cell")
                 try:
                     value = float(text)
                 except ValueError:
-                    raise errors.ParseError(f"{path}: row {line_no}, column {col_no}: "
+                    raise errors.ParseError(f"row {line_no}, column {col_no}: "
                                             f"not a number: {_shown(text)}") from None
                 if not math.isfinite(value):
-                    raise errors.NonFiniteValue(f"{path}: row {line_no}, column {col_no}: "
+                    raise errors.NonFiniteValue(f"row {line_no}, column {col_no}: "
                                                 f"non-finite value {_shown(text)}")
                 parsed.append(value)
             values.append(parsed)
             line_no = first + rows.line_num
     except csv.Error as exc:  # raised by the row starting on line_no
-        raise errors.ParseError(f"{path}: row {line_no}: {exc}") from None
+        raise errors.ParseError(f"row {line_no}: {exc}") from None
     return np.array(values, dtype=float).reshape(len(values), k)
 
 
-def estimate(returns, periods_per_year: Optional[int] = None) -> MarketModel:
+def estimate(returns, periods_per_year: int | None = None) -> MarketModel:
     """Sample moments of a ``T x k`` return history, optionally annualized.
 
     ``returns`` passes :func:`model._as_array` as a 2-D matrix, which copies

@@ -1211,6 +1211,44 @@ def test_long_outside_value_is_shown_truncated(command, flag, text, value, env, 
     assert not any(value[start:start + 101] in result.stderr for start in range(10))
 
 
+# characters that end a line, move the cursor or end a C string in a path
+LINE_BREAKERS = {"\n": r"\n", "\r": r"\r", "\t": r"\t", "\x00": r"\x00", "\u2028": r"\u2028"}
+
+
+@pytest.mark.parametrize("char", sorted(LINE_BREAKERS), ids=repr)
+@pytest.mark.parametrize(
+    "argv",
+    [["estimate", "--returns", "{dir}/no{char}such.csv"],
+     ["solve", "--config", "{dir}/no{char}such.json"],
+     ["solve", "--config", "{cfg}", "--output", "{dir}/no{char}dir/out.json"],
+     ["study", "--output-dir", "{file}/d{char}ir"]],
+    ids=["estimate-returns", "solve-config", "solve-output", "study-output-dir"],
+)
+def test_path_is_shown_on_one_error_line(argv, char, solve_config, tmp_path, capsys):
+    # cli._log escapes what would break the line; each path fails to open
+    from mimicfund import cli
+
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    fields = {"dir": tmp_path, "file": tmp_path / "file", "cfg": solve_config, "char": char}
+    assert cli.main([arg.format(**fields) for arg in argv]) == cli.EXIT_IO
+    out, err = capsys.readouterr()
+    assert_one_short_error_line(out, err)
+    assert LINE_BREAKERS[char] in err and char not in err[:-1]
+
+
+@pytest.mark.parametrize("char", sorted(LINE_BREAKERS), ids=repr)
+def test_unknown_option_is_shown_on_one_error_line(char, capsys):
+    from mimicfund import cli
+
+    with pytest.raises(SystemExit) as caught:
+        cli.main(["estimate", "--returns", "r.csv", f"--no{char}such"])
+    assert caught.value.code == cli.EXIT_VALIDATION
+    usage = cli._build_parser().format_usage()
+    err = capsys.readouterr().err
+    assert err.startswith(usage) and err[len(usage):].count("\n") == 1
+    assert f"error: unrecognized arguments: --no{LINE_BREAKERS[char]}such\n" in err
+
+
 # entries a config may hold in place of a number: extremes of the float
 # range, an integer beyond it, non-finite values and non-numbers
 ODD_ENTRIES = st.one_of(

@@ -27,7 +27,7 @@ class TestLoadCsv:
         names, returns, _ = load_csv(returns_csv)
         assert names == ("A", "B")
         assert returns.shape == (60, 2) and returns.dtype == np.float64
-        parsed_names, parsed = moments.parse_csv(returns_csv, returns_csv.read_text())
+        parsed_names, parsed = moments.parse_csv(returns_csv.read_text())
         assert parsed_names == names
         np.testing.assert_array_equal(parsed, returns)
 
@@ -120,16 +120,16 @@ class TestCsvFailures:
         ids=["unquoted-cell", "quoted-name", "quoted-cell", "after-a-quoted-newline"],
     )
     def test_oversized_field_names_its_row(self, text, row):
-        message = f"^<path>: row {row}: field larger than field limit \\({csv.field_size_limit()}\\)$"
+        message = f"^row {row}: field larger than field limit \\({csv.field_size_limit()}\\)$"
         with pytest.raises(errors.ParseError, match=message):
-            moments.parse_csv("<path>", text)
+            moments.parse_csv(text)
 
     def test_nul_in_a_cell_names_its_row(self):
         # csv before Python 3.11 fails on the line; later ones hand the cell to float
         message = ("row 3: line contains NUL" if sys.version_info < (3, 11)
                    else "row 3, column 2: not a number")
-        with pytest.raises(errors.ParseError, match=f"^<path>: {message}"):
-            moments.parse_csv("<path>", "A,B\n0.1,0.2\n0.3,0.4\x00\n0.5,0.6\n")
+        with pytest.raises(errors.ParseError, match=f"^{message}"):
+            moments.parse_csv("A,B\n0.1,0.2\n0.3,0.4\x00\n0.5,0.6\n")
 
 
 def load_by_cells(monkeypatch, path):
@@ -266,7 +266,7 @@ def csv_texts(draw):
 def parsed(text):
     """``parse_csv``'s value bits and names, or its error class and message."""
     try:
-        names, returns = moments.parse_csv("<path>", text)
+        names, returns = moments.parse_csv(text)
     except errors.ValidationError as exc:
         return type(exc), str(exc)
     header = next(csv.reader(io.StringIO(text, newline="")))
@@ -292,7 +292,7 @@ def test_parsing_leaves_the_host_warning_registry_alone():
     with warnings.catch_warnings(record=True) as shown:
         warnings.simplefilter("default")
         _host_warning()
-        moments.parse_csv("<path>", "A,B\n0.1,0.2\n0.3,0.4\n")
+        moments.parse_csv("A,B\n0.1,0.2\n0.3,0.4\n")
         _host_warning()
     assert [str(w.message) for w in shown] == ["a host program's warning"]
 
