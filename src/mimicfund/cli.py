@@ -120,14 +120,17 @@ def _write(files: dict) -> None:
     must be a regular file if it exists: a directory, FIFO or device is
     refused, and so are an empty path and two paths that resolve to one
     file.  Each text goes to a new temporary file beside that target, named
-    by the target and the process id; a file or link already at that name
-    fails the write.  The temporaries are renamed over their targets only
-    once every one of them is written.  A failure removes the temporaries
-    this call made and names the path it was writing.
+    ``.<pid>.<index>.tmp`` by the process id and the path's index in
+    ``files``, so a target name of any valid length leaves room for it; a
+    file or link already at that name fails the write.  The temporaries are
+    renamed over their targets only once every one of them is written.  Any
+    exception removes the temporaries this call made; an I/O failure becomes
+    an :class:`errors.IoError` naming the path it was writing, and anything
+    else (an interrupt) propagates unchanged.
     """
     temps = {}
     try:
-        for path, text in files.items():
+        for index, (path, text) in enumerate(files.items()):
             if not path:
                 raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
             target = os.path.realpath(path)
@@ -141,16 +144,18 @@ def _write(files: dict) -> None:
                 raise OSError("not a regular file")
             if target in temps:
                 raise OSError("resolves to the same file as another output")
-            temp = f"{target}.{os.getpid()}.tmp"
+            temp = os.path.join(os.path.dirname(target), f".{os.getpid()}.{index}.tmp")
             with open(temp, "x", encoding="utf-8", newline="") as handle:
                 temps[target] = path, temp  # only a temporary made here is removed
                 handle.write(text)
         for target, (path, temp) in temps.items():
             os.replace(temp, target)
-    except (OSError, ValueError) as exc:  # a ValueError: the path holds a NUL
+    except BaseException as exc:
         for _, temp in temps.values():
             with contextlib.suppress(OSError):
                 os.remove(temp)
+        if not isinstance(exc, (OSError, ValueError)):  # a ValueError: the path holds a NUL
+            raise
         reason = getattr(exc, "strerror", None) or exc
         raise errors.IoError(f"cannot write {path}: {reason}") from exc
 

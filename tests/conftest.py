@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import support
 
 from mimicfund import InvestorGroup, MarketModel, markowitz
 
@@ -13,13 +14,10 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
     part for part in (SRC, os.environ.get("PYTHONPATH")) if part
 )
 
-TEXTBOOK_MU = (0.07, 0.14)
-TEXTBOOK_SIGMA = ((0.0144, 0.0048), (0.0048, 0.04))
-
 
 @pytest.fixture
 def textbook_market():
-    return MarketModel(TEXTBOOK_MU, TEXTBOOK_SIGMA)
+    return MarketModel(**support.TEXTBOOK_MARKET)
 
 
 @pytest.fixture
@@ -29,7 +27,7 @@ def textbook_ctx(textbook_market):
 
 @pytest.fixture
 def base_group():
-    return InvestorGroup(alpha=(2.0, 4.0), beta=(0.5, 0.5), phi=(3.0, 3.0))
+    return InvestorGroup(**support.TEXTBOOK_GROUP)
 
 
 @pytest.fixture

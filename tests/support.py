@@ -1,6 +1,7 @@
-"""Independent reference implementations used as test oracles.
+"""Independent reference implementations used as test oracles, and the
+textbook instance the tests share.
 
-Everything here is deliberately written from the raw optimality conditions
+Every oracle is deliberately written from the raw optimality conditions
 and the model's definitions with plain numpy, sharing no code with the
 package's solvers.
 """
@@ -8,6 +9,11 @@ package's solvers.
 from fractions import Fraction
 
 import numpy as np
+
+# the two-asset textbook market and group, as the JSON lists a config holds
+TEXTBOOK_MARKET = {"mu": [0.07, 0.14], "sigma": [[0.0144, 0.0048], [0.0048, 0.04]]}
+TEXTBOOK_GROUP = {"alpha": [2.0, 4.0], "beta": [0.5, 0.5], "phi": [3.0, 3.0]}
+TEXTBOOK_CONFIG = {**TEXTBOOK_MARKET, **TEXTBOOK_GROUP}
 
 
 def qp_gmvp(sigma):

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ def test_criterion_2_trace_form_matches_direct_sum():
 
 def test_criterion_3_mimicking_matrix_positive_definite():
     rng = np.random.default_rng(SEED + 2)
-    textbook = MarketModel((0.07, 0.14), ((0.0144, 0.0048), (0.0048, 0.04)))
+    textbook = MarketModel(**support.TEXTBOOK_MARKET)
     ctx = markowitz.context(textbook)
     failures = 0
     for _ in range(1000):
@@ -173,7 +174,7 @@ def test_criterion_5_special_case_suite():
 def large_group_sweep():
     """50 random uniform-wealth groups with n = 1000 (criteria 6a and 6b)."""
     rng = np.random.default_rng(SEED + 4)
-    textbook = MarketModel((0.07, 0.14), ((0.0144, 0.0048), (0.0048, 0.04)))
+    textbook = MarketModel(**support.TEXTBOOK_MARKET)
     ctx = markowitz.context(textbook)
     rows = []
     for _ in range(50):
@@ -254,9 +255,9 @@ def test_criterion_7_study_reproduction():
 
 
 def test_criterion_8_spot_values_confirmed_then_frozen():
-    market = MarketModel((0.07, 0.14), ((0.0144, 0.0048), (0.0048, 0.04)))
+    market = MarketModel(**support.TEXTBOOK_MARKET)
     ctx = markowitz.context(market)
-    group = InvestorGroup((2.0, 4.0), (0.5, 0.5), (3.0, 3.0))
+    group = InvestorGroup(**support.TEXTBOOK_GROUP)
 
     # independent confirmations first
     gmvp_oracle = support.qp_gmvp(market.sigma)
@@ -284,69 +285,44 @@ def test_criterion_8_spot_values_confirmed_then_frozen():
     report("8 spot values", True, "alpha_f=8/3, alpha_star_f=17/6, GMVP, tilt all oracle-confirmed")
 
 
-def test_criterion_9_determinism(tmp_path):
-    first = run_sweeps(StudyConfig())
-    second = run_sweeps(StudyConfig())
-    assert first[0].to_csv() == second[0].to_csv()
-    assert first[1].to_csv() == second[1].to_csv()
+GOLDEN_STUDY = Path(__file__).resolve().parent / "golden" / "study-default"
 
-    outputs = []
-    for name in ("one", "two"):
-        out = tmp_path / name
+
+def file_bytes(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+@pytest.mark.parametrize("command", ["verify", "solve-config", "solve-returns", "estimate", "study"])
+def test_criterion_9_determinism(command, tmp_path, returns_csv):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(support.TEXTBOOK_CONFIG), encoding="utf-8")
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps(support.TEXTBOOK_GROUP), encoding="utf-8")
+    returns = ["--returns", str(returns_csv), "--annualize", "12"]
+    argv = {
+        "verify": ["verify", "--count", "25", "--max-k", "5", "--max-n", "5", "--seed", "11"],
+        "solve-config": ["solve", "--config", str(config)],
+        "solve-returns": ["solve", "--config", str(group), *returns],
+        "estimate": ["estimate", *returns],
+        "study": ["study", "--output-dir", str(tmp_path / "study")],
+    }[command]
+
+    def run():
+        # a fresh interpreter each time, with the manifest timestamp pinned
         result = subprocess.run(
-            [sys.executable, "-m", "mimicfund", "study", "--output-dir", str(out)],
+            [sys.executable, "-m", "mimicfund", *argv],
             capture_output=True,
+            env={**os.environ, "SOURCE_DATE_EPOCH": "0"},
         )
-        assert result.returncode == 0
-        outputs.append(
-            (out / "figure1.csv").read_bytes() + (out / "figure2.csv").read_bytes()
-        )
-    assert outputs[0] == outputs[1]
+        assert result.returncode == 0, result.stderr
+        return result.stdout
 
-    verify_args = [
-        sys.executable, "-m", "mimicfund", "verify",
-        "--count", "25", "--max-k", "5", "--max-n", "5", "--seed", "11",
-    ]
-    first_run = subprocess.run(verify_args, capture_output=True)
-    second_run = subprocess.run(verify_args, capture_output=True)
-    assert first_run.returncode == 0
-    assert first_run.stdout == second_run.stdout
-
-    # with the timestamp pinned, the manifests and solve's report are byte-identical too
-    pinned = {**os.environ, "SOURCE_DATE_EPOCH": "0"}
-    manifests = []
-    for name in ("three", "four"):
-        out = tmp_path / name
-        result = subprocess.run(
-            [sys.executable, "-m", "mimicfund", "study", "--output-dir", str(out)],
-            capture_output=True,
-            env=pinned,
-        )
-        assert result.returncode == 0
-        manifests.append(
-            (out / "figure1.manifest.json").read_bytes()
-            + (out / "figure2.manifest.json").read_bytes()
-        )
-    assert manifests[0] == manifests[1]
-
-    config = tmp_path / "solve.json"
-    config.write_text(
-        json.dumps({
-            "mu": [0.07, 0.14],
-            "sigma": [[0.0144, 0.0048], [0.0048, 0.04]],
-            "alpha": [2.0, 4.0],
-            "beta": [0.5, 0.5],
-            "phi": [3.0, 3.0],
-        }),
-        encoding="utf-8",
-    )
-    solve_args = [sys.executable, "-m", "mimicfund", "solve", "--config", str(config)]
-    first_solve = subprocess.run(solve_args, capture_output=True, env=pinned)
-    second_solve = subprocess.run(solve_args, capture_output=True, env=pinned)
-    assert first_solve.returncode == 0
-    assert first_solve.stdout == second_solve.stdout
-
-    report(
-        "9 determinism", True,
-        "study CSVs and manifests, verify reports and solve reports byte-identical",
-    )
+    if command == "study":
+        run()
+        same = file_bytes(tmp_path / "study") == file_bytes(GOLDEN_STUDY)
+        detail = "CSVs and manifests are the bytes of tests/golden/study-default"
+    else:
+        same = run() == run()
+        detail = "two runs print the same stdout bytes"
+    report(f"9 determinism of {command}", same, detail)
+    assert same

@@ -18,9 +18,7 @@ V_GMV = 54 / 4375
 TILT = np.array([-1.5625, 1.5625])
 SLOPE = 0.109375
 
-TEXTBOOK_CTX = markowitz.context(
-    MarketModel((0.07, 0.14), ((0.0144, 0.0048), (0.0048, 0.04)))
-)
+TEXTBOOK_CTX = markowitz.context(MarketModel(**support.TEXTBOOK_MARKET))
 
 
 class TestContext:

@@ -25,7 +25,7 @@ TINY_ALPHA = {**HUGE_SIGMA, "alpha": [1e-306, 1e-306], "beta": [0.5, 0.5], "phi"
 LARGE_ALPHA = {**HUGE_SIGMA, "alpha": [1e10, 1e10], "beta": [0.5, 0.5], "phi": [1.0, 1.0]}
 # alpha at the largest float: tau = 2^-1024 is subnormal, and 1 / tau overflows
 LARGEST_ALPHA = {
-    "mu": [0.07, 0.14], "sigma": [[0.0144, 0.0048], [0.0048, 0.04]],
+    **support.TEXTBOOK_MARKET,
     "alpha": [sys.float_info.max] * 2, "beta": [0.5, 0.5], "phi": [0.0, 0.0],
 }
 
